@@ -136,14 +136,22 @@ class TreeOfCosetSpaces:
         return out
 
     def path_from_base(self, v: VertexId) -> list[VertexId]:
+        """Vertices from the base to v: the truncations of v's reduced word.
+
+        A prefix of a reduced word is already reduced, so each prefix vertex
+        is assembled from the syllables read so far, with no multiplication.
+        """
+        am = self.am
         path = [self.base_vertex]
-        prefix = self.am.identity
+        done: list[tuple[str, int]] = []
         for s, x in self._padded_syllables(v):
-            if x != self.am.side_group(s).identity:
-                prefix = self.am.mul(prefix, self.am.letter_word(s, x))
+            if x != am.side_group(s).identity:
+                done.append((s, x))
             vside = "R" if s == "L" else "L"
-            path.append(self.vertex_of_word(vside, prefix))
-        if path[-1] != v:
+            path.append(self.vertex_of_word(vside, am._assemble(done, am.common.identity)))
+        # prefixes are not renormalised, so a non-reduced word would
+        # reproduce itself; it is rejected explicitly
+        if path[-1] != v or not am.is_reduced(v[1]):
             raise DomainError(f"not a canonical vertex representative: {v!r}")
         return path
 
@@ -203,12 +211,15 @@ class TreeOfCosetSpaces:
         """The G/C (or H/C) representative of a point of X_v under the map
         gamma g C -> g C attached to the vertex's canonical representative."""
         side, rep_word = v
-        group, table, _, _ = self.am._side(side)
-        shifted = self.am.mul(self.am.inv(rep_word), coset)
-        element = self.am.as_side_element(side, shifted)
-        if element is None:
+        if self.vertex_of_word(side, coset) != v:
             raise DomainError(f"coset {coset!r} does not lie in vertex {v!r}")
-        return table.rep_of[element]
+        group, table, _, _ = self.am._side(side)
+        # coset = rep_word * g * c: either g lies in C, or g is the one
+        # syllable the coset word adds to the vertex word (its last pair)
+        if coset.pairs == rep_word.pairs:
+            return table.rep_of[group.identity]
+        g, h = coset.pairs[-1]
+        return table.rep_of[g if side == "L" else h]
 
     def universe(self, sample_radius: int = 3) -> PointUniverse:
         ball = None
@@ -251,10 +262,14 @@ def vertex_induced_space(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: S
     structs = {"L": struct_gc, "R": struct_hc}
 
     def diff(x, y):
+        # on the path from x to y, an interior vertex projects x to the edge
+        # toward the previous vertex and y to the edge toward the next one
+        path = tree.vertex_path(x.vertex, y.vertex)
+        edges = [tree.edge_between(u, w) for u, w in zip(path, path[1:])]
+        toward_x = [tree.project(path[0], x)] + edges
+        toward_y = edges + [tree.project(path[-1], y)]
         entries = []
-        for v in tree.vertex_path(x.vertex, y.vertex):
-            px = tree.project(v, x)
-            py = tree.project(v, y)
+        for v, px, py in zip(path, toward_x, toward_y):
             if px == py:
                 continue
             struct = structs[v[0]]

@@ -133,11 +133,15 @@ def _orbit_enumeration(built: Built, action_name: str = "main") -> Callable[[int
     def enumerate_points(limit: int) -> list:
         action = built.actions[action_name]
         out = [built.basepoint]
+        seen = {built.basepoint}
         radius = 1
         while len(out) < limit and radius <= 8:
-            for g, _ in ball_enumerate(action.group, radius):
+            for g, length in ball_enumerate(action.group, radius):
+                if length < radius:
+                    continue  # acted on at a smaller radius
                 p = action.point_map(g, built.basepoint)
-                if p not in out:
+                if p not in seen:
+                    seen.add(p)
                     out.append(p)
                 if len(out) >= limit:
                     break
@@ -501,7 +505,13 @@ def _build_free_tree(node, base_dir, path):
     rank = int(_require(node, "rank", path))
     radius = int(node.get("radius", 4))
     space, action, free = ex.free_tree_space(rank, q, sample_radius=radius)
-    built = Built(space, {"main": action}, basepoint=free.identity, group=free,
+
+    def coerce(v):
+        if isinstance(v, list):
+            return tuple(v)
+        raise ConfigError(f"{path}: free_tree_mineyev points are lists of signed generator indices")
+
+    built = Built(space, {"main": action}, basepoint=free.identity, group=free, coerce=coerce,
                   extras={"free": free, "radius": radius})
     built.enumerate_points = _orbit_enumeration(built)
     return built
@@ -578,12 +588,16 @@ def growth_profile(built: Built, radius: int, action_name: str = "main", budget:
     """Per-sphere orbital statistics: exact min/max energies, float distances.
 
     Raises ConfigError when no action is attached; flags the profile as
-    partial when the enumeration budget is hit.
+    partial when the enumeration budget is hit.  A finite group's spheres
+    are empty past its diameter, so the profile then ends at the last
+    nonempty sphere and records that radius as ``reached``.
     """
     if action_name not in built.actions:
         raise ConfigError("growth profiles need a space built with a group action")
     action = built.actions[action_name]
     spheres = sphere_list(action.group, radius)
+    if [] in spheres:
+        spheres = spheres[: spheres.index([])]
     total = sum(len(s) for s in spheres)
     partial = total > budget
     rows = []
@@ -609,7 +623,7 @@ def growth_profile(built: Built, radius: int, action_name: str = "main", budget:
                 "mean_dist": sum(dists) / len(dists),
             }
         )
-    return {"rows": rows, "partial": partial}
+    return {"rows": rows, "partial": partial, "radius": radius, "reached": len(spheres) - 1}
 
 
 def profile_csv(profile: dict) -> str:
@@ -621,6 +635,8 @@ def profile_csv(profile: dict) -> str:
         )
     if profile["partial"]:
         lines.append("# partial: enumeration budget exceeded")
+    if profile["reached"] < profile["radius"]:
+        lines.append(f"# radius {profile['radius']} requested; spheres past radius {profile['reached']} are empty")
     return "\n".join(lines) + "\n"
 
 
@@ -683,7 +699,13 @@ def _parse_point(built: Built, text: str) -> Point:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"point {text!r} is neither an index (#k) nor JSON") from exc
-    return built.coerce(value)
+    try:
+        point = built.coerce(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"point {text!r} does not have this space's point type") from exc
+    if not built.space.universe.contains(point):
+        raise ConfigError(f"point {text!r} is not in this space")
+    return point
 
 
 def _load_config(path_str: str) -> tuple[dict, Path]:
@@ -730,7 +752,8 @@ def main(argv=None) -> int:
     p_check.add_argument("config")
     p_check.add_argument("--suite", default="all", choices=["all", "metric", "equivariance", "amalgam"])
     p_check.add_argument("--samples", type=int, default=100)
-    p_check.add_argument("--seed", type=int, default=0)
+    p_check.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                         help="seed for sampled checks (default: the top-level --seed)")
     p_check.add_argument("--out", default=None)
     p_check.add_argument("--amalgam-tree-term", default="linear", choices=["linear", "power"])
 

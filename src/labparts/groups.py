@@ -487,10 +487,12 @@ class AmalgamGroup:
 
     ``embed_left`` and ``embed_right`` list, per element of ``common``, its
     image in ``left`` and ``right``; both must be injective homomorphisms.
-    Elements are :class:`ReducedWord` values; multiplication rewrites letter
-    by letter through the coset tables, so normal forms are canonical for
-    the fixed representative choice (identity first, then minimal element
-    per coset).
+    Elements are :class:`ReducedWord` values.  Multiplication splices the
+    two reduced words at the junction through the coset tables, in
+    O(|u| + |v|) syllable steps (see :meth:`mul`).  Normal forms are
+    canonical for the fixed representative choice (identity first, then
+    minimal element per coset), so a product equals the letter-by-letter
+    rewrite of :meth:`normal_form`.
     """
 
     def __init__(self, left: FiniteGroup, right: FiniteGroup, common: FiniteGroup,
@@ -615,9 +617,32 @@ class AmalgamGroup:
         return out
 
     def mul(self, u: ReducedWord, v: ReducedWord) -> ReducedWord:
-        for side, x in reversed(self.letters(u)):
-            v = self.prepend_letter(side, x, v)
-        return v
+        """u * v by splicing at the junction, in O(|u| + |v|) syllable steps.
+
+        u's trailing syllables cancel against v's leading ones while each
+        merged syllable falls into C; the one pending C element is then
+        pushed through the rest of v once.
+        """
+        head = self.flat(u)
+        rest = self.flat(v)
+        c = u.tail
+        k = 0
+        while k < len(rest):
+            side, y = rest[k]
+            group, _, embed, _ = self._side(side)
+            y = group.mul(embed[c], y)
+            k += 1
+            if not head or head[-1][0] != side:
+                rep, c = self._decompose(side, y)
+                head.append((side, rep))
+                break
+            rep, c = self._decompose(side, group.mul(head[-1][1], y))
+            if rep != group.identity:
+                head[-1] = (side, rep)
+                break
+            head.pop()
+        pushed, c = self._push_c(c, rest[k:])
+        return self._assemble(head + pushed, self.common.mul(c, v.tail))
 
     def inv(self, u: ReducedWord) -> ReducedWord:
         inverted = []

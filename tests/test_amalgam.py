@@ -1,3 +1,5 @@
+import pytest
+
 from labparts.amalgam import (
     TotalPoint,
     amalgam_energy_formula,
@@ -8,13 +10,28 @@ from labparts.amalgam import (
     vertex_induced_space,
 )
 from labparts.constructions import group_naive_space
-from labparts.core import check_equivariance, pair_energy, sep
+from labparts.core import DomainError, check_equivariance, pair_energy, sep
 from labparts.groups import ball_enumerate
 from oracles import bfs_tree_distance, bfs_tree_vertices, brute_projection_sum_energy
 
 
 def ball_words(am, radius):
     return [w for w, _ in ball_enumerate(am, radius)]
+
+
+def long_word(am, rng, n):
+    """A reduced word of exactly n genuine syllables, built letter by letter."""
+    side = rng.choice("LR")
+    letters = []
+    for _ in range(n):
+        group, table, _, _ = am._side(side)
+        letters.append((side, rng.choice([g for g in table.reps if g != group.identity])))
+        side = "R" if side == "L" else "L"
+    return am.normal_form(letters)
+
+
+def base_points(t):
+    return [t.base_point, TotalPoint(("R", t.am.identity), t.am.identity)]
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +68,27 @@ def test_vertex_path_is_geodesic_against_bfs(z46_tree, rng):
         for a, b in zip(path, path[1:]):
             t.edge_between(a, b)
         assert len(path) - 1 == bfs_tree_distance(t, v, w)
+
+
+def test_long_word_paths_and_energies_against_brute_force(z46_spaces, z46_tree, rng):
+    # words of 6-8 syllables, beyond the balls the other tests enumerate
+    t = z46_tree
+    am = t.am
+    short = ball_words(am, 2)
+    for _ in range(12):
+        gamma = long_word(am, rng, rng.randint(6, 8))
+        x = t.act_point(gamma, rng.choice(base_points(t)))
+        y = t.act_point(am.mul(gamma, rng.choice(short)), rng.choice(base_points(t)))
+        for v, w in ((x.vertex, y.vertex), (x.vertex, t.base_vertex), (t.base_vertex, y.vertex)):
+            assert len(t.vertex_path(v, w)) - 1 == bfs_tree_distance(t, v, w)
+        radius = max(bfs_tree_distance(t, t.base_vertex, p.vertex) for p in (x, y))
+        d_t = bfs_tree_distance(t, x.vertex, y.vertex)
+        for q in (1, 2):
+            data = z46_spaces[q]
+            vertex_space = vertex_induced_space(t, data["struct_gc"], data["struct_hc"], q)
+            brute = brute_projection_sum_energy(t, data["struct_gc"], data["struct_hc"], q, x, y, radius)
+            assert pair_energy(vertex_space, x, y) + d_t == brute
+            assert pair_energy(data["space"], x, y) == brute
 
 
 def test_vertex_path_singleton(z46_tree):
@@ -160,6 +198,29 @@ def test_coset_map_equivariance(z46_tree, rng):
         lhs = t.side_point(v2, t.act_point(gamma, x).coset)
         rhs = table.rep_of[group.mul(g, t.side_point(v1, x.coset))]
         assert lhs == rhs
+
+
+def test_side_point_matches_the_coset_arithmetic(z46_tree, rng):
+    # reference: the G/C or H/C representative of rep^-1 * coset
+    t = z46_tree
+    am = t.am
+    for _ in range(40):
+        x = t.act_point(long_word(am, rng, rng.randint(0, 8)), rng.choice(base_points(t)))
+        for v in t.vertex_path(t.base_vertex, x.vertex):
+            coset = t.project(v, x)
+            side, rep = v
+            _, table, _, _ = am._side(side)
+            element = am.as_side_element(side, am.mul(am.inv(rep), coset))
+            assert t.side_point(v, coset) == table.rep_of[element]
+
+
+def test_side_point_rejects_a_coset_outside_the_vertex(z46_tree, rng):
+    t = z46_tree
+    far = t.act_point(long_word(t.am, rng, 6), t.base_point)
+    assert t.tree_distance(far.vertex, t.base_vertex) >= 2
+    for v in (t.base_vertex, ("R", t.am.identity)):
+        with pytest.raises(DomainError):
+            t.side_point(v, far.coset)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 import json
+from pathlib import Path
 
 import pytest
 
+from labparts import cli
 from labparts.cli import (
     ConfigError,
     build_space,
@@ -104,6 +106,39 @@ def test_exit_codes(workdir, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("literal", ["[1,2]", '["a"]', '{"x": 1}'])
+def test_dist_outside_the_domain_is_a_config_error(workdir, capsys, literal):
+    cfg = write_config(workdir, "zw.json", {"kind": "walls_zn", "dim": 1, "q": 2})
+    assert main(["dist", cfg, literal, "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
+
+
+def test_free_tree_points_accept_json_lists(workdir, capsys):
+    cfg = write_config(workdir, "ft.json", {"kind": "free_tree_mineyev", "rank": 2, "q": 2})
+    assert main(["dist", cfg, "[1,2,1]", "[2]"]) == 0
+    assert capsys.readouterr().out.startswith("energy 10/1\n")  # 2 (d + 1) with d = 4
+    assert main(["dist", cfg, "[1,-1]", "[]"]) == 2  # not a reduced word
+    capsys.readouterr()
+
+
+def test_top_level_seed_reaches_check(workdir, monkeypatch, capsys):
+    seeds = []
+    run_checks_orig = cli.run_checks
+
+    def spy(built, suites, samples, seed, *rest):
+        seeds.append(seed)
+        return run_checks_orig(built, suites, samples, seed, *rest)
+
+    monkeypatch.setattr(cli, "run_checks", spy)
+    cfg = write_config(workdir, "zw.json", {"kind": "walls_zn", "dim": 1, "q": 2})
+    assert main(["--seed", "5", "check", cfg, "--samples", "3"]) == 0
+    assert main(["--seed", "5", "check", cfg, "--samples", "3", "--seed", "7"]) == 0
+    assert main(["check", cfg, "--samples", "3"]) == 0
+    capsys.readouterr()
+    assert seeds == [5, 7, 0]
+
+
 def test_negative_control_reports_counterexample(workdir):
     built = build_space(dict(AMALGAM_NODE, q=2), workdir)
     result = run_checks(built, ["amalgam"], samples=10, seed=0, amalgam_tree_term="power")
@@ -123,6 +158,23 @@ def test_growth_profile_z_walls(workdir):
         assert row["min_energy"] == row["radius"]
         assert row["sphere_size"] == (1 if row["radius"] == 0 else 2)
     assert not profile["partial"]
+
+
+@pytest.mark.parametrize(
+    "node, diameter",
+    [
+        ({"kind": "wreath_glue", "group": "Z4.tbl", "co_subgroup": [0], "factor_cyclic": 2, "q": 2}, 4),
+        ({"kind": "naive", "group": {"cyclic": 3}, "q": 1}, 1),
+    ],
+)
+def test_growth_past_a_finite_groups_diameter(workdir, tmp_path, node, diameter):
+    cfg = write_config(workdir, "finite.json", node)
+    exact, past = tmp_path / "exact.csv", tmp_path / "past.csv"
+    assert main(["growth", cfg, "--radius", str(diameter), "--out", str(exact)]) == 0
+    assert main(["growth", cfg, "--radius", str(diameter + 2), "--out", str(past)]) == 0
+    lines = past.read_text().splitlines(keepends=True)
+    assert "".join(lines[:-1]) == exact.read_text()
+    assert lines[-1] == f"# radius {diameter + 2} requested; spheres past radius {diameter} are empty\n"
 
 
 def test_growth_profile_needs_action(workdir):
@@ -157,6 +209,36 @@ def test_point_index_syntax(workdir, capsys):
     assert main(["dist", cfg, "#0", "#2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("energy ")
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def list_scan_points(built, limit):
+    """The orbit enumeration as a list scan, acting on the whole ball at every radius."""
+    action = built.actions["main"]
+    out = [built.basepoint]
+    radius = 1
+    while len(out) < limit and radius <= 8:
+        for g, _ in ball_enumerate(action.group, radius):
+            p = action.point_map(g, built.basepoint)
+            if p not in out:
+                out.append(p)
+            if len(out) >= limit:
+                break
+        radius += 1
+    return out[:limit]
+
+
+def test_orbit_enumeration_matches_list_scan():
+    uses = []
+    for config in sorted(CONFIGS.glob("*.json")):
+        built = build_space(json.loads(config.read_text()), CONFIGS)
+        if getattr(built.enumerate_points, "__qualname__", "").startswith("_orbit_enumeration."):
+            uses.append(config.stem)
+            for limit in range(1, 61):
+                assert built.points(limit) == list_scan_points(built, limit), (config.stem, limit)
+    assert uses == ["amalgam_q1", "amalgam_q2", "dihedral", "free_tree", "proper_sum", "wreath"]
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,23 @@ def test_uniqueness_equal_products_equal_words(l1, l2):
         assert am.normal_form(l1) != am.normal_form(l2)
 
 
+any_letters = st.lists(
+    st.one_of(st.tuples(st.just("L"), st.integers(0, 3)), st.tuples(st.just("R"), st.integers(0, 5))),
+    max_size=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(any_letters, any_letters)
+def test_junction_mul_matches_letter_by_letter_rewrite(l1, l2):
+    # mul splices at the junction; the letter-by-letter normal form is the reference
+    am = z4_z6_amalgam()
+    u, v = am.normal_form(l1), am.normal_form(l2)
+    product = am.mul(u, v)
+    assert product == am.normal_form(am.letters(u) + am.letters(v))
+    assert product == am.normal_form(l1 + l2)
+
+
 def test_multiply_associative_and_inverses(z46, rng):
     ball = [w for w, _ in ball_enumerate(z46, 3)]
     for _ in range(250):
