@@ -33,6 +33,7 @@ from .core import (
     Space,
     SparseVec,
     _split_signed,
+    half_weight,
     q_energy,
     vertex_tag,
     wall,
@@ -310,7 +311,7 @@ def tree_induced_space(tree: TreeOfCosetSpaces, q) -> Space:
     return Space(
         universe=tree.universe(),
         diff=diff,
-        norm=NormSpec(q, lambda label: Fraction(1, 2)),
+        norm=NormSpec(q, half_weight),
         description=f"tree-induced structure on {tree.am!r}",
     )
 
@@ -341,7 +342,7 @@ def amalgam_space(
     def weight_of(label):
         if label[0][0] == "vertex":
             return vertex_part.norm.weight(label)
-        return Fraction(1, 2)
+        return half_weight(label)
 
     def label_map(gamma, label):
         gamma_inv = tree.am.inv(gamma)

@@ -41,11 +41,11 @@ from .core import (
     Point,
     check_equivariance,
     check_pseudo_metric,
-    dist,
     energy_to_dist,
     label_key,
     pair_energy,
     sep,
+    unit_weight,
 )
 from .groups import (
     AmalgamGroup,
@@ -429,7 +429,7 @@ def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> t
 
     walls = walls_mod.MeasuredWalls(
         universe=walls_mod.PointUniverse(contains=contains, sampler=sampler),
-        weight=lambda h: Fraction(1),
+        weight=unit_weight,
         member=member,
         separating=separating,
         description="toy wreath walls (support + position)",
@@ -688,13 +688,29 @@ def run_checks(built: Built, suites, samples: int, seed: int, amalgam_tree_term:
 # command line
 
 
-def _parse_point(built: Built, text: str) -> Point:
-    if text.startswith("#"):
-        index = int(text[1:])
-        points = built.points(index + 1)
-        if index >= len(points):
+def _parse_points(built: Built, texts: list[str]) -> list:
+    """Points named by ``#k`` orbit indices or JSON literals; the orbit is
+    enumerated once, as far as the largest index."""
+    indices = {}
+    for text in texts:
+        if text.startswith("#"):
+            try:
+                indices[text] = int(text[1:])
+            except ValueError as exc:
+                raise ConfigError(f"point {text!r} is neither an index (#k) nor JSON") from exc
+    orbit = built.points(max(indices.values()) + 1) if indices else []
+    points = []
+    for text in texts:
+        if text not in indices:
+            points.append(_parse_point(built, text))
+        elif 0 <= indices[text] < len(orbit):
+            points.append(orbit[indices[text]])
+        else:
             raise ConfigError(f"point index {text} out of range")
-        return points[index]
+    return points
+
+
+def _parse_point(built: Built, text: str) -> Point:
     try:
         value = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -770,11 +786,10 @@ def main(argv=None) -> int:
         built = build_space(node, base_dir)
 
         if args.command == "dist":
-            x = _parse_point(built, args.x)
-            y = _parse_point(built, args.y)
+            x, y = _parse_points(built, [args.x, args.y])
             energy = pair_energy(built.space, x, y)
             print(f"energy {rational_str(energy)}")
-            print(f"dist {dist(built.space, x, y):.12g}")
+            print(f"dist {energy_to_dist(built.space.norm, energy):.12g}")
             return 0
 
         if args.command == "table":

@@ -37,6 +37,7 @@ from .core import (
     dirac,
     factor,
     finite_universe,
+    half_weight,
 )
 from .groups import DirectSumGroup, FiniteGroup, ProductGroup, SemidirectGroup, coset_table
 
@@ -68,15 +69,6 @@ def pullback(f: Callable[[Point], Point], space: Space, universe: PointUniverse,
     )
 
 
-def pullback_action(f: Callable[[Point], Point], space_action: Action, point_map: Callable[[Any, Point], Point]) -> Action:
-    """Action on a pull-back space for an equivariant f.
-
-    The label map is inherited unchanged since the pulled-back structure
-    reuses the target's labels.
-    """
-    return Action(group=space_action.group, point_map=point_map, label_map=space_action.label_map)
-
-
 # ---------------------------------------------------------------------------
 # naive Dirac families
 
@@ -101,7 +93,7 @@ def weighted_naive_space(points: Iterable, w, q, universe: PointUniverse | None 
     return Space(
         universe=universe,
         diff=diff,
-        norm=NormSpec(q, lambda label: Fraction(1, 2)),
+        norm=NormSpec(q, half_weight),
         description=f"naive(w={w}, q={q})",
     )
 
@@ -334,7 +326,7 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
     space = Space(
         universe=PointUniverse(contains=contains, sampler=sampler),
         diff=diff,
-        norm=NormSpec(q, lambda label: Fraction(1, 2)),
+        norm=NormSpec(q, half_weight),
         description=f"weighted naive sum q={q}",
     )
 

@@ -15,6 +15,12 @@ supported in every construction provided here, so the oracle is the whole
 structure.  All scalars are exact rationals.  The q-energy (the q-th power of
 the weighted norm) is the canonical exact quantity; distances are derived
 floats, except for the supremum norm where the distance itself is exact.
+
+Kernel invariants: a ``SparseVec`` stores only nonzero ``Fraction`` values;
+``NormSpec`` weights are rationals (``int`` or ``Fraction``); integer-q
+energies accumulate integer numerators per denominator and build one
+canonical ``Fraction``; ``check_pseudo_metric`` calls the oracle once per
+distinct ordered pair of a triple, c(y, x) included.
 """
 
 from __future__ import annotations
@@ -68,10 +74,6 @@ def coset_fn(cid) -> Label:
     return (("cfn", cid),)
 
 
-def custom(token) -> Label:
-    return (("custom", token),)
-
-
 def factor(i, label: Label) -> Label:
     """Tag ``label`` as living on the i-th factor of a product."""
     return (("factor", i),) + tuple(label)
@@ -105,14 +107,17 @@ class SparseVec:
         items = entries.items() if isinstance(entries, dict) else entries
         acc: dict = {}
         for label, value in items:
-            value = Fraction(value)
+            if not isinstance(value, Fraction):
+                value = Fraction(value)
             if not value:
                 continue
-            total = acc.get(label, 0) + value
-            if total:
+            total = acc.get(label)
+            if total is None:
+                acc[label] = value
+            elif total := total + value:
                 acc[label] = total
             else:
-                acc.pop(label, None)
+                del acc[label]
         object.__setattr__(self, "_entries", acc)
 
     def __getitem__(self, label) -> Fraction:
@@ -141,34 +146,39 @@ class SparseVec:
     def __add__(self, other: "SparseVec") -> "SparseVec":
         acc = dict(self._entries)
         for label, value in other.items():
-            total = acc.get(label, 0) + value
-            if total:
+            total = acc.get(label)
+            if total is None:
+                acc[label] = value
+            elif total := total + value:
                 acc[label] = total
             else:
-                acc.pop(label, None)
-        out = SparseVec.__new__(SparseVec)
-        object.__setattr__(out, "_entries", acc)
-        return out
+                del acc[label]
+        return _vec(acc)
 
     def __sub__(self, other: "SparseVec") -> "SparseVec":
         return self + (-other)
 
     def __neg__(self) -> "SparseVec":
-        return self.scaled(-1)
+        return _vec({l: -v for l, v in self._entries.items()})
 
     def scaled(self, c) -> "SparseVec":
         c = Fraction(c)
         if not c:
             return ZERO_VEC
-        out = SparseVec.__new__(SparseVec)
-        object.__setattr__(out, "_entries", {l: c * v for l, v in self.items()})
-        return out
+        return _vec({l: c * v for l, v in self.items()})
 
     def __repr__(self) -> str:
         body = ", ".join(
             f"{label!r}: {value}" for label, value in sorted(self.items(), key=lambda kv: label_key(kv[0]))
         )
         return f"SparseVec({{{body}}})"
+
+
+def _vec(entries: dict) -> SparseVec:
+    """Wrap a dict already holding only nonzero Fractions, without re-checking."""
+    out = SparseVec.__new__(SparseVec)
+    object.__setattr__(out, "_entries", entries)
+    return out
 
 
 ZERO_VEC = SparseVec()
@@ -183,8 +193,16 @@ def combine(a: SparseVec, b: SparseVec, lam=1, mu=1) -> SparseVec:
 # norm specifications and energies
 
 
+_ONE, _HALF = Fraction(1), Fraction(1, 2)
+
+
 def unit_weight(label: Label) -> Fraction:
-    return Fraction(1)
+    return _ONE
+
+
+def half_weight(label: Label) -> Fraction:
+    """Weight 1/2, for label families that count each separation twice."""
+    return _HALF
 
 
 @dataclass(frozen=True)
@@ -230,8 +248,20 @@ def q_energy(spec: NormSpec, vec: SparseVec):
         return best
     q = spec.q
     if q.denominator == 1:
+        # integer numerators summed per denominator, the buckets brought to
+        # their lcm, and a single Fraction normalised at the end
         n = q.numerator
-        return sum((spec.weight(l) * abs(v) ** n for l, v in vec.items()), Fraction(0))
+        weight = spec.weight
+        buckets: dict = {}
+        for l, v in vec.items():
+            w = weight(l)
+            den = w.denominator * v.denominator**n
+            buckets[den] = buckets.get(den, 0) + w.numerator * abs(v.numerator) ** n
+        num, den = 0, 1
+        for d, m in buckets.items():
+            lcm = den // math.gcd(den, d) * d
+            num, den = num * (lcm // den) + m * (lcm // d), lcm
+        return Fraction(num, den)
     qf = float(q)
     return math.fsum(float(spec.weight(l)) * float(abs(v)) ** qf for l, v in vec.items())
 
@@ -354,11 +384,6 @@ class LabelBijection:
         return LabelBijection(apply=self.invert, invert=self.apply)
 
 
-def identity_bijection() -> LabelBijection:
-    ident = lambda label: label
-    return LabelBijection(apply=ident, invert=ident)
-
-
 def relabel(vec: SparseVec, phi: LabelBijection, direction: str = "forward") -> SparseVec:
     """Compose ``vec`` with a label bijection.
 
@@ -416,11 +441,6 @@ class Action:
             apply=lambda label: self.label_map(g, label),
             invert=lambda label: self.label_map(inv, label),
         )
-
-
-def translated_sep(space: Space, action: Action, g, x: Point, y: Point) -> SparseVec:
-    """c(g.x, g.y) computed through the label map, for cross-checking."""
-    return relabel(space.diff(x, y), action.bijection(g), "forward")
 
 
 # ---------------------------------------------------------------------------
@@ -540,23 +560,24 @@ def check_pseudo_metric(
 
     d(x, x) = 0 and symmetry are exact (at the energy level); the triangle
     inequality is exact for q = 1 and checked after root extraction with the
-    relative tolerance otherwise.
+    relative tolerance otherwise.  The oracle runs once per ordered pair;
+    c(y, x) is evaluated, not derived from c(x, y), so antisymmetry is tested.
     """
     report = CheckReport("pseudo-metric")
+    norm = space.norm
     for x, y, z in triples:
-        exx = pair_energy(space, x, x)
-        exy = pair_energy(space, x, y)
-        eyx = pair_energy(space, y, x)
-        ok = (not exx) and exy == eyx and check_antisymmetry(space, x, y) and check_chasles(space, x, y, z)
+        cxx, cxy, cyx = sep(space, x, x), sep(space, x, y), sep(space, y, x)
+        exx, exy, eyx = q_energy(norm, cxx), q_energy(norm, cxy), q_energy(norm, cyx)
+        ok = (not exx) and exy == eyx and cxy == -cyx
         if ok:
-            if space.norm.q != SUP and space.norm.q == 1:
-                exz = pair_energy(space, x, z)
-                eyz = pair_energy(space, y, z)
+            cxz, cyz = sep(space, x, z), sep(space, y, z)
+            ok = cxz == cxy + cyz
+        if ok:
+            exz, eyz = q_energy(norm, cxz), q_energy(norm, cyz)
+            if norm.q != SUP and norm.q == 1:
                 ok = exz <= exy + eyz
             else:
-                dxz = dist(space, x, z)
-                dxy = dist(space, x, y)
-                dyz = dist(space, y, z)
+                dxz, dxy, dyz = (energy_to_dist(norm, e) for e in (exz, exy, eyz))
                 ok = dxz <= dxy + dyz + rel_tol * (dxy + dyz + 1.0)
         report.record(ok, None if ok else {"triple": (x, y, z)})
     return report

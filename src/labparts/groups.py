@@ -211,9 +211,6 @@ class CosetTable:
     rep_of: tuple
     factor_of: tuple
 
-    def rep_index(self, rep: int) -> int:
-        return self.reps.index(rep)
-
 
 def coset_table(group: FiniteGroup, subgroup: Iterable[int]) -> CosetTable:
     sub = tuple(sorted(set(subgroup)))

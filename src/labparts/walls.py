@@ -25,6 +25,7 @@ from .core import (
     PointUniverse,
     Space,
     SparseVec,
+    unit_weight,
     wall,
 )
 from .groups import FiniteGroup, ZGroup, coset_table
@@ -126,7 +127,7 @@ def zn_half_space_walls(n: int, window: int = 8) -> MeasuredWalls:
 
     return MeasuredWalls(
         universe=PointUniverse(contains=contains, sampler=sampler),
-        weight=lambda h: Fraction(1),
+        weight=unit_weight,
         member=member,
         separating=separating,
         description=f"Z^{n} half-spaces",

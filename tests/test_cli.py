@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from labparts import cli
+from labparts import cli, core
 from labparts.cli import (
     ConfigError,
     build_space,
@@ -209,6 +209,27 @@ def test_point_index_syntax(workdir, capsys):
     assert main(["dist", cfg, "#0", "#2"]) == 0
     out = capsys.readouterr().out
     assert out.startswith("energy ")
+
+
+def test_dist_enumerates_the_orbit_once_and_runs_the_oracle_once(workdir, monkeypatch, capsys):
+    cfg = write_config(workdir, "am.json", AMALGAM_NODE)
+    limits, oracle_calls = [], []
+    points, sep = cli.Built.points, core.sep
+    monkeypatch.setattr(cli.Built, "points", lambda built, limit: limits.append(limit) or points(built, limit))
+    monkeypatch.setattr(core, "sep", lambda *args: oracle_calls.append(args[1:]) or sep(*args))
+    assert main(["dist", cfg, "#5", "#2"]) == 0
+    assert limits == [6] and len(oracle_calls) == 1
+    orbit = points(build_space(AMALGAM_NODE, workdir), 6)
+    assert oracle_calls == [(orbit[5], orbit[2])]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("index", ["#-1", "#abc", "#", "#400"])
+def test_bad_point_index_is_a_config_error(workdir, capsys, index):
+    cfg = write_config(workdir, "am.json", AMALGAM_NODE)
+    assert main(["dist", cfg, "#0", index]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error:") and "Traceback" not in err
 
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"

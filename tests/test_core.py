@@ -10,6 +10,7 @@ from labparts.core import (
     LabelBijection,
     NormSpec,
     SUP,
+    Space,
     SparseVec,
     check_antisymmetry,
     check_chasles,
@@ -18,7 +19,9 @@ from labparts.core import (
     combine,
     dirac,
     dist,
+    finite_universe,
     pair_energy,
+    pair_label,
     q_energy,
     relabel,
     sep,
@@ -99,6 +102,71 @@ def test_sup_energy_is_weighted_max():
     spec = NormSpec(SUP, weight=lambda label: Fraction(2) if label == dirac(0) else Fraction(1))
     v = SparseVec(((dirac(0), 3), (dirac(1), 5)))
     assert q_energy(spec, v) == 6
+
+
+# ---------------------------------------------------------------------------
+# the exact kernel against straightforward reference arithmetic
+
+
+@st.composite
+def entry_lists(draw):
+    """(label, int | Fraction) pairs with repeated labels, some of them
+    followed later by their negation so that entries cancel to 0."""
+    pairs = draw(st.lists(st.tuples(labels, st.one_of(st.integers(-6, 6), rationals)), max_size=10))
+    cancelled = draw(st.lists(st.sampled_from(pairs), max_size=4)) if pairs else []
+    return draw(st.permutations(pairs + [(label, -value) for label, value in cancelled]))
+
+
+def reference_entries(pairs) -> dict:
+    acc = {}
+    for label, value in pairs:
+        acc[label] = acc.get(label, 0) + value
+    return {label: Fraction(value) for label, value in acc.items() if value}
+
+
+def entries_of(vec: SparseVec) -> dict:
+    assert all(type(value) is Fraction and value for _, value in vec.items())
+    return dict(vec.items())
+
+
+@given(entry_lists(), entry_lists(), st.one_of(st.integers(-3, 3), rationals), rationals)
+def test_kernel_vector_ops_match_reference(a, b, lam, mu):
+    u, v = SparseVec(a), SparseVec(b)
+    assert entries_of(u) == reference_entries(a)
+    assert entries_of(SparseVec(dict(a))) == reference_entries(dict(a).items())
+    assert entries_of(u + v) == reference_entries(a + b)
+    assert entries_of(-u) == reference_entries([(label, -value) for label, value in a])
+    assert entries_of(u - v) == reference_entries(a + [(label, -value) for label, value in b])
+    assert entries_of(combine(u, v)) == reference_entries(a + b)
+    scaled = [(label, lam * value) for label, value in a] + [(label, mu * value) for label, value in b]
+    assert entries_of(combine(u, v, lam, mu)) == reference_entries(scaled)
+
+
+def int_weight(label):
+    return label[0][1] % 3
+
+
+def fraction_weight(label):
+    return Fraction(label[0][1] + 1, 3)
+
+
+@given(entry_lists(), st.sampled_from([1, 2, 3]), st.sampled_from([int_weight, fraction_weight]))
+def test_integer_q_energy_matches_reference(pairs, q, weight):
+    vec = SparseVec(pairs)
+    energy = q_energy(NormSpec(q, weight), vec)
+    assert type(energy) is Fraction
+    assert energy == sum(weight(label) * abs(value) ** q for label, value in vec.items())
+
+
+@given(entry_lists(), st.sampled_from([int_weight, fraction_weight]))
+def test_sup_and_fractional_q_energies_unchanged(pairs, weight):
+    vec = SparseVec(pairs)
+    best = Fraction(0)
+    for label, value in vec.items():
+        best = max(best, weight(label) * abs(value))
+    assert q_energy(NormSpec(SUP, weight), vec) == best
+    expected = math.fsum(float(weight(label)) * float(abs(value)) ** 1.5 for label, value in vec.items())
+    assert q_energy(NormSpec(Fraction(3, 2), weight), vec) == expected
 
 
 def test_sep_validates_points():
@@ -206,3 +274,57 @@ def test_values_match_modes():
     assert values_match(Fraction(1, 3), Fraction(1, 3))
     assert not values_match(Fraction(1, 3), Fraction(1, 2))
     assert values_match(1.0, 1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# negative controls: check_pseudo_metric on broken oracles
+
+
+def broken_space(diff) -> Space:
+    return Space(universe=finite_universe(range(4)), diff=diff, norm=NormSpec(2))
+
+
+def naive_diff(x, y):
+    return SparseVec(((dirac(x), 1), (dirac(y), -1)))
+
+
+DISTINCT_TRIPLES = [(0, 1, 2), (1, 3, 0), (2, 0, 3), (3, 2, 1)]
+
+
+def test_pseudo_metric_detects_nonzero_self_separation():
+    space = broken_space(lambda x, y: SparseVec(((dirac(x), 1),)) if x == y else naive_diff(x, y))
+    report = check_pseudo_metric(space, DISTINCT_TRIPLES)
+    assert len(report.failures) == len(DISTINCT_TRIPLES)
+
+
+def test_pseudo_metric_detects_symmetric_separation_vectors():
+    # c(y, x) == c(x, y) != 0: the energies agree, so only the vector test can see it
+    space = broken_space(lambda x, y: naive_diff(min(x, y), max(x, y)) if x != y else SparseVec())
+    assert pair_energy(space, 0, 1) == pair_energy(space, 1, 0) == 2
+    report = check_pseudo_metric(space, DISTINCT_TRIPLES)
+    assert len(report.failures) == len(DISTINCT_TRIPLES)
+
+
+def test_pseudo_metric_detects_broken_chasles():
+    # one label per unordered pair: antisymmetric, unit energies, not additive
+    def diff(x, y):
+        if x == y:
+            return SparseVec()
+        return SparseVec(((pair_label(min(x, y), max(x, y)), 1 if x < y else -1),))
+
+    space = broken_space(diff)
+    report = check_pseudo_metric(space, DISTINCT_TRIPLES)
+    assert len(report.failures) == len(DISTINCT_TRIPLES)
+    assert check_pseudo_metric(space, [(0, 0, 0), (1, 1, 2)]).passed
+
+
+def test_pseudo_metric_evaluates_each_ordered_pair_once():
+    calls = []
+
+    def diff(x, y):
+        calls.append((x, y))
+        return naive_diff(x, y) if x != y else SparseVec()
+
+    assert check_pseudo_metric(broken_space(diff), DISTINCT_TRIPLES).passed
+    expected = [pair for x, y, z in DISTINCT_TRIPLES for pair in ((x, x), (x, y), (y, x), (x, z), (y, z))]
+    assert calls == expected

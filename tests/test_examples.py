@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from labparts.core import (
     InvalidInput,
@@ -157,6 +158,26 @@ def test_brute_force_energy_matches(rng):
     for _ in range(25):
         x, y = rng.choice(ball), rng.choice(ball)
         assert pair_energy(space, x, y) == mineyev_brute_energy(free, x, y, 4, 2)
+
+
+def test_free_tree_diff_matches_brute_force_at_odd_q(rng):
+    space, action, free = free_tree_space(2, 3)
+    ball = [w for w, _ in ball_enumerate(free, 2)]
+    for _ in range(20):
+        x, y = rng.choice(ball), rng.choice(ball)
+        assert pair_energy(space, x, y) == mineyev_brute_energy(free, x, y, 3, 3)
+
+
+FREE3_SPACE, _, FREE3 = free_tree_space(3, 2)
+reduced_words = st.lists(st.sampled_from([1, -1, 2, -2, 3, -3]), max_size=30).map(
+    lambda letters: FREE3.mul((), tuple(letters))
+)
+
+
+@given(reduced_words, reduced_words)
+def test_free_tree_energy_is_two_d_plus_two_on_random_words(x, y):
+    d = len(FREE3.mul(FREE3.inv(x), y))
+    assert pair_energy(FREE3_SPACE, x, y) == (0 if x == y else 2 * (d + 1))
 
 
 def test_translation_equivariance(rng):
