@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from labparts.amalgam import TreeOfCosetSpaces, amalgam_space, naive_quotient_structures
-from labparts.cli import infinite_dihedral_built
+from labparts.cli import infinite_dihedral_built, profile_csv
 from labparts.constructions import weighted_naive_sum_space
 from labparts.core import energy_to_dist, pair_energy
 from labparts.examples import free_tree_space
@@ -22,51 +22,47 @@ from labparts.walls import z_line_walls_space
 
 
 def profile(space, group, basepoint, move, radius, generators=None):
+    """Per-sphere rows in the form ``cli.profile_csv`` writes; unlike ``cli.growth_profile``
+    the spheres may be taken over any generating set."""
     rows = []
     for r, sphere in enumerate(sphere_list(group, radius, generators)):
         energies = [pair_energy(space, move(g, basepoint), basepoint) for g in sphere]
         dists = sorted(energy_to_dist(space.norm, e) for e in energies)
-        rows.append((r, len(sphere), min(energies), dists[0], dists[-1], sum(dists) / len(dists)))
-    return rows
-
-
-def write_csv(path, rows):
-    lines = ["radius,sphere_size,min_energy,min_dist,max_dist,mean_dist"]
-    for r, size, emin, dmin, dmax, dmean in rows:
-        emin = Fraction(emin)
-        lines.append(f"{r},{size},{emin.numerator}/{emin.denominator},{dmin:.12g},{dmax:.12g},{dmean:.12g}")
-    path.write_text("\n".join(lines) + "\n")
-    print(f"wrote {path}")
+        rows.append({"radius": r, "sphere_size": len(sphere), "min_energy": min(energies),
+                     "min_dist": dists[0], "max_dist": dists[-1], "mean_dist": sum(dists) / len(dists)})
+    return {"rows": rows, "partial": False, "radius": radius, "reached": radius}
 
 
 def main():
     outdir = Path(sys.argv[1]) if len(sys.argv) > 1 else Path("profiles")
     outdir.mkdir(parents=True, exist_ok=True)
+    profiles = {}
 
     space, action = z_line_walls_space(2)
-    rows = profile(space, action.group, (0,), lambda g, x: (x[0] + g,), 8)
-    write_csv(outdir / "z_walls.csv", rows)
+    profiles["z_walls"] = profile(space, action.group, (0,), lambda g, x: (x[0] + g,), 8)
 
     group = DirectSumGroup(FiniteGroup.cyclic(2), range(-4, 5))
     wspace, waction = weighted_naive_sum_space(group, lambda i: Fraction(1 + abs(i)), 2)
-    rows = profile(wspace, group, group.identity, waction.point_map, 5)
-    write_csv(outdir / "lamp_sum.csv", rows)
+    profiles["lamp_sum"] = profile(wspace, group, group.identity, waction.point_map, 5)
 
     am = z4_z6_amalgam()
     tree = TreeOfCosetSpaces(am)
     sgc, agc, shc, ahc = naive_quotient_structures(tree, 1)
     aspace, aaction = amalgam_space(tree, sgc, agc, shc, ahc, 1)
     letters = [am.letter_word("L", g) for g in range(1, 4)] + [am.letter_word("R", h) for h in range(1, 6)]
-    rows = profile(aspace, am, tree.base_point, aaction.point_map, 6, generators=letters)
-    write_csv(outdir / "amalgam.csv", rows)
+    profiles["amalgam"] = profile(aspace, am, tree.base_point, aaction.point_map, 6, generators=letters)
 
     fspace, faction, free = free_tree_space(2, 2)
-    rows = profile(fspace, free, free.identity, faction.point_map, 5)
-    write_csv(outdir / "free_tree.csv", rows)
+    profiles["free_tree"] = profile(fspace, free, free.identity, faction.point_map, 5)
 
-    built = infinite_dihedral_built(2)
-    rows = profile(built.space, built.group, built.basepoint, built.actions["main"].point_map, 8)
-    write_csv(outdir / "infinite_dihedral.csv", rows)
+    dihedral = infinite_dihedral_built(2)
+    move = dihedral.actions["main"].point_map
+    profiles["infinite_dihedral"] = profile(dihedral.space, dihedral.group, dihedral.basepoint, move, 8)
+
+    for name, prof in profiles.items():
+        path = outdir / f"{name}.csv"
+        path.write_text(profile_csv(prof))
+        print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -32,7 +32,6 @@ from .core import (
     PointUniverse,
     Space,
     SparseVec,
-    _split_signed,
     half_weight,
     q_energy,
     vertex_tag,
@@ -350,18 +349,17 @@ def amalgam_space(
         if tag == "wall":
             edge, side = label[0][1]
             moved = tree.tail_free(tree.am.mul(gamma_inv, edge))
-            return wall((moved, side))
+            return wall((moved, side)), 1
         if tag == "vertex":
             v2 = label[0][1]
-            inner = tuple(label[1:])
+            inner = label[1:]
             v1 = tree.act_vertex(gamma_inv, v2)
             connector = tree.am.mul(tree.am.inv(v2[1]), tree.am.mul(gamma, v1[1]))
             g = tree.am.as_side_element(v2[0], connector)
             if g is None:
                 raise DomainError("vertex label map left the factor group")
-            act = actions[v2[0]]
-            target, sign = _split_signed(act.label_map(g, inner))
-            return (vertex_tag(v1, target), sign)
+            target, sign = actions[v2[0]].label_map(g, inner)
+            return vertex_tag(v1, target), sign
         raise DomainError(f"unrecognised amalgam label {label!r}")
 
     space = Space(

@@ -56,6 +56,7 @@ from .groups import (
     ball_enumerate,
     infinite_dihedral,
     sphere_list,
+    spheres,
 )
 
 KINDS = (
@@ -134,18 +135,18 @@ def _orbit_enumeration(built: Built, action_name: str = "main") -> Callable[[int
         action = built.actions[action_name]
         out = [built.basepoint]
         seen = {built.basepoint}
-        radius = 1
-        while len(out) < limit and radius <= 8:
-            for g, length in ball_enumerate(action.group, radius):
-                if length < radius:
-                    continue  # acted on at a smaller radius
+        search = spheres(action.group)
+        next(search)  # the identity fixes the base point
+        for _ in range(8):  # radii 1..8; a sphere is searched only when needed
+            if len(out) >= limit:
+                break
+            for g in next(search, ()):
                 p = action.point_map(g, built.basepoint)
                 if p not in seen:
                     seen.add(p)
                     out.append(p)
                 if len(out) >= limit:
                     break
-            radius += 1
         return out[:limit]
 
     return enumerate_points
@@ -165,21 +166,22 @@ def build_space(node: dict, base_dir: Path, path: str = "root") -> Built:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def _integer(value) -> int:
+    """A JSON integer point coordinate; floats and booleans are rejected, not truncated."""
+    if type(value) is not int:
+        raise ConfigError(f"{value!r} is not an integer")
+    return value
+
+
 def _build_naive(node, base_dir, path):
     q = _require(node, "q", path)
     if "group" in node:
         group = _load_group(node["group"], base_dir, path)
         space, action = cons.group_naive_space(group, q, node.get("weight", 1))
-        return Built(space, {"main": action}, basepoint=group.identity, group=group, coerce=int)
+        return Built(space, {"main": action}, basepoint=group.identity, group=group, coerce=_integer)
     n = int(_require(node, "points", path))
     space = cons.weighted_naive_space(range(n), node.get("weight", 1), q)
-    return Built(space, {}, basepoint=0, coerce=int)
-
-
-def _build_weighted_naive(node, base_dir, path):
-    node = dict(node)
-    node.setdefault("weight", 1)
-    return _build_naive(node, base_dir, path)
+    return Built(space, {}, basepoint=0, coerce=_integer)
 
 
 def _build_walls_zn(node, base_dir, path):
@@ -195,16 +197,16 @@ def _build_walls_zn(node, base_dir, path):
 
     def label_map(t, label):
         (tag, (axis, k)) = label[0]
-        return walls_mod.wall((axis, k - t[axis]))
+        return walls_mod.wall((axis, k - t[axis])), 1
 
     action = Action(group=group, point_map=point_map, label_map=label_map)
     basepoint = (0,) * dim
 
     def coerce(v):
         if isinstance(v, list):
-            return tuple(int(c) for c in v)
-        if isinstance(v, int) and dim == 1:
-            return (v,)
+            return tuple(_integer(c) for c in v)
+        if dim == 1:
+            return (_integer(v),)
         raise ConfigError(f"{path}: walls_zn points are integer vectors")
 
     def enumerate_points(limit: int) -> list:
@@ -301,6 +303,8 @@ def _phi_from_spec(spec, window):
         return lambda i: Fraction(1 + abs(i))
     if isinstance(spec, list):
         table = {i: Fraction(str(v)) for i, v in zip(window, spec)}
+        if any(v < 0 for v in table.values()):
+            raise ConfigError(f"phi values must be nonnegative, got {spec!r}")
         return lambda i: table[i]
     raise ConfigError(f"phi must be 'rank', 'one_plus_abs' or a list, got {spec!r}")
 
@@ -330,8 +334,7 @@ def _build_semidirect(node, base_dir, path):
     preset = node.get("preset", "infinite_dihedral")
     if preset != "infinite_dihedral":
         raise ConfigError(f"{path}: the only built-in semidirect preset is 'infinite_dihedral'")
-    built = infinite_dihedral_built(q)
-    return built
+    return infinite_dihedral_built(q)
 
 
 def infinite_dihedral_built(q) -> Built:
@@ -347,8 +350,8 @@ def infinite_dihedral_built(q) -> Built:
     def twist_label(s, label):
         (tag, (axis, k)) = label[0]
         if s == 1:
-            return (walls_mod.wall((axis, -k - 1)), -1)
-        return label
+            return walls_mod.wall((axis, -k - 1)), -1
+        return label, 1
 
     twist_action = Action(group=flip_group, point_map=twist_point, label_map=twist_label)
     data = cons.SemidirectData(
@@ -380,7 +383,7 @@ def _build_quotient_average(node, base_dir, path):
     else:
         raise ConfigError(f"{path}: structure must be 'naive' or a walls_cosets object")
     space, action = cons.quotient_average(inner_space, group, subgroup, inner_action)
-    return Built(space, {"main": action}, basepoint=space.universe.points[0], group=group, coerce=int,
+    return Built(space, {"main": action}, basepoint=space.universe.points[0], group=group, coerce=_integer,
                  extras={"inner_space": inner_space, "inner_action": inner_action, "subgroup": subgroup})
 
 
@@ -440,12 +443,12 @@ def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> t
         # sides of the support wall at j, flipping the indicator difference
         (tag, (family, j)) = label[0]
         if family == "supp" and group_w.component(w, j) != factor.identity:
-            return (walls_mod.wall(("supp", j)), -1)
-        return label
+            return walls_mod.wall(("supp", j)), -1
+        return label, 1
 
     def label_map_g(g, label):
         (tag, (family, j)) = label[0]
-        return walls_mod.wall((family, shift(group_g.inv(g), j)))
+        return walls_mod.wall((family, shift(group_g.inv(g), j))), 1
 
     return walls, label_map_w, label_map_g, group_w, shift, cosets
 
@@ -526,14 +529,12 @@ def _build_cocycle(node, base_dir, path):
     radius = int(node.get("radius", 6))
     action_data = ex.cocycle_from_text(file, group, radius)
     space, action = ex.cocycle_space(action_data, point_radius=max(1, radius - 2))
-    built = Built(space, {"main": action}, basepoint=group.identity, group=group,
-                  extras={"cocycle": action_data})
-    return built
+    return Built(space, {"main": action}, basepoint=group.identity, group=group, extras={"cocycle": action_data})
 
 
 _BUILDERS = {
     "naive": _build_naive,
-    "weighted_naive": _build_weighted_naive,
+    "weighted_naive": _build_naive,
     "walls_zn": _build_walls_zn,
     "walls_custom": _build_walls_custom,
     "metric_linf": _build_metric,
@@ -742,6 +743,14 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def nonnegative(text: str) -> int:
+    """A nonnegative integer flag value (a limit, radius, sample count or budget)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="labparts", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
@@ -754,20 +763,20 @@ def main(argv=None) -> int:
 
     p_table = sub.add_parser("table", help="pairwise distance table (CSV)")
     p_table.add_argument("config")
-    p_table.add_argument("--limit", type=int, default=12)
-    p_table.add_argument("--radius", type=int, default=None, help="alias: enumerate about this many orbit points")
+    p_table.add_argument("--limit", type=nonnegative, default=12)
+    p_table.add_argument("--radius", type=nonnegative, default=None, help="alias: enumerate about this many orbit points")
     p_table.add_argument("--out", default=None)
 
     p_growth = sub.add_parser("growth", help="orbital growth profile (CSV)")
     p_growth.add_argument("config")
-    p_growth.add_argument("--radius", type=int, required=True)
+    p_growth.add_argument("--radius", type=nonnegative, required=True)
     p_growth.add_argument("--out", default=None)
-    p_growth.add_argument("--budget", type=int, default=200_000)
+    p_growth.add_argument("--budget", type=nonnegative, default=200_000)
 
     p_check = sub.add_parser("check", help="run invariant suites")
     p_check.add_argument("config")
     p_check.add_argument("--suite", default="all", choices=["all", "metric", "equivariance", "amalgam"])
-    p_check.add_argument("--samples", type=int, default=100)
+    p_check.add_argument("--samples", type=nonnegative, default=100)
     p_check.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                          help="seed for sampled checks (default: the top-level --seed)")
     p_check.add_argument("--out", default=None)
@@ -776,7 +785,7 @@ def main(argv=None) -> int:
     p_export = sub.add_parser("export", help="dump labels or vectors")
     p_export.add_argument("config")
     p_export.add_argument("--what", required=True, choices=["labels", "vectors"])
-    p_export.add_argument("--limit", type=int, default=8)
+    p_export.add_argument("--limit", type=nonnegative, default=8)
     p_export.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)

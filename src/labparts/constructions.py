@@ -33,9 +33,9 @@ from .core import (
     PointUniverse,
     Space,
     SparseVec,
-    _split_signed,
     dirac,
     factor,
+    factor_label_map,
     finite_universe,
     half_weight,
 )
@@ -112,7 +112,7 @@ def naive_group_action(group, point_map: Callable[[Any, Point], Point] | None = 
 
     def label_map(g, label):
         (tag, z) = label[0]
-        return dirac(pm(group.inv(g), z))
+        return dirac(pm(group.inv(g), z)), 1
 
     return Action(group=group, point_map=pm, label_map=label_map)
 
@@ -134,6 +134,11 @@ def _common_exponent(factors: Sequence[Space], q) -> None:
                 f"factor {i} has exponent {fac.norm.q}, product requires {q}: "
                 "the factor-tagged union of labels computes the q-sum of factor energies"
             )
+
+
+def _factor_weight(factor_at: Callable[[Any], Space]) -> Callable[[Label], Fraction]:
+    """Weight of a factor-tagged label: the weight of its factor's label."""
+    return lambda label: factor_at(label[0][1]).norm.weight(label[1:])
 
 
 def product_space(factors: Sequence[Space], q, description: str = "") -> Space:
@@ -171,14 +176,10 @@ def product_space(factors: Sequence[Space], q, description: str = "") -> Space:
                 entries.append((factor(i, label), value))
         return SparseVec(entries)
 
-    def weight_of(label: Label):
-        (tag, i) = label[0]
-        return factors[i].norm.weight(tuple(label[1:]))
-
     return Space(
         universe=PointUniverse(contains=contains, points=points, sampler=sampler),
         diff=diff,
-        norm=NormSpec(q, weight_of),
+        norm=NormSpec(q, _factor_weight(factors.__getitem__)),
         description=description or f"product[{', '.join(f.description for f in factors)}]",
     )
 
@@ -194,12 +195,7 @@ def product_action(factors: Sequence[Space], actions: Sequence[Action], q) -> tu
 
     label_map = None
     if all(a.label_map is not None for a in actions):
-
-        def label_map(g, label):
-            (tag, i) = label[0]
-            target, sign = _split_signed(actions[i].label_map(g[i], tuple(label[1:])))
-            return (factor(i, target), sign)
-
+        label_map = factor_label_map(lambda g, i: (actions[i].label_map, g[i]))
     return space, Action(group=group, point_map=point_map, label_map=label_map)
 
 
@@ -253,29 +249,19 @@ def direct_sum_space(
             entries.append((i, xi))
         return sum_point(entries, basepoint_at)
 
-    def coordinate(x, i):
-        for j, xj in x:
-            if j == i:
-                return xj
-        return basepoint_at(i)
-
     def diff(x, y):
-        indices = {i for i, _ in x} | {i for i, _ in y}
+        xs, ys = dict(x), dict(y)
         entries = []
-        for i in indices:
-            fac = factor_at(i)
-            for label, value in fac.diff(coordinate(x, i), coordinate(y, i)).items():
+        for i in xs.keys() | ys.keys():
+            base = basepoint_at(i)
+            for label, value in factor_at(i).diff(xs.get(i, base), ys.get(i, base)).items():
                 entries.append((factor(i, label), value))
         return SparseVec(entries)
-
-    def weight_of(label: Label):
-        (tag, i) = label[0]
-        return factor_at(i).norm.weight(tuple(label[1:]))
 
     return Space(
         universe=PointUniverse(contains=contains, sampler=sampler),
         diff=diff,
-        norm=NormSpec(q, weight_of),
+        norm=NormSpec(q, _factor_weight(factor_at)),
         description=description or "direct sum",
     )
 
@@ -287,7 +273,8 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
     c(w, w') is the sum of phi(i)**q over the support of w^{-1} w'.  The
     group acts on itself by left translation with an exact label map.
     When phi is None the default 1 + |enumeration rank| weighting is used,
-    which diverges along the index window.
+    which diverges along the index window.  The factor at index i is built
+    on first use, which raises InvalidInput if phi(i) is negative.
     """
     if phi is None:
         ranks = {i: r for r, i in enumerate(group.index_window)}
@@ -296,47 +283,20 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
             return Fraction(1 + ranks.get(i, len(ranks)))
 
     h = group.factor
+    lamps = finite_universe(h.elements())
+    factors: dict = {}
 
-    def contains(w) -> bool:
-        return isinstance(w, tuple) and all(
-            isinstance(item, tuple) and len(item) == 2 and item[1] != h.identity for item in w
-        )
+    def factor_at(i):
+        if i not in factors:
+            factors[i] = weighted_naive_space(lamps.points, phi(i), q, universe=lamps)
+        return factors[i]
 
-    def sampler(rng: random.Random):
-        k = rng.randrange(0, min(4, len(group.index_window)) + 1)
-        idx = rng.sample(list(group.index_window), k)
-        hs = [x for x in h.elements() if x != h.identity]
-        return tuple(sorted((i, rng.choice(hs)) for i in idx))
-
-    def diff(w, wp):
-        indices = {i for i, _ in w} | {i for i, _ in wp}
-        entries = []
-        for i in sorted(indices, key=repr):
-            a = group.component(w, i)
-            b = group.component(wp, i)
-            if a == b:
-                continue
-            weight = Fraction(phi(i))
-            if weight == 0:
-                continue
-            entries.append((factor(i, dirac(a)), weight))
-            entries.append((factor(i, dirac(b)), -weight))
-        return SparseVec(entries)
-
-    space = Space(
-        universe=PointUniverse(contains=contains, sampler=sampler),
-        diff=diff,
-        norm=NormSpec(q, half_weight),
-        description=f"weighted naive sum q={q}",
+    space = direct_sum_space(
+        factor_at, lambda i: h.identity, q, index_window=group.index_window, description=f"weighted naive sum q={q}"
     )
-
-    def label_map(w, label):
-        (tag, i) = label[0]
-        (dtag, z) = label[1]
-        return factor(i, dirac(h.mul(h.inv(group.component(w, i)), z)))
-
-    action = Action(group=group, point_map=group.mul, label_map=label_map)
-    return space, action
+    lamp_map = naive_group_action(h).label_map
+    label_map = factor_label_map(lambda w, i: (lamp_map, group.component(w, i)))
+    return space, Action(group=group, point_map=group.mul, label_map=label_map)
 
 
 # ---------------------------------------------------------------------------
@@ -376,35 +336,23 @@ def proper_sum_space(
     w_part, w_action = weighted_naive_sum_space(group, phi, q)
     space = product_space([x_part, w_part], q, description=f"proper sum q={q}")
 
-    h = group.factor
-
     def point_map(w, y):
         x, u = y
-        indices = {i for i, _ in x} | {i for i, _ in w}
-        moved = []
-        for i in indices:
-            xi = None
-            for j, xj in x:
-                if j == i:
-                    xi = xj
-            if xi is None:
-                xi = factors.basepoint_at(i)
-            moved.append((i, factors.action_at(i).point_map(group.component(w, i), xi)))
+        xs = dict(x)
+        moved = [
+            (i, factors.action_at(i).point_map(group.component(w, i), xs.get(i, factors.basepoint_at(i))))
+            for i in xs.keys() | set(group.support(w))
+        ]
         return (sum_point(moved, factors.basepoint_at), group.mul(w, u))
 
-    def label_map(w, label):
-        (tag, part) = label[0]
-        inner = tuple(label[1:])
-        if part == 0:
-            (ftag, i) = inner[0]
-            act = factors.action_at(i)
-            if act.label_map is None:
-                raise DomainError("factor action carries no label map")
-            target, sign = _split_signed(act.label_map(group.component(w, i), tuple(inner[1:])))
-            return (factor(0, factor(i, target)), sign)
-        target, sign = _split_signed(w_action.label_map(w, inner))
-        return (factor(1, target), sign)
+    def factor_part(w, i):
+        act = factors.action_at(i)
+        if act.label_map is None:
+            raise DomainError("factor action carries no label map")
+        return act.label_map, group.component(w, i)
 
+    x_map = factor_label_map(factor_part)
+    label_map = factor_label_map(lambda w, part: (x_map if part == 0 else w_action.label_map, w))
     return space, Action(group=group, point_map=point_map, label_map=label_map)
 
 
@@ -469,16 +417,14 @@ def semidirect_space(data: SemidirectData, q, rng: random.Random | None = None) 
     label_map = None
     if data.action1.label_map is not None and data.action2.label_map is not None and data.twist_action.label_map is not None:
 
-        def label_map(g, label):
-            g1, g2 = g
-            (tag, part) = label[0]
-            inner = tuple(label[1:])
-            if part == 0:
-                mid, s1 = _split_signed(data.action1.label_map(g1, inner))
-                out, s2 = _split_signed(data.twist_action.label_map(g2, mid))
-                return (factor(0, out), s1 * s2)
-            out, s = _split_signed(data.action2.label_map(g2, inner))
-            return (factor(1, out), s)
+        def twisted_map(g, label):
+            # g1 . (twist(g2) . x1) pulls a label back along g1, then along twist(g2)
+            mid, s1 = data.action1.label_map(g[0], label)
+            out, s2 = data.twist_action.label_map(g[1], mid)
+            return out, s1 * s2
+
+        action2_map = data.action2.label_map
+        label_map = factor_label_map(lambda g, part: (twisted_map, g) if part == 0 else (action2_map, g[1]))
 
     return space, Action(group=data.group, point_map=point_map, label_map=label_map)
 
@@ -587,8 +533,6 @@ def wreath_glue(
     )
     space = product_space([walls_space, lamp_sum], q, description=f"wreath gluing q={q}")
 
-    h = factor_action.group
-
     def rho(g, w):
         return tuple(sorted((shift(g, i), x) for i, x in w))
 
@@ -603,26 +547,12 @@ def wreath_glue(
         (w1, i), w2 = y
         return ((rho(g, w1), shift(g, i)), as_sum_point(rho(g, tuple(w2))))
 
-    def lamp_label_map(w, label):
-        (tag, i) = label[0]
-        inner = tuple(label[1:])
-        target, sign = _split_signed(factor_action.label_map(group_w.component(w, i), inner))
-        return (factor(i, target), sign)
+    lamp_label_map = factor_label_map(lambda w, i: (factor_action.label_map, group_w.component(w, i)))
 
     def make_label_map(walls_lm, lamp_lm):
         if walls_lm is None or factor_action.label_map is None:
             return None
-
-        def label_map(g, label):
-            (tag, part) = label[0]
-            inner = tuple(label[1:])
-            if part == 0:
-                target, sign = _split_signed(walls_lm(g, inner))
-                return (factor(0, target), sign)
-            target, sign = _split_signed(lamp_lm(g, inner))
-            return (factor(1, target), sign)
-
-        return label_map
+        return factor_label_map(lambda g, part: (walls_lm if part == 0 else lamp_lm, g))
 
     def lamp_label_map_g(g, label):
         # coordinate i of rho(g)w is the coordinate g^{-1} i of w

@@ -79,6 +79,23 @@ def factor(i, label: Label) -> Label:
     return (("factor", i),) + tuple(label)
 
 
+def factor_label_map(part: Callable[[Any, Any], tuple]) -> Callable:
+    """Label map of a factor-tagged family from its factors' label maps.
+
+    ``part(g, i)`` returns factor i's label map and the element acting on
+    factor i; the label ``factor(i, l)`` moves to ``factor(i, l')`` where
+    factor i's map sends l to (l', sign), and the sign is carried over.
+    """
+
+    def label_map(g, label):
+        i = label[0][1]
+        inner_map, gi = part(g, i)
+        target, sign = inner_map(gi, label[1:])
+        return factor(i, target), sign
+
+    return label_map
+
+
 def vertex_tag(v, label: Label) -> Label:
     """Tag ``label`` as living on the vertex space ``v`` of a tree of spaces."""
     return (("vertex", v),) + tuple(label)
@@ -352,20 +369,6 @@ def dist(space: Space, x: Point, y: Point) -> float:
 SignedLabel = Any  # Label or (Label, sign) with sign in {+1, -1}
 
 
-def _split_signed(value: SignedLabel) -> tuple[Label, int]:
-    if (
-        isinstance(value, tuple)
-        and len(value) == 2
-        and isinstance(value[1], int)
-        and value[1] in (1, -1)
-        and isinstance(value[0], tuple)
-        and value[0]
-        and isinstance(value[0][0], tuple)
-    ):
-        return value[0], value[1]
-    return value, 1
-
-
 @dataclass(frozen=True)
 class LabelBijection:
     """A bijection of labels, possibly with signs.
@@ -406,7 +409,8 @@ def relabel(vec: SparseVec, phi: LabelBijection, direction: str = "forward") -> 
             raise DomainError(f"label bijection undefined on {label!r}") from exc
         if image is None:
             raise DomainError(f"label bijection undefined on {label!r}")
-        target, sign = _split_signed(image)
+        # label components are tuples, so only a signed image ends in an int
+        target, sign = image if isinstance(image[-1], int) else (image, 1)
         out.append((target, sign * value))
     return SparseVec(out)
 
@@ -420,10 +424,11 @@ class Action:
     """A group acting on a space, optionally with a label bijection per element.
 
     ``point_map(g, x)`` is the action on points.  When ``label_map`` is
-    given, ``label_map(g, l)`` realises the pull-back of labelling functions
-    along the action of g, so that for all x, y and labels l
+    given, ``label_map(g, l)`` returns a pair (l', sign) with sign in
+    {+1, -1} realising the pull-back of labelling functions along the
+    action of g, so that for all x, y and labels l
 
-        diff(g.x, g.y)(l) == sign * diff(x, y)(label_map(g, l))
+        diff(g.x, g.y)(l) == sign * diff(x, y)(l')
 
     and weights are preserved.  The attribute ``group`` is any group handle
     from :mod:`labparts.groups`.
@@ -431,7 +436,7 @@ class Action:
 
     group: Any
     point_map: Callable[[Any, Point], Point]
-    label_map: Callable[[Any, Label], SignedLabel] | None = None
+    label_map: Callable[[Any, Label], tuple[Label, int]] | None = None
 
     def bijection(self, g) -> LabelBijection:
         if self.label_map is None:
@@ -538,7 +543,7 @@ def check_equivariance(
             ok = moved == lhs
             if ok:
                 for label in rhs.support():
-                    target, _ = _split_signed(action.label_map(g, label))
+                    target, _ = action.label_map(g, label)
                     if space.norm.weight(label) != space.norm.weight(target):
                         ok = False
                         detail = {"sample": (g, x, y), "reason": "weight not preserved", "label": label}

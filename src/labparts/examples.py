@@ -201,7 +201,7 @@ def free_tree_space(rank: int, q, sample_radius: int = 4) -> tuple[Space, Action
     def label_map(gamma, label):
         (tag, a, b) = label[0]
         ginv = free.inv(gamma)
-        return pair_label(free.mul(ginv, a), free.mul(ginv, b))
+        return pair_label(free.mul(ginv, a), free.mul(ginv, b)), 1
 
     action = Action(group=free, point_map=free.mul, label_map=label_map)
     return space, action, free

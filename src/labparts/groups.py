@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from .core import InvalidInput
 
@@ -423,37 +423,44 @@ class ProductGroup:
 # ball enumeration
 
 
-def ball_enumerate(group, radius: int, generators: Iterable | None = None) -> list[tuple[Any, int]]:
-    """All elements of word length <= radius, as (element, length) pairs.
+def spheres(group, generators: Iterable | None = None) -> Iterator[list]:
+    """The word spheres of radius 0, 1, 2, ..., computed lazily.
 
     Breadth-first search over the Cayley graph of the symmetrised generating
     set, deduplicated by element equality (for amalgam handles this is the
-    reduced-word normal form).  Output is sorted by (length, element_key).
+    reduced-word normal form).  Each sphere is sorted by ``element_key``; a
+    sphere is only computed when it is asked for, and the search stops after
+    the last nonempty sphere of a finite group.
     """
-    if radius < 0:
-        raise InvalidInput("radius must be >= 0")
     gens = list(generators if generators is not None else group.generators)
     gens = gens + [group.inv(g) for g in gens]
-    lengths = {group.identity: 0}
-    frontier = [group.identity]
-    for r in range(1, radius + 1):
+    seen = {group.identity}
+    sphere = [group.identity]
+    while sphere:
+        yield sphere
         nxt = []
-        for x in frontier:
+        for x in sphere:
             for s in gens:
                 y = group.mul(x, s)
-                if y not in lengths:
-                    lengths[y] = r
+                if y not in seen:
+                    seen.add(y)
                     nxt.append(y)
-        frontier = nxt
-    return sorted(lengths.items(), key=lambda kv: (kv[1], group.element_key(kv[0])))
+        sphere = sorted(nxt, key=group.element_key)
 
 
 def sphere_list(group, radius: int, generators=None) -> list[list]:
-    """Elements grouped by exact word length 0..radius."""
-    spheres: list[list] = [[] for _ in range(radius + 1)]
-    for element, length in ball_enumerate(group, radius, generators):
-        spheres[length].append(element)
-    return spheres
+    """Elements grouped by exact word length 0..radius (empty past a finite
+    group's diameter)."""
+    if radius < 0:
+        raise InvalidInput("radius must be >= 0")
+    out = list(itertools.islice(spheres(group, generators), radius + 1))
+    return out + [[] for _ in range(radius + 1 - len(out))]
+
+
+def ball_enumerate(group, radius: int, generators: Iterable | None = None) -> list[tuple[Any, int]]:
+    """All elements of word length <= radius, as (element, length) pairs,
+    sorted by (length, element_key)."""
+    return [(x, r) for r, sphere in enumerate(sphere_list(group, radius, generators)) for x in sphere]
 
 
 # ---------------------------------------------------------------------------
@@ -642,10 +649,12 @@ class AmalgamGroup:
         return self._assemble(head + pushed, self.common.mul(c, v.tail))
 
     def inv(self, u: ReducedWord) -> ReducedWord:
-        inverted = []
-        for side, x in reversed(self.letters(u)):
-            inverted.append((side, self.side_group(side).inv(x)))
-        return self.normal_form(inverted)
+        """u^{-1} = c^{-1} s_k^{-1} ... s_1^{-1} for u = s_1 ... s_k c, in one
+        pass: the inverted syllables still alternate and lie outside C, so
+        pushing c^{-1} through them once gives the normal form."""
+        inverted = [(side, self.side_group(side).inv(x)) for side, x in reversed(self.flat(u))]
+        pushed, c = self._push_c(self.common.inv(u.tail), inverted)
+        return self._assemble(pushed, c)
 
     def element_key(self, word: ReducedWord):
         return (len(word.pairs), word.pairs, word.tail)

@@ -25,6 +25,7 @@ from .core import (
     PointUniverse,
     Space,
     SparseVec,
+    finite_universe,
     unit_weight,
     wall,
 )
@@ -150,7 +151,7 @@ def zn_translation_action(n: int) -> Action:
 
     def label_map(t, label):
         (tag, (axis, k)) = label[0]
-        return wall((axis, k - t))
+        return wall((axis, k - t)), 1
 
     return Action(group=group, point_map=point_map, label_map=label_map)
 
@@ -210,7 +211,7 @@ def coset_walls_action(group: FiniteGroup, walls: MeasuredWalls, tables_subgroup
 
     def label_map(g, label):
         (tag, (i, rep)) = label[0]
-        return wall((i, tables[i].rep_of[group.mul(group.inv(g), rep)]))
+        return wall((i, tables[i].rep_of[group.mul(group.inv(g), rep)])), 1
 
     return Action(group=group, point_map=lambda g, x: group.mul(g, x), label_map=label_map)
 
@@ -247,15 +248,9 @@ def custom_walls_load(path) -> MeasuredWalls:
     masks = {wid: mask for wid, _, mask in walls}
 
     return MeasuredWalls(
-        universe=finite_universe_str(points),
+        universe=finite_universe(points),
         weight=lambda h: weights[h],
         member=lambda h, x: masks[h][x],
         separating=lambda x, y: [h for h in weights if masks[h][x] != masks[h][y]],
         description=f"custom walls ({len(walls)} walls)",
     )
-
-
-def finite_universe_str(points) -> PointUniverse:
-    pts = tuple(points)
-    index = set(pts)
-    return PointUniverse(contains=index.__contains__, points=pts)
