@@ -21,6 +21,7 @@ identical configs produce byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import random
 import sys
@@ -36,8 +37,6 @@ from . import walls as walls_mod
 from .core import (
     Action,
     CheckReport,
-    DomainError,
-    InvalidInput,
     Point,
     check_equivariance,
     check_pseudo_metric,
@@ -55,7 +54,6 @@ from .groups import (
     ZGroup,
     ball_enumerate,
     infinite_dihedral,
-    sphere_list,
     spheres,
 )
 
@@ -83,29 +81,38 @@ class ConfigError(ValueError):
 
 @dataclass
 class Built:
-    """A constructed space with its actions and deterministic enumeration."""
+    """A constructed space with its actions and deterministic enumeration.
+
+    ``orbit`` means the listed points are the orbit of ``basepoint`` under
+    ``actions["main"]``.
+    """
 
     space: Space
     actions: dict = field(default_factory=dict)
     basepoint: Any = None
     group: Any = None
     coerce: Callable[[Any], Point] = lambda v: v
-    enumerate_points: Callable[[int], list] = None  # type: ignore[assignment]
+    orbit: bool = False
     extras: dict = field(default_factory=dict)
 
     def points(self, limit: int) -> list:
-        if self.enumerate_points is not None:
-            return self.enumerate_points(limit)
-        if self.space.universe.points is not None:
+        """The first ``limit`` distinct points: the orbit, sphere by sphere, with
+        no radius cap (it ends early only when a finite group's spheres run
+        out); else the finite universe; else seeded samples."""
+        if self.orbit:
+            action = self.actions["main"]
+            found = (action.point_map(g, self.basepoint) for sphere in spheres(action.group) for g in sphere)
+        elif self.space.universe.points is not None:
             return list(self.space.universe.points)[:limit]
-        rng = random.Random(0)
-        seen: list = []
-        for p in self.space.universe.sample(rng, 4 * limit):
-            if p not in seen:
-                seen.append(p)
-            if len(seen) >= limit:
-                break
-        return seen
+        else:
+            found = self.space.universe.sample(random.Random(0), 4 * limit)
+        out: dict = {}  # an insertion-ordered set
+        if limit > 0:
+            for p in found:
+                out[p] = None
+                if len(out) == limit:
+                    break
+        return list(out)
 
 
 def _require(node: dict, key: str, path: str):
@@ -117,39 +124,14 @@ def _require(node: dict, key: str, path: str):
 def _load_group(value, base_dir: Path, path: str) -> FiniteGroup:
     if isinstance(value, str):
         file = base_dir / value
-        if not file.exists():
+        if not file.is_file():
             raise ConfigError(f"{path}: group table file {value!r} not found")
-        try:
-            return FiniteGroup.load(file)
-        except InvalidInput as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
+        return FiniteGroup.load(file)
     if isinstance(value, dict) and value.get("cyclic"):
         return FiniteGroup.cyclic(int(value["cyclic"]))
     if isinstance(value, dict) and value.get("symmetric"):
         return FiniteGroup.symmetric(int(value["symmetric"]))
     raise ConfigError(f"{path}: group must be a table file or {{'cyclic': n}} / {{'symmetric': n}}")
-
-
-def _orbit_enumeration(built: Built, action_name: str = "main") -> Callable[[int], list]:
-    def enumerate_points(limit: int) -> list:
-        action = built.actions[action_name]
-        out = [built.basepoint]
-        seen = {built.basepoint}
-        search = spheres(action.group)
-        next(search)  # the identity fixes the base point
-        for _ in range(8):  # radii 1..8; a sphere is searched only when needed
-            if len(out) >= limit:
-                break
-            for g in next(search, ()):
-                p = action.point_map(g, built.basepoint)
-                if p not in seen:
-                    seen.add(p)
-                    out.append(p)
-                if len(out) >= limit:
-                    break
-        return out[:limit]
-
-    return enumerate_points
 
 
 def build_space(node: dict, base_dir: Path, path: str = "root") -> Built:
@@ -162,7 +144,9 @@ def build_space(node: dict, base_dir: Path, path: str = "root") -> Built:
     builder = _BUILDERS[kind]
     try:
         return builder(node, base_dir, path)
-    except (InvalidInput, DomainError) as exc:
+    except ConfigError:
+        raise
+    except (ValueError, TypeError, ZeroDivisionError) as exc:  # InvalidInput, DomainError, "1/0"
         raise ConfigError(f"{path}: {exc}") from exc
 
 
@@ -209,35 +193,23 @@ def _build_walls_zn(node, base_dir, path):
             return (_integer(v),)
         raise ConfigError(f"{path}: walls_zn points are integer vectors")
 
-    def enumerate_points(limit: int) -> list:
-        out = []
-        radius = 0
-        while len(out) < limit and radius <= 3 * extent:
-            for g, _ in ball_enumerate(group, radius):
-                p = point_map(g, basepoint)
-                if p not in out:
-                    out.append(p)
-            radius += 1
-        return out[:limit]
-
-    return Built(space, {"main": action}, basepoint=basepoint, group=group, coerce=coerce,
-                 enumerate_points=enumerate_points, extras={"walls": walls})
+    return Built(space, {"main": action}, basepoint=basepoint, group=group, coerce=coerce, orbit=True)
 
 
 def _build_walls_custom(node, base_dir, path):
     q = _require(node, "q", path)
     file = base_dir / _require(node, "file", path)
-    if not file.exists():
+    if not file.is_file():
         raise ConfigError(f"{path}: walls file {str(file)!r} not found")
     walls = walls_mod.custom_walls_load(file)
     space = walls_mod.walls_to_labelled(walls, q)
-    return Built(space, {}, basepoint=walls.universe.points[0], coerce=str, extras={"walls": walls})
+    return Built(space, {}, basepoint=walls.universe.points[0], coerce=str)
 
 
 def _build_metric(node, base_dir, path):
     if "file" in node:
         file = base_dir / node["file"]
-        if not file.exists():
+        if not file.is_file():
             raise ConfigError(f"{path}: metric file {str(file)!r} not found")
         metric = ex.metric_from_csv(file)
     else:
@@ -245,7 +217,7 @@ def _build_metric(node, base_dir, path):
         matrix = tuple(tuple(Fraction(v) for v in row) for row in _require(node, "matrix", path))
         metric = ex.FiniteMetric(points, matrix)
     space = ex.metric_realization_space(metric)
-    return Built(space, {}, basepoint=metric.points[0], coerce=str, extras={"metric": metric})
+    return Built(space, {}, basepoint=metric.points[0], coerce=str)
 
 
 def _build_pullback(node, base_dir, path):
@@ -268,8 +240,7 @@ def _build_pullback(node, base_dir, path):
     else:
         raise ConfigError(f"{path}.map: unknown map type {mtype!r}")
     space = cons.pullback(f, inner.space, inner.space.universe, description=f"pullback({mtype})")
-    return Built(space, {}, basepoint=inner.basepoint, coerce=inner.coerce,
-                 enumerate_points=inner.enumerate_points)
+    return Built(space, {}, basepoint=inner.basepoint, coerce=inner.coerce)
 
 
 def _build_product(node, base_dir, path):
@@ -295,18 +266,20 @@ def _build_product(node, base_dir, path):
     return Built(space, actions, basepoint=tuple(b.basepoint for b in builts), group=group, coerce=coerce)
 
 
-def _phi_from_spec(spec, window):
+def _phi_from_spec(spec, window, path):
     if spec in (None, "rank"):
         ranks = {i: r for r, i in enumerate(window)}
         return lambda i: Fraction(1 + ranks[i])
     if spec == "one_plus_abs":
         return lambda i: Fraction(1 + abs(i))
     if isinstance(spec, list):
+        if len(spec) != len(window):
+            raise ConfigError(f"{path}: phi needs one value per window index, got {spec!r}")
         table = {i: Fraction(str(v)) for i, v in zip(window, spec)}
         if any(v < 0 for v in table.values()):
-            raise ConfigError(f"phi values must be nonnegative, got {spec!r}")
+            raise ConfigError(f"{path}: phi values must be nonnegative, got {spec!r}")
         return lambda i: table[i]
-    raise ConfigError(f"phi must be 'rank', 'one_plus_abs' or a list, got {spec!r}")
+    raise ConfigError(f"{path}: phi must be 'rank', 'one_plus_abs' or a list, got {spec!r}")
 
 
 def _build_proper_sum(node, base_dir, path):
@@ -314,7 +287,7 @@ def _build_proper_sum(node, base_dir, path):
     window = [int(v) for v in _require(node, "window", path)]
     factor_group = FiniteGroup.cyclic(int(node.get("factor_cyclic", 2)))
     group = DirectSumGroup(factor_group, window)
-    phi = _phi_from_spec(node.get("phi"), window)
+    phi = _phi_from_spec(node.get("phi"), window, path)
     factor_space, factor_action = cons.group_naive_space(factor_group, q)
     factors = cons.SumFactors(
         factor_at=lambda i: factor_space,
@@ -323,10 +296,7 @@ def _build_proper_sum(node, base_dir, path):
     )
     space, action = cons.proper_sum_space(factors, group, q, phi)
     basepoint = cons.proper_sum_basepoint(group)
-    built = Built(space, {"main": action}, basepoint=basepoint, group=group,
-                  extras={"phi": phi, "lamp_group": group})
-    built.enumerate_points = _orbit_enumeration(built)
-    return built
+    return Built(space, {"main": action}, basepoint=basepoint, group=group, orbit=True)
 
 
 def _build_semidirect(node, base_dir, path):
@@ -363,9 +333,7 @@ def infinite_dihedral_built(q) -> Built:
         group=group,
     )
     space, action = cons.semidirect_space(data, q)
-    built = Built(space, {"main": action}, basepoint=((0,), 0), group=group, extras={"data": data})
-    built.enumerate_points = _orbit_enumeration(built)
-    return built
+    return Built(space, {"main": action}, basepoint=((0,), 0), group=group, orbit=True)
 
 
 def _build_quotient_average(node, base_dir, path):
@@ -383,8 +351,7 @@ def _build_quotient_average(node, base_dir, path):
     else:
         raise ConfigError(f"{path}: structure must be 'naive' or a walls_cosets object")
     space, action = cons.quotient_average(inner_space, group, subgroup, inner_action)
-    return Built(space, {"main": action}, basepoint=space.universe.points[0], group=group, coerce=_integer,
-                 extras={"inner_space": inner_space, "inner_action": inner_action, "subgroup": subgroup})
+    return Built(space, {"main": action}, basepoint=space.universe.points[0], group=group, coerce=_integer)
 
 
 def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> tuple:
@@ -466,10 +433,7 @@ def _build_wreath_glue(node, base_dir, path):
     space, action_w, action_g = cons.wreath_glue(wreath, factor_space, factor_action, group_w, group_g, shift, q)
     i0 = cosets.reps[0]
     basepoint = (((), i0), ())
-    built = Built(space, {"main": action_w, "shift": action_g}, basepoint=basepoint, group=group_w,
-                  extras={"walls": walls, "lamp_group": group_w, "cosets": cosets})
-    built.enumerate_points = _orbit_enumeration(built)
-    return built
+    return Built(space, {"main": action_w, "shift": action_g}, basepoint=basepoint, group=group_w, orbit=True)
 
 
 def _build_amalgam(node, base_dir, path):
@@ -477,30 +441,27 @@ def _build_amalgam(node, base_dir, path):
     left = _load_group(_require(node, "left", path), base_dir, path)
     right = _load_group(_require(node, "right", path), base_dir, path)
     common_spec = _require(node, "common", path)
-    if isinstance(common_spec, dict) and "table" in common_spec:
+    if not (isinstance(common_spec, dict) and "left" in common_spec and "right" in common_spec):
+        raise ConfigError(f"{path}: common must be {{'left': [...], 'right': [...]}}")
+    if "table" in common_spec:
         common = _load_group(common_spec["table"], base_dir, path)
     else:
         common = FiniteGroup.cyclic(len(common_spec["left"]))
-    try:
-        group = AmalgamGroup(
-            left,
-            right,
-            common,
-            tuple(int(v) for v in common_spec["left"]),
-            tuple(int(v) for v in common_spec["right"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"{path}: common must be {{'left': [...], 'right': [...]}}") from exc
+    group = AmalgamGroup(
+        left,
+        right,
+        common,
+        tuple(int(v) for v in common_spec["left"]),
+        tuple(int(v) for v in common_spec["right"]),
+    )
     factors = node.get("factors", "naive")
     if factors != "naive":
         raise ConfigError(f"{path}: only 'naive' quotient factors are built in")
     tree = amalgam_mod.TreeOfCosetSpaces(group)
     sgc, agc, shc, ahc = amalgam_mod.naive_quotient_structures(tree, q)
     space, action = amalgam_mod.amalgam_space(tree, sgc, agc, shc, ahc, q)
-    built = Built(space, {"main": action}, basepoint=tree.base_point, group=group,
-                  extras={"tree": tree, "struct_gc": sgc, "struct_hc": shc})
-    built.enumerate_points = _orbit_enumeration(built)
-    return built
+    return Built(space, {"main": action}, basepoint=tree.base_point, group=group, orbit=True,
+                 extras={"tree": tree, "struct_gc": sgc, "struct_hc": shc})
 
 
 def _build_free_tree(node, base_dir, path):
@@ -514,22 +475,19 @@ def _build_free_tree(node, base_dir, path):
             return tuple(v)
         raise ConfigError(f"{path}: free_tree_mineyev points are lists of signed generator indices")
 
-    built = Built(space, {"main": action}, basepoint=free.identity, group=free, coerce=coerce,
-                  extras={"free": free, "radius": radius})
-    built.enumerate_points = _orbit_enumeration(built)
-    return built
+    return Built(space, {"main": action}, basepoint=free.identity, group=free, coerce=coerce, orbit=True)
 
 
 def _build_cocycle(node, base_dir, path):
     group_spec = _require(node, "group", path)
     group = ZGroup() if group_spec == "Z" else _load_group(group_spec, base_dir, path)
     file = base_dir / _require(node, "file", path)
-    if not file.exists():
+    if not file.is_file():
         raise ConfigError(f"{path}: cocycle file {str(file)!r} not found")
     radius = int(node.get("radius", 6))
     action_data = ex.cocycle_from_text(file, group, radius)
     space, action = ex.cocycle_space(action_data, point_radius=max(1, radius - 2))
-    return Built(space, {"main": action}, basepoint=group.identity, group=group, extras={"cocycle": action_data})
+    return Built(space, {"main": action}, basepoint=group.identity, group=group)
 
 
 _BUILDERS = {
@@ -585,25 +543,24 @@ def report_dict(report: CheckReport) -> dict:
 # profiles and check suites
 
 
-def growth_profile(built: Built, radius: int, action_name: str = "main", budget: int = 200_000) -> dict:
-    """Per-sphere orbital statistics: exact min/max energies, float distances.
+def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=None) -> dict:
+    """Per-sphere orbital statistics of the main action: exact min/max
+    energies, float distances.  Spheres are word spheres over ``generators``
+    (default: the group's own generating set).
 
     Raises ConfigError when no action is attached; flags the profile as
     partial when the enumeration budget is hit.  A finite group's spheres
     are empty past its diameter, so the profile then ends at the last
     nonempty sphere and records that radius as ``reached``.
     """
-    if action_name not in built.actions:
+    if "main" not in built.actions:
         raise ConfigError("growth profiles need a space built with a group action")
-    action = built.actions[action_name]
-    spheres = sphere_list(action.group, radius)
-    if [] in spheres:
-        spheres = spheres[: spheres.index([])]
-    total = sum(len(s) for s in spheres)
-    partial = total > budget
+    action = built.actions["main"]
+    shells = list(itertools.islice(spheres(action.group, generators), radius + 1))
+    partial = sum(len(s) for s in shells) > budget
     rows = []
     consumed = 0
-    for r, sphere in enumerate(spheres):
+    for r, sphere in enumerate(shells):
         if consumed >= budget:
             break
         sphere = sphere[: budget - consumed]
@@ -624,7 +581,7 @@ def growth_profile(built: Built, radius: int, action_name: str = "main", budget:
                 "mean_dist": sum(dists) / len(dists),
             }
         )
-    return {"rows": rows, "partial": partial, "radius": radius, "reached": len(spheres) - 1}
+    return {"rows": rows, "partial": partial, "radius": radius, "reached": len(shells) - 1}
 
 
 def profile_csv(profile: dict) -> str:
@@ -727,7 +684,7 @@ def _parse_point(built: Built, text: str) -> Point:
 
 def _load_config(path_str: str) -> tuple[dict, Path]:
     path = Path(path_str)
-    if not path.exists():
+    if not path.is_file():
         raise ConfigError(f"config file {path_str!r} not found")
     try:
         node = json.loads(path.read_text())

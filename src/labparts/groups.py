@@ -510,6 +510,8 @@ class AmalgamGroup:
         for embed, target, side in ((self.embed_left, left, "left"), (self.embed_right, right, "right")):
             if len(embed) != common.size or len(set(embed)) != common.size:
                 raise InvalidInput(f"{side} embedding is not injective on C")
+            if not all(0 <= g < target.size for g in embed):
+                raise InvalidInput(f"{side} embedding leaves the {side} factor")
             for a in range(common.size):
                 for b in range(common.size):
                     if embed[common.mul(a, b)] != target.mul(embed[a], embed[b]):

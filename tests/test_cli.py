@@ -1,4 +1,11 @@
+import gc
+import hashlib
 import json
+import os
+import subprocess
+import sys
+import weakref
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -191,6 +198,26 @@ def test_profile_csv_deterministic(workdir):
     assert a.splitlines()[0] == "radius,sphere_size,min_energy,min_dist,max_dist,mean_dist"
 
 
+# SHA-256 of each CSV that scripts/growth_profiles.py writes, recorded when
+# the script still kept its own sphere loop
+GROWTH_SCRIPT_CSVS = {
+    "amalgam.csv": "fea6f2edcee85ce473395a31e06cedf1549bed992f99fd28f4b21bccabc0c1df",
+    "free_tree.csv": "16d826483ab99f701997067e6220cb6bece5892f0efd868ab636a382c52deba5",
+    "infinite_dihedral.csv": "83db96aa7a9b6c84b09039bac65d79de986d65bc82ec1479dd478731da107949",
+    "lamp_sum.csv": "e1fe59b06a715d76b97d82d8ea35ca799d86a6f792a8597bbb1ba223e0babca6",
+    "z_walls.csv": "70b4bc611c795684fc459c19abdd0ed70ae704212c35cfd15669da887e1126f8",
+}
+
+
+def test_growth_profiles_script_output_is_pinned(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    subprocess.run([sys.executable, str(root / "scripts" / "growth_profiles.py"), str(tmp_path)],
+                   env=env, check=True, capture_output=True)
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.glob("*.csv")}
+    assert written == GROWTH_SCRIPT_CSVS
+
+
 def test_cli_growth_and_export_files(workdir, tmp_path, capsys):
     cfg = write_config(workdir, "zw.json", {"kind": "walls_zn", "dim": 1, "q": 1})
     out = tmp_path / "growth.csv"
@@ -224,30 +251,79 @@ def test_dist_enumerates_the_orbit_once_and_runs_the_oracle_once(workdir, monkey
     capsys.readouterr()
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def config_node(name):
+    return json.loads((CONFIGS / name).read_text())
+
+
 @pytest.mark.parametrize("index", ["#-1", "#abc", "#", "#400"])
-def test_bad_point_index_is_a_config_error(workdir, capsys, index):
-    cfg = write_config(workdir, "am.json", AMALGAM_NODE)
-    assert main(["dist", cfg, "#0", index]) == 2
+def test_bad_point_index_is_a_config_error(capsys, index):
+    # the wreath orbit is finite (16 points), so #400 is out of range
+    assert main(["dist", str(CONFIGS / "wreath.json"), "#0", index]) == 2
     err = capsys.readouterr().err
     assert err.startswith("configuration error:") and "Traceback" not in err
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+@pytest.mark.parametrize("config, index", [("dihedral.json", "#40"), ("amalgam_q2.json", "#400")])
+def test_dist_past_radius_8_of_an_infinite_orbit(config, index, capsys):
+    assert main(["dist", str(CONFIGS / config), index, "#0"]) == 0
+    assert capsys.readouterr().out.startswith("energy ")
+
+
+def test_z_walls_dist_matches_pair_energy_past_the_window(capsys):
+    built = build_space(config_node("z_walls.json"), CONFIGS)
+    orbit = built.points(61)
+    energy = pair_energy(built.space, orbit[60], orbit[0])
+    assert main(["dist", str(CONFIGS / "z_walls.json"), "#60", "#0"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == f"energy {cli.rational_str(energy)}"
+
+
+def test_table_lists_the_orbit_past_radius_8(monkeypatch, capsys):
+    # the row count depends on the enumeration only, so the energies are stubbed
+    monkeypatch.setattr(cli, "pair_energy", lambda space, x, y: Fraction(0))
+    assert main(["table", str(CONFIGS / "amalgam_q2.json"), "--limit", "120"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 120 ** 2 and len({row.split('","')[0] for row in rows}) == 120
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_points_with_limit_0_is_empty(config):
+    assert build_space(config_node(config), CONFIGS).points(0) == []
+
+
+def test_orbit_enumerated_spaces_are_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        for config in sorted(CONFIGS.glob("*.json")):
+            built = build_space(config_node(config.name), CONFIGS)
+            if built.orbit:
+                built.points(5)
+                ref = weakref.ref(built)
+                del built
+                assert ref() is None, config.stem
+    finally:
+        gc.enable()
 
 
 def list_scan_points(built, limit):
-    """The orbit enumeration as a list scan, acting on the whole ball at every radius."""
+    """The orbit enumeration as a list scan, acting on the whole ball at every
+    radius until the ball stops growing."""
     action = built.actions["main"]
     out = [built.basepoint]
-    radius = 1
-    while len(out) < limit and radius <= 8:
-        for g, _ in ball_enumerate(action.group, radius):
+    radius, ball_size = 1, 1
+    while len(out) < limit:
+        ball = ball_enumerate(action.group, radius)
+        if len(ball) == ball_size:
+            break
+        for g, _ in ball:
             p = action.point_map(g, built.basepoint)
             if p not in out:
                 out.append(p)
             if len(out) >= limit:
                 break
-        radius += 1
+        radius, ball_size = radius + 1, len(ball)
     return out[:limit]
 
 
@@ -255,11 +331,11 @@ def test_orbit_enumeration_matches_list_scan():
     uses = []
     for config in sorted(CONFIGS.glob("*.json")):
         built = build_space(json.loads(config.read_text()), CONFIGS)
-        if getattr(built.enumerate_points, "__qualname__", "").startswith("_orbit_enumeration."):
+        if built.orbit:
             uses.append(config.stem)
             for limit in range(1, 61):
                 assert built.points(limit) == list_scan_points(built, limit), (config.stem, limit)
-    assert uses == ["amalgam_q1", "amalgam_q2", "dihedral", "free_tree", "proper_sum", "wreath"]
+    assert uses == ["amalgam_q1", "amalgam_q2", "dihedral", "free_tree", "proper_sum", "wreath", "z2_walls", "z_walls"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
 """The CLI's error contract: bad input exits 2, never with a traceback."""
 
+import json
+import shutil
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from labparts.cli import main
 
@@ -81,3 +85,92 @@ def test_malformed_input_exits_2_without_traceback(config, capsys):
 def test_missing_config_file_exits_2(command, tmp_path, capsys):
     code, err = run([command, str(tmp_path / "missing.json")] + REQUIRED.get(command, []), capsys)
     assert code == 2 and err.startswith("configuration error:")
+
+
+def config_node(name: str) -> dict:
+    return json.loads((CONFIGS / name).read_text())
+
+
+# one bad value per node; each raised a bare ValueError, TypeError,
+# ZeroDivisionError, IndexError, KeyError (a short phi list, on first use)
+# or IsADirectoryError (an empty file name) out of the CLI
+BAD_VALUES = {
+    "dim": {**config_node("z_walls.json"), "dim": "x"},
+    "q": {**config_node("naive.json"), "q": None},
+    "q_over_zero": {**config_node("amalgam_q2.json"), "q": "2/0"},
+    "window": {**config_node("proper_sum.json"), "window": 5},
+    "points": {**config_node("naive.json"), "points": "x"},
+    "cyclic": {"kind": "naive", "group": {"cyclic": [2]}, "q": 2},
+    "common": {**config_node("amalgam_q1.json"), "common": [0, 2]},
+    "rank": {**config_node("free_tree.json"), "rank": "a"},
+    "co_subgroup": {**config_node("wreath.json"), "co_subgroup": "ab"},
+    "matrix": {"kind": "metric_linf", "points": ["a", "b"], "matrix": [[0, "x"], ["x", 0]]},
+    "embedding": {**config_node("amalgam_q1.json"), "common": {"left": [7], "right": [0]}},
+    "phi": {**config_node("proper_sum.json"), "phi": [1, 2]},
+    "group_file": {**config_node("wreath.json"), "group": ""},
+}
+
+
+@pytest.mark.parametrize("key", sorted(BAD_VALUES))
+def test_bad_config_values_exit_2(key, tmp_path, capsys):
+    for table in CONFIGS.glob("*.tbl"):
+        shutil.copy(table, tmp_path)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps(BAD_VALUES[key]))
+    code, err = run(["table", str(config), "--limit", "3"], capsys)
+    assert code == 2 and err.startswith("configuration error: root")
+
+
+def test_a_nested_config_error_keeps_its_own_path(tmp_path, capsys):
+    config = tmp_path / "nested.json"
+    config.write_text(json.dumps({"kind": "product", "q": 2, "factors": [BAD_VALUES["dim"]]}))
+    code, err = run(["table", str(config)], capsys)
+    assert code == 2 and err.startswith("configuration error: root.factors[0]: invalid literal")
+
+
+def value_paths(value, path=()):
+    """Every position in a JSON document, the root included, as a key path."""
+    yield path
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from value_paths(child, path + (key,))
+
+
+def replaced(document, path, new):
+    if not path:
+        return new
+    head, rest = path[0], path[1:]
+    if isinstance(document, dict):
+        return {**document, head: replaced(document[head], rest, new)}
+    return [replaced(v, rest, new) if i == head else v for i, v in enumerate(document)]
+
+
+SCALARS = st.none() | st.booleans() | st.integers(-3, 3) | st.text(max_size=3)
+WRONG_VALUES = (
+    st.none()
+    | st.text(max_size=3)
+    | st.lists(SCALARS, max_size=3)
+    | st.dictionaries(st.text(max_size=3), SCALARS, max_size=2)
+)
+
+
+@st.composite
+def mutated_configs(draw):
+    document = config_node(draw(st.sampled_from(CONFIG_NAMES)))
+    path = draw(st.sampled_from(list(value_paths(document))))
+    return replaced(document, path, draw(WRONG_VALUES))
+
+
+@settings(max_examples=150, deadline=None)
+@given(document=mutated_configs())
+def test_mutated_configs_exit_0_or_2(document):
+    with tempfile.TemporaryDirectory() as tmp:
+        for table in CONFIGS.glob("*.tbl"):
+            shutil.copy(table, tmp)
+        config = Path(tmp) / "mutated.json"
+        config.write_text(json.dumps(document))
+        try:
+            code = main(["table", str(config), "--limit", "3", "--out", str(Path(tmp) / "table.csv")])
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (0, 2), document
