@@ -20,6 +20,7 @@ has q-energy equal to the edge count for every q).
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,9 @@ from .core import (
     Action,
     DomainError,
     InvalidInput,
+    MINUS_ONE,
     NormSpec,
+    ONE,
     PointUniverse,
     Space,
     SparseVec,
@@ -303,8 +306,8 @@ def tree_induced_space(tree: TreeOfCosetSpaces, q) -> Space:
         entries = []
         for u, v in zip(path, path[1:]):
             edge = tree.edge_between(u, v)
-            entries.append((wall((edge, u[0])), 1))
-            entries.append((wall((edge, v[0])), -1))
+            entries.append((wall((edge, u[0])), ONE))
+            entries.append((wall((edge, v[0])), MINUS_ONE))
         return SparseVec(entries)
 
     return Space(
@@ -343,8 +346,13 @@ def amalgam_space(
             return vertex_part.norm.weight(label)
         return half_weight(label)
 
+    # a label bijection moves every support label by one element, and the
+    # labels of one vertex space come together: each is inverted once
+    inv_gamma = functools.lru_cache(maxsize=1)(tree.am.inv)
+    inv_vertex = functools.lru_cache(maxsize=1)(tree.am.inv)
+
     def label_map(gamma, label):
-        gamma_inv = tree.am.inv(gamma)
+        gamma_inv = inv_gamma(gamma)
         tag = label[0][0]
         if tag == "wall":
             edge, side = label[0][1]
@@ -354,7 +362,7 @@ def amalgam_space(
             v2 = label[0][1]
             inner = label[1:]
             v1 = tree.act_vertex(gamma_inv, v2)
-            connector = tree.am.mul(tree.am.inv(v2[1]), tree.am.mul(gamma, v1[1]))
+            connector = tree.am.mul(inv_vertex(v2[1]), tree.am.mul(gamma, v1[1]))
             g = tree.am.as_side_element(v2[0], connector)
             if g is None:
                 raise DomainError("vertex label map left the factor group")

@@ -35,6 +35,7 @@ from . import constructions as cons
 from . import examples as ex
 from . import walls as walls_mod
 from .core import (
+    ZERO_VEC,
     Action,
     CheckReport,
     Point,
@@ -43,6 +44,7 @@ from .core import (
     energy_to_dist,
     label_key,
     pair_energy,
+    q_energy,
     sep,
     unit_weight,
 )
@@ -96,23 +98,28 @@ class Built:
     extras: dict = field(default_factory=dict)
 
     def points(self, limit: int) -> list:
-        """The first ``limit`` distinct points: the orbit, sphere by sphere, with
-        no radius cap (it ends early only when a finite group's spheres run
-        out); else the finite universe; else seeded samples."""
+        """The first ``limit`` distinct points: the orbit (see
+        ``orbit_elements``); else the finite universe; else seeded samples."""
         if self.orbit:
-            action = self.actions["main"]
-            found = (action.point_map(g, self.basepoint) for sphere in spheres(action.group) for g in sphere)
-        elif self.space.universe.points is not None:
+            return list(self.orbit_elements(limit))
+        if self.space.universe.points is not None:
             return list(self.space.universe.points)[:limit]
-        else:
-            found = self.space.universe.sample(random.Random(0), 4 * limit)
-        out: dict = {}  # an insertion-ordered set
+        samples = self.space.universe.sample(random.Random(0), 4 * limit)
+        return list(dict.fromkeys(samples))[:limit]
+
+    def orbit_elements(self, limit: int) -> dict:
+        """The first ``limit`` distinct orbit points, sphere by sphere with no
+        radius cap (it ends early only when a finite group's spheres run out),
+        each mapped to the first group element that moved the basepoint there."""
+        action = self.actions["main"]
+        out: dict = {}
         if limit > 0:
-            for p in found:
-                out[p] = None
-                if len(out) == limit:
-                    break
-        return list(out)
+            for sphere in spheres(action.group):
+                for g in sphere:
+                    out.setdefault(action.point_map(g, self.basepoint), g)
+                    if len(out) == limit:
+                        return out
+        return out
 
 
 def _require(node: dict, key: str, path: str):
@@ -584,6 +591,42 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
     return {"rows": rows, "partial": partial, "radius": radius, "reached": len(shells) - 1}
 
 
+def energy_table(built: Built, limit: int) -> tuple[list, list[list]]:
+    """The first ``limit`` points and the matrix of their pair energies.
+
+    Energies are symmetric (c(y, x) = -c(x, y)), so each unordered pair is
+    computed once and mirrored.  On an orbit node the main action is taken to
+    be by automorphisms (``check --suite equivariance`` samples this), hence
+    by isometries: d(g x0, h x0) = d(x0, g^-1 h x0).  So an energy is cached
+    under the element g^-1 h and its inverse h^-1 g, and read off for every
+    later pair with either element.  Elsewhere the diagonal is the energy of
+    the zero vector.
+    """
+    space = built.space
+    if not built.orbit:
+        points = built.points(limit)
+        zero = q_energy(space.norm, ZERO_VEC)
+        rows = [[zero] * len(points) for _ in points]
+        for i, x in enumerate(points):
+            for j in range(i + 1, len(points)):
+                rows[i][j] = rows[j][i] = pair_energy(space, x, points[j])
+        return points, rows
+    reached = built.orbit_elements(limit)
+    points, elements = list(reached), list(reached.values())
+    group = built.actions["main"].group
+    inverses = [group.inv(g) for g in elements]
+    cache: dict = {}
+    rows = [[None] * len(points) for _ in points]
+    for i, x in enumerate(points):
+        for j in range(i, len(points)):
+            key = group.mul(inverses[i], elements[j])
+            e = cache.get(key)
+            if e is None:
+                e = cache[key] = cache[group.inv(key)] = pair_energy(space, x, points[j])
+            rows[i][j] = rows[j][i] = e
+    return points, rows
+
+
 def profile_csv(profile: dict) -> str:
     lines = ["radius,sphere_size,min_energy,min_dist,max_dist,mean_dist"]
     for row in profile["rows"]:
@@ -760,12 +803,16 @@ def main(argv=None) -> int:
 
         if args.command == "table":
             limit = args.limit if args.radius is None else max(args.limit, 2 * args.radius + 1)
-            points = built.points(limit)
+            points, energies = energy_table(built, limit)
+            names = [f"\"{p!r}\"" for p in points]
+            texts: dict = {}  # energy -> its "energy,dist" cells
             lines = ["x,y,energy,dist"]
-            for x in points:
-                for y in points:
-                    e = pair_energy(built.space, x, y)
-                    lines.append(f"\"{x!r}\",\"{y!r}\",{rational_str(e)},{energy_to_dist(built.space.norm, e):.12g}")
+            for x, row in zip(names, energies):
+                for y, e in zip(names, row):
+                    text = texts.get(e)
+                    if text is None:
+                        text = texts[e] = f"{rational_str(e)},{energy_to_dist(built.space.norm, e):.12g}"
+                    lines.append(f"{x},{y},{text}")
             _write_out("\n".join(lines) + "\n", args.out)
             return 0
 

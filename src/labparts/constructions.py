@@ -82,13 +82,14 @@ def weighted_naive_space(points: Iterable, w, q, universe: PointUniverse | None 
     w = Fraction(w)
     if w < 0:
         raise InvalidInput("naive weight must be nonnegative")
+    neg_w = -w
     if universe is None:
         universe = finite_universe(points)
 
     def diff(x, y):
         if x == y or w == 0:
             return SparseVec()
-        return SparseVec(((dirac(x), w), (dirac(y), -w)))
+        return SparseVec(((dirac(x), w), (dirac(y), neg_w)))
 
     return Space(
         universe=universe,

@@ -210,11 +210,12 @@ def combine(a: SparseVec, b: SparseVec, lam=1, mu=1) -> SparseVec:
 # norm specifications and energies
 
 
-_ONE, _HALF = Fraction(1), Fraction(1, 2)
+# shared values: oracles emit these, so SparseVec has no int to convert
+ONE, MINUS_ONE, _HALF = Fraction(1), Fraction(-1), Fraction(1, 2)
 
 
 def unit_weight(label: Label) -> Fraction:
-    return _ONE
+    return ONE
 
 
 def half_weight(label: Label) -> Fraction:

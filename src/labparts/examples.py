@@ -28,7 +28,9 @@ from .core import (
     CheckReport,
     DomainError,
     InvalidInput,
+    MINUS_ONE,
     NormSpec,
+    ONE,
     PointUniverse,
     Space,
     SparseVec,
@@ -179,8 +181,8 @@ def free_tree_space(rank: int, q, sample_radius: int = 4) -> tuple[Space, Action
             bx = tree_neighbour(free, a, x)
             by = tree_neighbour(free, a, y)
             if bx != by:
-                entries.append((pair_label(a, bx), 1))
-                entries.append((pair_label(a, by), -1))
+                entries.append((pair_label(a, bx), ONE))
+                entries.append((pair_label(a, by), MINUS_ONE))
         return SparseVec(entries)
 
     ball: list | None = None

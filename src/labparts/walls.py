@@ -20,7 +20,9 @@ from .core import (
     Action,
     CheckReport,
     DomainError,
+    MINUS_ONE,
     NormSpec,
+    ONE,
     Point,
     PointUniverse,
     Space,
@@ -64,7 +66,7 @@ def walls_to_labelled(walls: MeasuredWalls, q) -> Space:
     def diff(x, y):
         entries = []
         for h in walls.separating(x, y):
-            entries.append((wall(h), 1 if walls.member(h, x) else -1))
+            entries.append((wall(h), ONE if walls.member(h, x) else MINUS_ONE))
         if len(entries) > 100_000:
             raise DomainError("separation set too large to be finite")
         return SparseVec(entries)

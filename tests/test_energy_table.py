@@ -1,0 +1,131 @@
+"""The ``table`` subcommand against a direct ordered-pair table.
+
+``table`` computes each unordered pair once and, on an orbit node, reads the
+energy of (g x0, h x0) off the cached energy of the element g^-1 h.  These
+tests rebuild the table the direct way, one oracle call per ordered pair,
+and compare the two entry by entry.
+"""
+
+import csv
+import dataclasses
+import io
+import json
+import math
+from pathlib import Path
+
+import pytest
+
+from labparts import cli
+from labparts.cli import build_space, main, rational_str
+from labparts.core import energy_to_dist, pair_energy
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+ORBIT_CONFIGS = ("amalgam_q1", "amalgam_q2", "dihedral", "free_tree", "proper_sum", "wreath", "z_walls", "z2_walls")
+
+
+def built_of(config: Path):
+    return build_space(json.loads(config.read_text()), config.parent)
+
+
+def table_cells(capsys, config: Path, limit: int) -> list[list[str]]:
+    """The rows of ``table config --limit limit``, header checked and dropped."""
+    assert main(["table", str(config), "--limit", str(limit)]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["x", "y", "energy", "dist"]
+    return rows[1:]
+
+
+def direct_cells(built, limit: int) -> list[list[str]]:
+    """The same table with one oracle call per ordered pair, diagonal included."""
+    points = built.points(limit)
+    out = []
+    for x in points:
+        for y in points:
+            e = pair_energy(built.space, x, y)
+            out.append([repr(x), repr(y), rational_str(e), f"{energy_to_dist(built.space.norm, e):.12g}"])
+    return out
+
+
+def mismatches(table, direct) -> list:
+    assert len(table) == len(direct)
+    return [(t, d) for t, d in zip(table, direct) if t != d]
+
+
+@pytest.mark.parametrize("name", ORBIT_CONFIGS)
+def test_orbit_table_equals_the_direct_table(capsys, name):
+    config = CONFIGS / f"{name}.json"
+    built = built_of(config)
+    assert built.orbit
+    reached = built.orbit_elements(30)
+    action = built.actions["main"]
+    assert all(action.point_map(g, built.basepoint) == p for p, g in reached.items())
+    assert built.points(30) == list(reached)
+    assert mismatches(table_cells(capsys, config, 30), direct_cells(built, 30)) == []
+
+
+def test_a_point_map_that_is_no_isometry_is_caught(capsys, monkeypatch):
+    # x -> x + t|t| per coordinate: the energy of (g x0, h x0) then depends on
+    # more than g^-1 h.  (A map like x -> 2x + t would not do: on the orbit of
+    # the basepoint it is still a translation, so the cached table stays exact.)
+    def squared(t, x):
+        return tuple(xi + ti * abs(ti) for xi, ti in zip(x, t))
+
+    def mutated(node, base_dir, path="root"):
+        built = build_space(node, base_dir, path)
+        built.actions["main"] = dataclasses.replace(built.actions["main"], point_map=squared)
+        return built
+
+    config = CONFIGS / "z2_walls.json"
+    direct = direct_cells(mutated(json.loads(config.read_text()), config.parent), 30)
+    monkeypatch.setattr(cli, "build_space", mutated)
+    assert mismatches(table_cells(capsys, config, 30), direct)
+
+
+@pytest.mark.parametrize(
+    "node",
+    [{"kind": "naive", "q": "3/2", "points": 4}, {"kind": "walls_zn", "q": "3/2", "dim": 2}],
+    ids=["naive", "walls_zn"],
+)
+def test_non_integer_exponent_diagonal_prints_as_the_direct_table(tmp_path, capsys, node):
+    config = tmp_path / "space.json"
+    config.write_text(json.dumps(node))
+    table = table_cells(capsys, config, 6)
+    assert mismatches(table, direct_cells(built_of(config), 6)) == []
+    diagonal = [row[2:] for row in table if row[0] == row[1]]
+    assert diagonal and all(cells == ["0.0", "0"] for cells in diagonal)
+
+
+def oracle_calls(monkeypatch, capsys, config: Path, limit: int) -> tuple[int, int]:
+    """Calls of the root node's ``diff`` made by one ``table`` run, and the
+    number of points the table lists."""
+    calls = 0
+
+    def counted_build(node, base_dir, path="root"):
+        built = build_space(node, base_dir, path)
+        if path == "root":
+            diff = built.space.diff
+
+            def counted(x, y):
+                nonlocal calls
+                calls += 1
+                return diff(x, y)
+
+            built.space = dataclasses.replace(built.space, diff=counted)
+        return built
+
+    monkeypatch.setattr(cli, "build_space", counted_build)
+    n = math.isqrt(len(table_cells(capsys, config, limit)))
+    return calls, n
+
+
+@pytest.mark.parametrize("name", ["naive", "product", "quotient_average"])
+def test_table_computes_each_pair_once_off_an_orbit(monkeypatch, capsys, name):
+    config = CONFIGS / f"{name}.json"
+    assert not built_of(config).orbit
+    calls, n = oracle_calls(monkeypatch, capsys, config, 30)
+    assert n > 1 and calls <= n * (n + 1) // 2
+
+
+def test_amalgam_table_reads_energies_off_the_group_action(monkeypatch, capsys):
+    calls, n = oracle_calls(monkeypatch, capsys, CONFIGS / "amalgam_q2.json", 20)
+    assert n == 20 and calls <= 100  # one call per ordered pair would be 400
