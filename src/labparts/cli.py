@@ -555,6 +555,12 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
     energies, float distances.  Spheres are word spheres over ``generators``
     (default: the group's own generating set).
 
+    The main action is taken to be by automorphisms (``check --suite
+    equivariance`` samples this), hence by isometries: d(g x0, x0) =
+    d(x0, g^-1 x0).  A word sphere over symmetrised generators is closed
+    under inversion, so the energy of g is kept for g^-1 and read off when
+    the sphere reaches it; each pair {g, g^-1} costs one oracle call.
+
     Raises ConfigError when no action is attached; flags the profile as
     partial when the enumeration budget is hit.  A finite group's spheres
     are empty past its diameter, so the profile then ends at the last
@@ -563,7 +569,8 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
     if "main" not in built.actions:
         raise ConfigError("growth profiles need a space built with a group action")
     action = built.actions["main"]
-    shells = list(itertools.islice(spheres(action.group, generators), radius + 1))
+    group = action.group
+    shells = list(itertools.islice(spheres(group, generators), radius + 1))
     partial = sum(len(s) for s in shells) > budget
     rows = []
     consumed = 0
@@ -573,9 +580,15 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
         sphere = sphere[: budget - consumed]
         consumed += len(sphere)
         energies = []
+        of_inverse: dict = {}
         for g in sphere:
-            moved = action.point_map(g, built.basepoint)
-            energies.append(pair_energy(built.space, moved, built.basepoint))
+            e = of_inverse.pop(g, None)
+            if e is None:
+                e = pair_energy(built.space, action.point_map(g, built.basepoint), built.basepoint)
+                g_inv = group.inv(g)
+                if g_inv != g:
+                    of_inverse[g_inv] = e
+            energies.append(e)
         dists = [energy_to_dist(built.space.norm, e) for e in energies]
         rows.append(
             {

@@ -412,7 +412,7 @@ def relabel(vec: SparseVec, phi: LabelBijection, direction: str = "forward") -> 
             raise DomainError(f"label bijection undefined on {label!r}")
         # label components are tuples, so only a signed image ends in an int
         target, sign = image if isinstance(image[-1], int) else (image, 1)
-        out.append((target, sign * value))
+        out.append((target, value if sign == 1 else -value))
     return SparseVec(out)
 
 

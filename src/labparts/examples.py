@@ -137,20 +137,26 @@ def metric_to_csv(metric: FiniteMetric, path) -> None:
 
 
 def tree_neighbour(free: FreeGroup, a: tuple, x: tuple) -> tuple:
-    """The vertex adjacent to a on the geodesic toward x (a itself if x = a)."""
-    if x == a:
-        return a
-    step = free.mul(free.inv(a), x)[0]
-    return free.mul(a, (step,))
+    """The vertex adjacent to a on the geodesic toward x (a itself if x = a).
+
+    Reduced words are the vertices of the Cayley tree and prefixes their
+    ancestors, so the step goes down to a's child on x when a is a prefix of
+    x, and up to a's parent otherwise.
+    """
+    if x[: len(a)] == a:
+        return x[: len(a) + 1]
+    return a[:-1]
 
 
 def geodesic(free: FreeGroup, x: tuple, y: tuple) -> list[tuple]:
-    """Vertices of the geodesic segment from x to y in the Cayley tree."""
-    w = free.mul(free.inv(x), y)
-    out = [x]
-    for letter in w:
-        out.append(free.mul(out[-1], (letter,)))
-    return out
+    """Vertices of the geodesic segment from x to y in the Cayley tree: the
+    prefixes of x down to the common prefix, then the prefixes of y."""
+    common = 0
+    for u, v in zip(x, y):
+        if u != v:
+            break
+        common += 1
+    return [x[:k] for k in range(len(x), common, -1)] + [y[:k] for k in range(common, len(y) + 1)]
 
 
 def gromov_product(free: FreeGroup, x: tuple, y: tuple, a: tuple) -> Fraction:

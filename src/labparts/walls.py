@@ -72,7 +72,8 @@ def walls_to_labelled(walls: MeasuredWalls, q) -> Space:
         return SparseVec(entries)
 
     def weight_of(label):
-        return Fraction(walls.weight(label[0][1]))
+        w = walls.weight(label[0][1])
+        return w if isinstance(w, Fraction) else Fraction(w)
 
     return Space(
         universe=walls.universe,

@@ -126,52 +126,69 @@ def brute_projection_sum_energy(tree, struct_gc, struct_hc, q, x, y, radius=12):
 # free-group Cayley tree, first principles
 
 
-def free_first_step(free, a, x):
-    """First vertex after a on the path to x, found by breadth-first search
-    over the Cayley graph restricted to a ball (not by word arithmetic)."""
-    if a == x:
-        return a
-    letters = [(i,) for i in range(1, free.rank + 1)] + [(-i,) for i in range(1, free.rank + 1)]
-    seen = {a: None}
-    queue = deque([a])
+def free_letters(free):
+    return [(i,) for i in range(1, free.rank + 1)] + [(-i,) for i in range(1, free.rank + 1)]
+
+
+def free_ball(free, radius):
+    """The vertices within Cayley-graph distance ``radius`` of the identity,
+    found by breadth-first search (multiplying by every generator)."""
+    depth = {(): 0}
+    queue = deque([()])
     while queue:
         u = queue.popleft()
-        for s in letters:
+        if depth[u] == radius:
+            continue
+        for s in free_letters(free):
             v = free.mul(u, s)
-            if v not in seen:
-                seen[v] = u
+            if v not in depth:
+                depth[v] = depth[u] + 1
                 queue.append(v)
-            if v == x:
-                # walk back to the step leaving a
-                node = v
-                while seen[node] != a:
-                    node = seen[node]
-                return node
-    raise AssertionError("unreachable")
+    return depth
+
+
+def free_steps_toward(free, x, radius):
+    """First vertex after a on the path from a to x, for every a in the
+    identity ball of the given radius (which must be >= |x|): the parents of
+    one breadth-first search rooted at x over the Cayley graph restricted to
+    that ball.  A ball about the identity is a subtree, so it holds the whole
+    tree path from any of its vertices to x."""
+    ball = free_ball(free, radius)
+    assert x in ball
+    parent = {x: x}
+    queue = deque([x])
+    while queue:
+        u = queue.popleft()
+        for s in free_letters(free):
+            v = free.mul(u, s)
+            if v in ball and v not in parent:
+                parent[v] = u
+                queue.append(v)
+    return parent
+
+
+def free_first_step(free, a, x):
+    """First vertex after a on the path to x (a itself if a = x), by one
+    breadth-first search from x over the ball of radius max(|a|, |x|)."""
+    return free_steps_toward(free, x, max(len(a), len(x)))[a]
 
 
 def mineyev_disjoint_count(free, x, y, radius):
     """Number of base points a (in a ball) whose Dirac masses toward x and y
     sit at different vertices."""
-    from labparts.groups import ball_enumerate
-
-    count = 0
-    for a, _ in ball_enumerate(free, radius):
-        if free_first_step(free, a, x) != free_first_step(free, a, y):
-            count += 1
-    return count
+    toward_x = free_steps_toward(free, x, max(radius, len(x)))
+    toward_y = free_steps_toward(free, y, max(radius, len(y)))
+    return sum(1 for a in free_ball(free, radius) if toward_x[a] != toward_y[a])
 
 
 def mineyev_brute_energy(free, x, y, radius, q_int):
     """Separation energy recomputed label by label over all pairs (a, b)
     with b in the closed unit ball around a."""
-    from labparts.groups import ball_enumerate
-
+    toward_x = free_steps_toward(free, x, max(radius, len(x)))
+    toward_y = free_steps_toward(free, y, max(radius, len(y)))
     total = 0
-    for a, _ in ball_enumerate(free, radius):
-        bx = free_first_step(free, a, x)
-        by = free_first_step(free, a, y)
-        if bx != by:
+    for a in free_ball(free, radius):
+        if toward_x[a] != toward_y[a]:
             total += 2  # two labels, values +-1, |v|^q = 1
     return total
 

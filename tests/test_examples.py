@@ -7,8 +7,10 @@ from hypothesis import given, strategies as st
 from labparts.core import (
     InvalidInput,
     check_equivariance,
+    SparseVec,
     dist,
     pair_energy,
+    pair_label,
     q_energy,
     sep,
 )
@@ -20,6 +22,7 @@ from labparts.examples import (
     cocycle_from_text,
     cocycle_space,
     free_tree_space,
+    geodesic,
     gromov_product,
     is_orthogonal,
     is_signed_permutation,
@@ -29,7 +32,13 @@ from labparts.examples import (
     tree_neighbour,
 )
 from labparts.groups import FiniteGroup, FreeGroup, ZGroup, ball_enumerate
-from oracles import free_first_step, mineyev_brute_energy, mineyev_disjoint_count, random_rational_metric
+from oracles import (
+    free_first_step,
+    free_steps_toward,
+    mineyev_brute_energy,
+    mineyev_disjoint_count,
+    random_rational_metric,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +194,62 @@ def test_translation_equivariance(rng):
     ball = [w for w, _ in ball_enumerate(free, 3)]
     samples = [(rng.choice(ball), rng.choice(ball), rng.choice(ball)) for _ in range(150)]
     assert check_equivariance(space, action, samples).passed
+
+
+def bfs_path(free, x, y):
+    """The vertices from x to y, read off the parents of one breadth-first
+    search rooted at y."""
+    toward_y = free_steps_toward(free, y, max(len(x), len(y)))
+    path = [x]
+    while path[-1] != y:
+        path.append(toward_y[path[-1]])
+    return path
+
+
+def test_geodesic_equals_the_bfs_parent_path(rng):
+    free = FreeGroup(2)
+    ball = [w for w, _ in ball_enumerate(free, 3)]
+    pairs = [((), ()), ((2, 1), (2, 1)), ((), (1, -2)), ((1, -2), ()), ((1,), (1, 2, 2)), ((1, 2, 2), (1,))]
+    pairs += [(rng.choice(ball), rng.choice(ball)) for _ in range(80)]
+    for x, y in pairs:
+        assert geodesic(free, x, y) == bfs_path(free, x, y)
+
+
+def mul_based_diff(free, x, y):
+    """The free-tree separation vector with each geodesic vertex and each
+    neighbour rebuilt by group multiplication."""
+
+    def neighbour(a, x):
+        return a if x == a else free.mul(a, (free.mul(free.inv(a), x)[0],))
+
+    path = [x]
+    for letter in free.mul(free.inv(x), y):
+        path.append(free.mul(path[-1], (letter,)))
+    entries = []
+    for a in path:
+        bx, by = neighbour(a, x), neighbour(a, y)
+        if bx != by:
+            entries += [(pair_label(a, bx), 1), (pair_label(a, by), -1)]
+    return SparseVec(entries)
+
+
+def random_reduced_word(rng, length, prefix=()):
+    word = list(prefix)
+    while len(word) < length:
+        letter = rng.choice([1, -1, 2, -2, 3, -3])
+        if not word or letter != -word[-1]:
+            word.append(letter)
+    return tuple(word)
+
+
+def test_diff_equals_the_mul_based_construction(rng):
+    for _ in range(300):
+        x = random_reduced_word(rng, rng.randrange(61))
+        # half the pairs share a prefix of x, so the geodesic turns below the identity
+        prefix = x[: rng.randrange(len(x) + 1)] if rng.random() < 0.5 else ()
+        y = random_reduced_word(rng, rng.randrange(len(prefix), 61), prefix)
+        got, want = sep(FREE3_SPACE, x, y), mul_based_diff(FREE3, x, y)
+        assert got == want and list(got.items()) == list(want.items())
 
 
 # ---------------------------------------------------------------------------
