@@ -18,8 +18,6 @@ randomness is seeded (``--seed``, default 0); rationals are serialized as
 identical configs produce byte-identical outputs.
 """
 
-from __future__ import annotations
-
 import argparse
 import itertools
 import json
@@ -28,17 +26,19 @@ import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 
 from . import amalgam as amalgam_mod
 from . import constructions as cons
 from . import examples as ex
 from . import walls as walls_mod
 from .core import (
+    SUP,
     ZERO_VEC,
     Action,
     CheckReport,
     Point,
+    Space,
     check_equivariance,
     check_pseudo_metric,
     energy_to_dist,
@@ -57,23 +57,6 @@ from .groups import (
     ball_enumerate,
     infinite_dihedral,
     spheres,
-)
-
-KINDS = (
-    "naive",
-    "weighted_naive",
-    "walls_zn",
-    "walls_custom",
-    "metric_linf",
-    "pullback",
-    "product",
-    "proper_sum",
-    "semidirect",
-    "quotient_average",
-    "wreath_glue",
-    "amalgam",
-    "free_tree_mineyev",
-    "cocycle",
 )
 
 
@@ -122,63 +105,149 @@ class Built:
         return out
 
 
-def _require(node: dict, key: str, path: str):
-    if key not in node:
-        raise ConfigError(f"{path}: missing required key {key!r}")
-    return node[key]
+# ---------------------------------------------------------------------------
+# config readers: each takes a JSON value and the place it is read at, and
+# returns what a builder gets or raises ValueError
 
 
-def _load_group(value, base_dir: Path, path: str) -> FiniteGroup:
-    if isinstance(value, str):
-        file = base_dir / value
-        if not file.is_file():
-            raise ConfigError(f"{path}: group table file {value!r} not found")
-        return FiniteGroup.load(file)
-    if isinstance(value, dict) and value.get("cyclic"):
-        return FiniteGroup.cyclic(int(value["cyclic"]))
-    if isinstance(value, dict) and value.get("symmetric"):
-        return FiniteGroup.symmetric(int(value["symmetric"]))
-    raise ConfigError(f"{path}: group must be a table file or {{'cyclic': n}} / {{'symmetric': n}}")
+class At(NamedTuple):
+    """Where a config value is read: its node's path, its key and the config's directory."""
+
+    path: str
+    key: str
+    base_dir: Path
 
 
-def build_space(node: dict, base_dir: Path, path: str = "root") -> Built:
-    """Build a space (plus actions) from a configuration node."""
-    if not isinstance(node, dict):
-        raise ConfigError(f"{path}: node must be an object")
-    kind = _require(node, "kind", path)
-    if kind not in KINDS:
-        raise ConfigError(f"{path}: unknown kind {kind!r}")
-    builder = _BUILDERS[kind]
-    try:
-        return builder(node, base_dir, path)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError, ZeroDivisionError) as exc:  # InvalidInput, DomainError, "1/0"
-        raise ConfigError(f"{path}: {exc}") from exc
-
-
-def _integer(value) -> int:
-    """A JSON integer point coordinate; floats and booleans are rejected, not truncated."""
+def integer(value, at=None) -> int:
+    """A JSON integer; decimals, strings and booleans are rejected, not truncated."""
     if type(value) is not int:
-        raise ConfigError(f"{value!r} is not an integer")
+        raise ValueError(f"invalid literal for an integer: {float(value) if isinstance(value, Fraction) else value!r}")
     return value
 
 
-def _build_naive(node, base_dir, path):
-    q = _require(node, "q", path)
-    if "group" in node:
-        group = _load_group(node["group"], base_dir, path)
-        space, action = cons.group_naive_space(group, q, node.get("weight", 1))
-        return Built(space, {"main": action}, basepoint=group.identity, group=group, coerce=_integer)
-    n = int(_require(node, "points", path))
-    space = cons.weighted_naive_space(range(n), node.get("weight", 1), q)
-    return Built(space, {}, basepoint=0, coerce=_integer)
+def rational(value, at=None) -> Fraction:
+    """An exact rational: a JSON integer (kept as an int), a JSON decimal (read exactly) or an "a/b" string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, Fraction, str)):
+        raise ValueError(f"invalid literal for a rational: {value!r}")
+    return value if isinstance(value, (int, Fraction)) else Fraction(str(value))
 
 
-def _build_walls_zn(node, base_dir, path):
-    q = _require(node, "q", path)
-    dim = int(_require(node, "dim", path))
-    extent = int(node.get("extent", 8))
+def config_file(value, at: At) -> Path:
+    """The name of an existing file, relative to the config's directory."""
+    if not isinstance(value, str) or not (at.base_dir / value).is_file():
+        raise ValueError(f"file {value!r} not found in {str(at.base_dir)!r}")
+    return at.base_dir / value
+
+
+def finite_group(value, at: At) -> FiniteGroup:
+    """A finite group: a table file, {"cyclic": n} or {"symmetric": n}."""
+    if isinstance(value, str):
+        return FiniteGroup.load(config_file(value, at))
+    return obj(_group_preset)(value, at)
+
+
+def _group_preset(*, cyclic: integer = None, symmetric: integer = None):
+    if (cyclic is None) == (symmetric is None):
+        raise ValueError("a group is a table file, {'cyclic': n} or {'symmetric': n}")
+    return FiniteGroup.cyclic(cyclic) if symmetric is None else FiniteGroup.symmetric(symmetric)
+
+
+def node(value, at: At) -> Built:
+    """A nested config node, built at the path of its key."""
+    return build_space(value, at.base_dir, f"{at.path}.{at.key}")
+
+
+def anything(value, at=None):
+    """Any JSON value, for the builder to interpret."""
+    return value
+
+
+def list_of(reader: Callable) -> Callable:
+    """A reader of a JSON list, returned as a tuple; ``reader`` reads entry i
+    at key ``key[i]``, so the i-th of a list of nodes is built at ``path.key[i]``."""
+
+    def read(value, at=None) -> tuple:
+        if not isinstance(value, list):
+            raise ValueError(f"expected a list, got {value!r}")
+        return tuple(reader(v, at and At(at.path, f"{at.key}[{i}]", at.base_dir)) for i, v in enumerate(value))
+
+    read.__name__ = f"list of {reader.__name__}"
+    return read
+
+
+def one_of(*choices: str, otherwise: Callable | None = None) -> Callable:
+    """A reader of one of the strings ``choices``, or of any other value by ``otherwise``."""
+
+    def read(value, at=None):
+        if value in choices:
+            return value
+        if otherwise is None:
+            raise ValueError(f"expected one of {', '.join(map(repr, choices))}, got {value!r}")
+        return otherwise(value, at)
+
+    read.__name__ = " | ".join([*map(repr, choices)] + ([otherwise.__name__] if otherwise else []))
+    return read
+
+
+def obj(fn: Callable) -> Callable:
+    """A reader of a JSON object by the signature of ``fn``, which has no return
+    annotation: each keyword-only parameter is a key, its annotation reads the
+    key's value and a default makes the key optional.  ``fn`` gets the values."""
+
+    def read(value, at: At):
+        if not isinstance(value, dict):
+            raise ValueError(f"expected an object, got {value!r}")
+        prefix = f"{at.key}." if at.key else ""
+        readers, defaults = fn.__annotations__, fn.__kwdefaults__ or {}
+        unknown = [key for key in value if key not in readers]
+        if unknown:
+            allowed = ", ".join(prefix + key for key in readers)
+            raise ConfigError(f"{at.path}: unknown key {prefix + unknown[0]!r}; allowed keys: {allowed}")
+        kwargs, where = {}, at.key  # where: the key a failure is reported under
+        try:
+            for key, reader in readers.items():
+                where = prefix + key
+                if key in value:
+                    kwargs[key] = reader(value[key], At(at.path, where, at.base_dir))
+                elif key not in defaults:
+                    raise ConfigError(f"{at.path}: missing required key {where!r}")
+            where = at.key
+            return fn(**kwargs)
+        except ConfigError:
+            raise
+        except (ValueError, TypeError, ZeroDivisionError, RecursionError) as exc:  # InvalidInput, "1/0", deep nesting
+            raise ConfigError(f"{at.path}: {exc}" + (f" (key {where!r})" if where else "")) from exc
+
+    read.__name__ = "object"
+    return read
+
+
+integers = list_of(integer)
+exponent = one_of(SUP, otherwise=rational)  # the norm requires a rational exponent to be >= 1
+
+
+def build_space(node: dict, base_dir: Path, path: str = "root") -> Built:
+    """Build a space (plus actions) from a configuration node: the builder of
+    its ``kind`` gets the node's other keys, read by its signature (see ``obj``)."""
+    if not isinstance(node, dict):
+        raise ConfigError(f"{path}: node must be an object")
+    kind = node.get("kind")
+    if not isinstance(kind, str) or kind not in _BUILDERS:
+        raise ConfigError(f"{path}: kind must be one of {', '.join(_BUILDERS)}; got {kind!r}")
+    return obj(_BUILDERS[kind])({k: v for k, v in node.items() if k != "kind"}, At(path, "", base_dir))
+
+
+def _build_naive(*, q: exponent, points: integer = None, group: finite_group = None, weight: rational = 1):
+    if (points is None) == (group is None):
+        raise ValueError("a naive node takes exactly one of 'points' and 'group'")
+    if group is not None:
+        space, action = cons.group_naive_space(group, q, weight)
+        return Built(space, {"main": action}, basepoint=group.identity, group=group, coerce=integer)
+    space = cons.weighted_naive_space(range(points), weight, q)
+    return Built(space, {}, basepoint=0, coerce=integer)
+
+
+def _build_walls_zn(*, q: exponent, dim: integer, extent: integer = 8):
     walls = walls_mod.zn_half_space_walls(dim, window=extent)
     space = walls_mod.walls_to_labelled(walls, q)
     group = ProductGroup([ZGroup()] * dim)
@@ -191,53 +260,40 @@ def _build_walls_zn(node, base_dir, path):
         return walls_mod.wall((axis, k - t[axis])), 1
 
     action = Action(group=group, point_map=point_map, label_map=label_map)
-    basepoint = (0,) * dim
 
     def coerce(v):
-        if isinstance(v, list):
-            return tuple(_integer(c) for c in v)
-        if dim == 1:
-            return (_integer(v),)
-        raise ConfigError(f"{path}: walls_zn points are integer vectors")
+        return (integer(v),) if dim == 1 and not isinstance(v, list) else integers(v)
 
-    return Built(space, {"main": action}, basepoint=basepoint, group=group, coerce=coerce, orbit=True)
+    return Built(space, {"main": action}, basepoint=(0,) * dim, group=group, coerce=coerce, orbit=True)
 
 
-def _build_walls_custom(node, base_dir, path):
-    q = _require(node, "q", path)
-    file = base_dir / _require(node, "file", path)
-    if not file.is_file():
-        raise ConfigError(f"{path}: walls file {str(file)!r} not found")
+def _build_walls_custom(*, q: exponent, file: config_file):
     walls = walls_mod.custom_walls_load(file)
     space = walls_mod.walls_to_labelled(walls, q)
     return Built(space, {}, basepoint=walls.universe.points[0], coerce=str)
 
 
-def _build_metric(node, base_dir, path):
-    if "file" in node:
-        file = base_dir / node["file"]
-        if not file.is_file():
-            raise ConfigError(f"{path}: metric file {str(file)!r} not found")
-        metric = ex.metric_from_csv(file)
-    else:
-        points = tuple(_require(node, "points", path))
-        matrix = tuple(tuple(Fraction(v) for v in row) for row in _require(node, "matrix", path))
-        metric = ex.FiniteMetric(points, matrix)
+def _build_metric(*, file: config_file = None, points: list_of(anything) = None,
+                  matrix: list_of(list_of(rational)) = None):
+    if (file is not None, points is not None, matrix is not None) not in ((True, False, False), (False, True, True)):
+        raise ValueError("a metric_linf node takes either 'file' or both 'points' and 'matrix'")
+    metric = ex.FiniteMetric(points, matrix) if file is None else ex.metric_from_csv(file)
     space = ex.metric_realization_space(metric)
     return Built(space, {}, basepoint=metric.points[0], coerce=str)
 
 
-def _build_pullback(node, base_dir, path):
-    inner = build_space(_require(node, "inner", path), base_dir, f"{path}.inner")
-    spec = _require(node, "map", path)
-    mtype = _require(spec, "type", f"{path}.map")
-    if mtype == "identity":
-        f = lambda y: y
-    elif mtype == "constant":
-        target = inner.coerce(_require(spec, "value", f"{path}.map"))
+def _pullback_map(*, type: one_of("identity", "constant", "scale"), value: anything = None, factor: integer = None):
+    if (type == "constant" and value is None) or (type == "scale" and factor is None):
+        raise ValueError(f"map type {type!r} needs its {'value' if type == 'constant' else 'factor'!r} key")
+    return type, value, factor
+
+
+def _build_pullback(*, inner: node, map: obj(_pullback_map)):
+    mtype, value, c = map
+    if mtype == "constant":
+        target = inner.coerce(value)
         f = lambda y: target
     elif mtype == "scale":
-        c = int(_require(spec, "factor", f"{path}.map"))
 
         def f(y):
             if isinstance(y, tuple):
@@ -245,56 +301,45 @@ def _build_pullback(node, base_dir, path):
             return c * y
 
     else:
-        raise ConfigError(f"{path}.map: unknown map type {mtype!r}")
+        f = lambda y: y
     space = cons.pullback(f, inner.space, inner.space.universe, description=f"pullback({mtype})")
     return Built(space, {}, basepoint=inner.basepoint, coerce=inner.coerce)
 
 
-def _build_product(node, base_dir, path):
-    q = _require(node, "q", path)
-    factor_nodes = _require(node, "factors", path)
-    if not isinstance(factor_nodes, list) or not factor_nodes:
-        raise ConfigError(f"{path}: factors must be a nonempty list")
-    builts = [build_space(f, base_dir, f"{path}.factors[{i}]") for i, f in enumerate(factor_nodes)]
+def _build_product(*, q: exponent, factors: list_of(node)):
+    if not factors:
+        raise ValueError("a product needs at least one factor")
     actions = {}
-    if all("main" in b.actions for b in builts):
-        space, action = cons.product_action([b.space for b in builts], [b.actions["main"] for b in builts], q)
+    if all("main" in b.actions for b in factors):
+        space, action = cons.product_action([b.space for b in factors], [b.actions["main"] for b in factors], q)
         actions["main"] = action
         group = action.group
     else:
-        space = cons.product_space([b.space for b in builts], q)
+        space = cons.product_space([b.space for b in factors], q)
         group = None
 
     def coerce(v):
-        if not isinstance(v, list) or len(v) != len(builts):
-            raise ConfigError(f"{path}: product points are lists with one entry per factor")
-        return tuple(b.coerce(c) for b, c in zip(builts, v))
+        if not isinstance(v, list) or len(v) != len(factors):
+            raise ValueError("product points are lists with one entry per factor")
+        return tuple(b.coerce(c) for b, c in zip(factors, v))
 
-    return Built(space, actions, basepoint=tuple(b.basepoint for b in builts), group=group, coerce=coerce)
-
-
-def _phi_from_spec(spec, window, path):
-    if spec in (None, "rank"):
-        ranks = {i: r for r, i in enumerate(window)}
-        return lambda i: Fraction(1 + ranks[i])
-    if spec == "one_plus_abs":
-        return lambda i: Fraction(1 + abs(i))
-    if isinstance(spec, list):
-        if len(spec) != len(window):
-            raise ConfigError(f"{path}: phi needs one value per window index, got {spec!r}")
-        table = {i: Fraction(str(v)) for i, v in zip(window, spec)}
-        if any(v < 0 for v in table.values()):
-            raise ConfigError(f"{path}: phi values must be nonnegative, got {spec!r}")
-        return lambda i: table[i]
-    raise ConfigError(f"{path}: phi must be 'rank', 'one_plus_abs' or a list, got {spec!r}")
+    return Built(space, actions, basepoint=tuple(b.basepoint for b in factors), group=group, coerce=coerce)
 
 
-def _build_proper_sum(node, base_dir, path):
-    q = _require(node, "q", path)
-    window = [int(v) for v in _require(node, "window", path)]
-    factor_group = FiniteGroup.cyclic(int(node.get("factor_cyclic", 2)))
+def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer = 2,
+                      phi: one_of("rank", "one_plus_abs", otherwise=list_of(rational)) = "rank"):
+    if phi == "rank":
+        phi = None  # the weighted naive sum's own default
+    elif phi == "one_plus_abs":
+        phi = lambda i: Fraction(1 + abs(i))
+    elif len(phi) != len(window):
+        raise ValueError(f"phi needs one value per window index, got {len(phi)} for {len(window)}")
+    elif any(v < 0 for v in phi):
+        raise ValueError("phi values must be nonnegative")
+    else:
+        phi = dict(zip(window, phi)).__getitem__
+    factor_group = FiniteGroup.cyclic(factor_cyclic)
     group = DirectSumGroup(factor_group, window)
-    phi = _phi_from_spec(node.get("phi"), window, path)
     factor_space, factor_action = cons.group_naive_space(factor_group, q)
     factors = cons.SumFactors(
         factor_at=lambda i: factor_space,
@@ -302,20 +347,12 @@ def _build_proper_sum(node, base_dir, path):
         action_at=lambda i: factor_action,
     )
     space, action = cons.proper_sum_space(factors, group, q, phi)
-    basepoint = cons.proper_sum_basepoint(group)
-    return Built(space, {"main": action}, basepoint=basepoint, group=group, orbit=True)
+    return Built(space, {"main": action}, basepoint=cons.proper_sum_basepoint(group), group=group, orbit=True)
 
 
-def _build_semidirect(node, base_dir, path):
-    q = _require(node, "q", path)
-    preset = node.get("preset", "infinite_dihedral")
-    if preset != "infinite_dihedral":
-        raise ConfigError(f"{path}: the only built-in semidirect preset is 'infinite_dihedral'")
-    return infinite_dihedral_built(q)
-
-
-def infinite_dihedral_built(q) -> Built:
-    """The infinite dihedral group acting on (integer-line walls) x (naive Z/2)."""
+def infinite_dihedral_built(q: exponent, *, preset: one_of("infinite_dihedral") = "infinite_dihedral"):
+    """The infinite dihedral group acting on (integer-line walls) x (naive Z/2);
+    the builder of the ``semidirect`` kind, whose only preset this is."""
     space1, action1 = walls_mod.z_line_walls_space(q)
     flip_group = FiniteGroup.cyclic(2, name="Z2")
     space2, action2 = cons.group_naive_space(flip_group, q)
@@ -343,22 +380,20 @@ def infinite_dihedral_built(q) -> Built:
     return Built(space, {"main": action}, basepoint=((0,), 0), group=group, orbit=True)
 
 
-def _build_quotient_average(node, base_dir, path):
-    q = _require(node, "q", path)
-    group = _load_group(_require(node, "group", path), base_dir, path)
-    subgroup = tuple(int(v) for v in _require(node, "subgroup", path))
-    structure = node.get("structure", "naive")
+def _walls_cosets(*, kind: one_of("walls_cosets"), subgroups: list_of(integers)):
+    return subgroups
+
+
+def _build_quotient_average(*, q: exponent, group: finite_group, subgroup: integers,
+                            structure: one_of("naive", otherwise=obj(_walls_cosets)) = "naive"):
     if structure == "naive":
         inner_space, inner_action = cons.group_naive_space(group, q)
-    elif isinstance(structure, dict) and structure.get("kind") == "walls_cosets":
-        subgroups = [tuple(int(v) for v in s) for s in _require(structure, "subgroups", f"{path}.structure")]
-        walls = walls_mod.coset_walls(group, subgroups)
-        inner_space = walls_mod.walls_to_labelled(walls, q)
-        inner_action = walls_mod.coset_walls_action(group, walls, subgroups)
     else:
-        raise ConfigError(f"{path}: structure must be 'naive' or a walls_cosets object")
+        walls = walls_mod.coset_walls(group, structure)
+        inner_space = walls_mod.walls_to_labelled(walls, q)
+        inner_action = walls_mod.coset_walls_action(group, walls, structure)
     space, action = cons.quotient_average(inner_space, group, subgroup, inner_action)
-    return Built(space, {"main": action}, basepoint=space.universe.points[0], group=group, coerce=_integer)
+    return Built(space, {"main": action}, basepoint=space.universe.points[0], group=group, coerce=integer)
 
 
 def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> tuple:
@@ -427,43 +462,27 @@ def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> t
     return walls, label_map_w, label_map_g, group_w, shift, cosets
 
 
-def _build_wreath_glue(node, base_dir, path):
-    q = _require(node, "q", path)
-    group_g = _load_group(_require(node, "group", path), base_dir, path)
-    subgroup_l = tuple(int(v) for v in node.get("co_subgroup", [group_g.identity]))
-    factor = FiniteGroup.cyclic(int(node.get("factor_cyclic", 2)))
+def _build_wreath_glue(*, q: exponent, group: finite_group, co_subgroup: integers = None, factor_cyclic: integer = 2):
+    subgroup_l = (group.identity,) if co_subgroup is None else co_subgroup
+    factor = FiniteGroup.cyclic(factor_cyclic)
     if factor.size != 2:
-        raise ConfigError(f"{path}: the built-in walls provider supports order-2 lamps only")
-    walls, lm_w, lm_g, group_w, shift, cosets = toy_wreath_walls(group_g, subgroup_l, factor)
+        raise ValueError("the built-in walls provider supports order-2 lamps only")
+    walls, lm_w, lm_g, group_w, shift, cosets = toy_wreath_walls(group, subgroup_l, factor)
     factor_space, factor_action = cons.group_naive_space(factor, q)
     wreath = cons.WreathWalls(walls=walls, label_map_w=lm_w, label_map_g=lm_g)
-    space, action_w, action_g = cons.wreath_glue(wreath, factor_space, factor_action, group_w, group_g, shift, q)
+    space, action_w, action_g = cons.wreath_glue(wreath, factor_space, factor_action, group_w, group, shift, q)
     i0 = cosets.reps[0]
     basepoint = (((), i0), ())
     return Built(space, {"main": action_w, "shift": action_g}, basepoint=basepoint, group=group_w, orbit=True)
 
 
-def _build_amalgam(node, base_dir, path):
-    q = _require(node, "q", path)
-    left = _load_group(_require(node, "left", path), base_dir, path)
-    right = _load_group(_require(node, "right", path), base_dir, path)
-    common_spec = _require(node, "common", path)
-    if not (isinstance(common_spec, dict) and "left" in common_spec and "right" in common_spec):
-        raise ConfigError(f"{path}: common must be {{'left': [...], 'right': [...]}}")
-    if "table" in common_spec:
-        common = _load_group(common_spec["table"], base_dir, path)
-    else:
-        common = FiniteGroup.cyclic(len(common_spec["left"]))
-    group = AmalgamGroup(
-        left,
-        right,
-        common,
-        tuple(int(v) for v in common_spec["left"]),
-        tuple(int(v) for v in common_spec["right"]),
-    )
-    factors = node.get("factors", "naive")
-    if factors != "naive":
-        raise ConfigError(f"{path}: only 'naive' quotient factors are built in")
+def _edge_group(*, left: integers, right: integers, table: finite_group = None):
+    return (FiniteGroup.cyclic(len(left)) if table is None else table), left, right
+
+
+def _build_amalgam(*, q: exponent, left: finite_group, right: finite_group, common: obj(_edge_group),
+                   factors: one_of("naive") = "naive"):
+    group = AmalgamGroup(left, right, *common)
     tree = amalgam_mod.TreeOfCosetSpaces(group)
     sgc, agc, shc, ahc = amalgam_mod.naive_quotient_structures(tree, q)
     space, action = amalgam_mod.amalgam_space(tree, sgc, agc, shc, ahc, q)
@@ -471,32 +490,19 @@ def _build_amalgam(node, base_dir, path):
                  extras={"tree": tree, "struct_gc": sgc, "struct_hc": shc})
 
 
-def _build_free_tree(node, base_dir, path):
-    q = _require(node, "q", path)
-    rank = int(_require(node, "rank", path))
-    radius = int(node.get("radius", 4))
+def _build_free_tree(*, q: exponent, rank: integer, radius: integer = 4):
     space, action, free = ex.free_tree_space(rank, q, sample_radius=radius)
-
-    def coerce(v):
-        if isinstance(v, list):
-            return tuple(v)
-        raise ConfigError(f"{path}: free_tree_mineyev points are lists of signed generator indices")
-
-    return Built(space, {"main": action}, basepoint=free.identity, group=free, coerce=coerce, orbit=True)
+    return Built(space, {"main": action}, basepoint=free.identity, group=free, coerce=integers, orbit=True)
 
 
-def _build_cocycle(node, base_dir, path):
-    group_spec = _require(node, "group", path)
-    group = ZGroup() if group_spec == "Z" else _load_group(group_spec, base_dir, path)
-    file = base_dir / _require(node, "file", path)
-    if not file.is_file():
-        raise ConfigError(f"{path}: cocycle file {str(file)!r} not found")
-    radius = int(node.get("radius", 6))
+def _build_cocycle(*, group: one_of("Z", otherwise=finite_group), file: config_file, radius: integer = 6):
+    group = ZGroup() if group == "Z" else group
     action_data = ex.cocycle_from_text(file, group, radius)
     space, action = ex.cocycle_space(action_data, point_radius=max(1, radius - 2))
     return Built(space, {"main": action}, basepoint=group.identity, group=group)
 
 
+# the kind table: each node kind and its builder
 _BUILDERS = {
     "naive": _build_naive,
     "weighted_naive": _build_naive,
@@ -506,7 +512,7 @@ _BUILDERS = {
     "pullback": _build_pullback,
     "product": _build_product,
     "proper_sum": _build_proper_sum,
-    "semidirect": _build_semidirect,
+    "semidirect": infinite_dihedral_built,
     "quotient_average": _build_quotient_average,
     "wreath_glue": _build_wreath_glue,
     "amalgam": _build_amalgam,
@@ -574,6 +580,7 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
     partial = sum(len(s) for s in shells) > budget
     rows = []
     consumed = 0
+    dist_of: dict = {}  # energy -> distance, each distinct energy converted once
     for r, sphere in enumerate(shells):
         if consumed >= budget:
             break
@@ -589,7 +596,9 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
                 if g_inv != g:
                     of_inverse[g_inv] = e
             energies.append(e)
-        dists = [energy_to_dist(built.space.norm, e) for e in energies]
+        for e in set(energies) - dist_of.keys():
+            dist_of[e] = energy_to_dist(built.space.norm, e)
+        dists = [dist_of[e] for e in energies]
         rows.append(
             {
                 "radius": r,
@@ -726,13 +735,9 @@ def _parse_points(built: Built, texts: list[str]) -> list:
 
 def _parse_point(built: Built, text: str) -> Point:
     try:
-        value = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"point {text!r} is neither an index (#k) nor JSON") from exc
-    try:
-        point = built.coerce(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"point {text!r} does not have this space's point type") from exc
+        point = built.coerce(json.loads(text))
+    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise ConfigError(f"point {text!r} is neither an index (#k) nor JSON of this space's point type") from exc
     if not built.space.universe.contains(point):
         raise ConfigError(f"point {text!r} is not in this space")
     return point
@@ -743,8 +748,8 @@ def _load_config(path_str: str) -> tuple[dict, Path]:
     if not path.is_file():
         raise ConfigError(f"config file {path_str!r} not found")
     try:
-        node = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        node = json.loads(path.read_text(), parse_float=Fraction)
+    except (ValueError, RecursionError) as exc:  # json.JSONDecodeError, UnicodeDecodeError, deep nesting
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return node, path.parent
 
@@ -826,6 +831,8 @@ def main(argv=None) -> int:
                     if text is None:
                         text = texts[e] = f"{rational_str(e)},{energy_to_dist(built.space.norm, e):.12g}"
                     lines.append(f"{x},{y},{text}")
+            if len(points) < limit and not built.orbit and built.space.universe.points is None:
+                lines.append(f"# listed {len(points)} of {limit} points: seeded sampling found no more")
             _write_out("\n".join(lines) + "\n", args.out)
             return 0
 

@@ -471,10 +471,6 @@ class CheckReport:
         if not ok and len(self.failures) < self.max_failures_kept:
             self.failures.append(context)
 
-    def summary(self) -> str:
-        status = "pass" if self.passed else "FAIL"
-        return f"{self.name}: {status} ({self.total} samples, {len(self.failures)} failures kept)"
-
 
 def check_chasles(space: Space, x: Point, y: Point, z: Point) -> bool:
     """Exact test of c(x, z) == c(x, y) + c(y, z)."""

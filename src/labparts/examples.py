@@ -61,8 +61,8 @@ class FiniteMetric:
         n = len(self.points)
         m = tuple(tuple(Fraction(v) for v in row) for row in self.d)
         object.__setattr__(self, "d", m)
-        if len(m) != n or any(len(row) != n for row in m):
-            raise InvalidInput("metric matrix shape does not match the point list")
+        if n == 0 or len(m) != n or any(len(row) != n for row in m):
+            raise InvalidInput("a metric needs a nonempty point list and a square matrix to match")
         for i in range(n):
             if m[i][i] != 0:
                 raise InvalidInput("metric has a nonzero diagonal entry")

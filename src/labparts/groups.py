@@ -45,11 +45,12 @@ class FiniteGroup:
 
     def __init__(self, table: Sequence[Sequence[int]], generators: Iterable[int] = (), names=None, name: str = ""):
         self.table = tuple(tuple(row) for row in table)
+        self.generators = tuple(generators)
         n = len(self.table)
         if any(len(row) != n for row in self.table):
             raise InvalidInput("multiplication table must be square")
-        if any(not (0 <= v < n) for row in self.table for v in row):
-            raise InvalidInput("table entries must be element indices")
+        if any(not 0 <= v < n for v in itertools.chain(*self.table, self.generators)):
+            raise InvalidInput("table entries and generators must be element indices")
         self.size = n
         self.names = tuple(names) if names is not None else tuple(str(i) for i in range(n))
         self.name = name
@@ -82,7 +83,6 @@ class FiniteGroup:
             if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
                 raise InvalidInput("table is not associative")
 
-        self.generators = tuple(generators)
         if self.generators and len(self._ball_saturate(self.generators)) != n:
             raise InvalidInput("declared generators do not generate the group")
 
@@ -172,15 +172,12 @@ class FiniteGroup:
         try:
             n = int(tokens[0][0])
             table = [[int(v) for v in tokens[1 + i]] for i in range(n)]
+            trailer = tokens[1 + n] if len(tokens) > 1 + n else ["generators"]
+            generators = tuple(int(v) for v in trailer[1:])
         except (IndexError, ValueError) as exc:
             raise InvalidInput(f"malformed group table file {path}") from exc
-        generators: tuple = ()
-        if len(tokens) > 1 + n:
-            trailer = tokens[1 + n]
-            if trailer and trailer[0] == "generators":
-                generators = tuple(int(v) for v in trailer[1:])
-            else:
-                raise InvalidInput(f"unexpected trailer line in {path}")
+        if trailer[0] != "generators":
+            raise InvalidInput(f"unexpected trailer line in {path}")
         return FiniteGroup(table, generators)
 
 

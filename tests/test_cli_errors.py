@@ -174,3 +174,26 @@ def test_mutated_configs_exit_0_or_2(document):
         except SystemExit as exc:
             code = exc.code
         assert code in (0, 2), document
+
+
+# malformed group table files: (file text, whether the message names the file)
+MALFORMED_TABLES = {
+    "fewer_rows_than_n": ("3\n0 1 2\n1 2 0\n", True),
+    "non_square_row": ("2\n0 1\n1\n", False),
+    "entry_out_of_range": ("2\n0 1\n1 2\n", False),
+    "generator_out_of_range": ("2\n0 1\n1 0\ngenerators 5\n", False),
+    "negative_generator": ("2\n0 1\n1 0\ngenerators -1\n", False),
+    "bad_generators_line": ("2\n0 1\n1 0\ngenerators x\n", True),
+    "bad_trailer_line": ("2\n0 1\n1 0\ngens 1\n", True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED_TABLES))
+def test_malformed_group_tables_exit_2(name, tmp_path, capsys):
+    text, names_file = MALFORMED_TABLES[name]
+    (tmp_path / "bad.tbl").write_text(text)
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"kind": "naive", "group": "bad.tbl", "q": 2}))
+    code, err = run(["table", str(config)], capsys)
+    assert code == 2 and err.startswith("configuration error: root") and "Traceback" not in err, err
+    assert ("bad.tbl" in err) == names_file, err

@@ -1,0 +1,250 @@
+"""The config schema: each node kind's keys, readers and defaults are its
+builder's signature, and README's key table lists them.
+
+Every key of every kind is mutated here from that signature: a dropped
+required key, an unknown key, or a value its reader must reject makes each
+subcommand exit 2 with the node path, never 0 and never a traceback.
+"""
+
+import json
+import re
+import shutil
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from labparts import cli
+from labparts.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
+
+# one valid node per kind; the files they name are written by ``workdir``
+BASE = {
+    "naive": {"kind": "naive", "points": 4, "q": 2},
+    "weighted_naive": {"kind": "weighted_naive", "group": {"cyclic": 3}, "weight": "3/2", "q": 1},
+    "walls_zn": {"kind": "walls_zn", "dim": 2, "extent": 3, "q": 1},
+    "walls_custom": {"kind": "walls_custom", "file": "walls.txt", "q": 2},
+    "metric_linf": {"kind": "metric_linf", "points": ["a", "b", "c"], "matrix": [[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]]},
+    "pullback": {"kind": "pullback", "inner": {"kind": "walls_zn", "dim": 1, "q": 1},
+                 "map": {"type": "scale", "factor": 2}},
+    "product": {"kind": "product", "q": 2,
+                "factors": [{"kind": "walls_zn", "dim": 1, "q": 2}, {"kind": "naive", "points": 3, "q": 2}]},
+    "proper_sum": {"kind": "proper_sum", "q": 2, "window": [-1, 0, 1], "factor_cyclic": 2, "phi": [1, 2, 3]},
+    "semidirect": {"kind": "semidirect", "preset": "infinite_dihedral", "q": "sup"},
+    "quotient_average": {"kind": "quotient_average", "group": "Z4.tbl", "subgroup": [0, 2], "q": 1,
+                         "structure": {"kind": "walls_cosets", "subgroups": [[0, 2]]}},
+    "wreath_glue": {"kind": "wreath_glue", "group": "Z4.tbl", "co_subgroup": [0], "factor_cyclic": 2, "q": 2},
+    "amalgam": {"kind": "amalgam", "left": "Z4.tbl", "right": "Z6.tbl", "common": {"left": [0, 2], "right": [0, 3]},
+                "q": 1, "factors": "naive"},
+    "free_tree_mineyev": {"kind": "free_tree_mineyev", "rank": 2, "radius": 3, "q": 2},
+    "cocycle": {"kind": "cocycle", "group": "Z", "file": "cocycle.txt", "radius": 4},
+}
+
+# values each reader must reject, by reader name; JSON decimals such as 2.7
+# reach the readers as exact fractions
+WRONG = {
+    "integer": [True, 2.7, 2.0, "3", None, [1]],
+    "rational": [True, "x", "1/0", None, [1], {}],
+    "'sup' | rational": [True, "x", "sup ", None, [2]],
+    "config_file": ["missing.txt", "", 3, None],
+    "finite_group": ["missing.tbl", 3, None, {}, {"cyclic": True}, {"cyclic": 2, "symmetric": 3}],
+    "node": [3, {}, {"kind": "nope"}, [{"kind": "naive", "points": 2, "q": 1}]],
+    "list of node": [[], {}, [3], "ab", [{"kind": "nope"}]],
+    "list of integer": [3, [True], [1.5], "ab", None],
+    "list of anything": [3, "ab", None],
+    "list of list of rational": [3, [3], [[True]], [["x"]]],
+    "object": [3, [], "x", {}],
+    "'rank' | 'one_plus_abs' | list of rational": ["nope", 3, [True], None],
+    "'naive' | object": ["nope", 3, {"kind": "walls_cosets"}, {"kind": "x", "subgroups": []}],
+    "'naive'": ["nope", 3, None],
+    "'infinite_dihedral'": ["nope", 3, None],
+    "'Z' | finite_group": ["Q", 3, None],
+}
+ANY = "anything"
+COMMANDS = (["table", "--limit", "3"], ["dist", "#0", "#1"], ["growth", "--radius", "1"])
+
+
+def schema(kind: str) -> dict:
+    """Each key of a kind: (reader, required)."""
+    builder = cli._BUILDERS[kind]
+    defaults = builder.__kwdefaults__ or {}
+    return {key: (reader, key not in defaults) for key, reader in builder.__annotations__.items()}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("schema")
+    for table in CONFIGS.glob("*.tbl"):
+        shutil.copy(table, path)
+    (path / "walls.txt").write_text("points a b c\nwall h1 1 1 0 0\nwall h2 2 1 1 0\n")
+    (path / "cocycle.txt").write_text("q 2\ngen 1 | 1 | 1\n")
+    return path
+
+
+def run(workdir: Path, document, argv) -> int:
+    config = workdir / "mutated.json"
+    config.write_text(json.dumps(document))
+    out = workdir / "out.csv"
+    args = [argv[0], str(config)] + argv[1:] + (["--out", str(out)] if argv[0] != "dist" else [])
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    return code
+
+
+def test_every_reader_has_rejected_values():
+    names = {reader.__name__ for kind in cli._BUILDERS for reader, _ in schema(kind).values()}
+    assert names - {ANY} <= WRONG.keys()
+    assert sorted(BASE) == sorted(cli._BUILDERS)
+
+
+@pytest.mark.parametrize("kind", sorted(BASE))
+def test_every_base_node_builds(workdir, kind, capsys):
+    assert run(workdir, BASE[kind], ["table", "--limit", "3"]) == 0, capsys.readouterr().err
+
+
+def nested_objects(document: dict) -> list:
+    """The keys of ``document`` whose values are JSON objects (nested nodes included)."""
+    return [key for key, value in document.items() if isinstance(value, dict)]
+
+
+@st.composite
+def mutations(draw):
+    """A base node with one schema-drawn defect, and the text its error must name."""
+    kind = draw(st.sampled_from(sorted(BASE)))
+    document = json.loads(json.dumps(BASE[kind]))
+    keys = schema(kind)
+    choices = ["unknown", "wrong"] + (["missing"] if any(req for _, req in keys.values()) else [])
+    choices += ["nested"] if nested_objects(document) else []
+    defect = draw(st.sampled_from(choices))
+    if defect == "missing":
+        key = draw(st.sampled_from([k for k, (_, req) in keys.items() if req]))
+        document.pop(key, None)
+        return document, f"missing required key {key!r}"
+    if defect == "unknown":
+        key = draw(st.sampled_from(["wieght", "Q", "kind_", "q "]))
+        return {**document, key: 1}, f"unknown key {key!r}"
+    if defect == "nested":
+        key = draw(st.sampled_from(nested_objects(document)))
+        document[key] = {**document[key], "zzz": 1}
+        return document, "unknown key"
+    key = draw(st.sampled_from([k for k, (reader, _) in keys.items() if reader.__name__ != ANY]))
+    value = draw(st.sampled_from(WRONG[keys[key][0].__name__]))
+    return {**document, key: value}, ""
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutations())
+def test_schema_mutations_exit_2_with_the_node_path(workdir, case, capsys):
+    document, names = case
+    for argv in COMMANDS:
+        code = run(workdir, document, list(argv))
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("configuration error: root") and "Traceback" not in err, (argv, err)
+        assert names in err, (argv, err)
+
+
+# one regression test per probe that exited 0 before the schema existed
+PROBES = {
+    "misspelt_key": ({"kind": "naive", "points": 4, "q": 2, "wieght": 3},
+                     "root: unknown key 'wieght'; allowed keys: q, points, group, weight"),
+    "misspelt_common_key": ({**BASE["amalgam"], "common": {"left": [0, 2], "rihgt": [0, 3]}},
+                            "root: unknown key 'common.rihgt'; allowed keys: common.left, common.right, common.table"),
+    "misspelt_map_key": ({**BASE["pullback"], "map": {"type": "scale", "facter": 2}},
+                         "root: unknown key 'map.facter'; allowed keys: map.type, map.value, map.factor"),
+    "boolean_points": ({"kind": "naive", "points": True, "q": 2}, "root: invalid literal for an integer: True"),
+    "decimal_dim": ({"kind": "walls_zn", "dim": 1.9, "q": 2}, "root: invalid literal for an integer: 1.9 (key 'dim')"),
+    "decimal_extent": ({"kind": "walls_zn", "dim": 1, "extent": 2.7, "q": 2}, "(key 'extent')"),
+    "decimal_window": ({"kind": "proper_sum", "q": 2, "window": [0, 1.5, 2]}, "(key 'window')"),
+    "boolean_radius": ({"kind": "free_tree_mineyev", "rank": 2, "radius": True, "q": 2}, "(key 'radius')"),
+    "nested_decimal": ({"kind": "product", "q": 2, "factors": [{"kind": "walls_zn", "dim": 2.0, "q": 2}]},
+                       "root.factors[0]: invalid literal for an integer: 2.0 (key 'dim')"),
+}
+
+
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_motivating_probes_exit_2(workdir, probe, capsys):
+    document, message = PROBES[probe]
+    assert run(workdir, document, ["table"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: root") and message in err, err
+
+
+@pytest.mark.parametrize(
+    "decimal, energy",
+    [("0.1", Fraction(1, 10)), ("0.12345678901234567891", Fraction(12345678901234567891, 10**20))],
+)
+def test_decimal_matrix_entries_are_read_exactly(tmp_path, capsys, decimal, energy):
+    config = tmp_path / "metric.json"
+    config.write_text(f'{{"kind": "metric_linf", "points": ["a", "b"], "matrix": [[0, {decimal}], [{decimal}, 0]]}}')
+    assert main(["dist", str(config), '"a"', '"b"']) == 0
+    assert capsys.readouterr().out.startswith(f"energy {energy.numerator}/{energy.denominator}\n")
+
+
+def test_decimals_read_in_process_are_exact(workdir):
+    built = cli.build_space({"kind": "weighted_naive", "points": 2, "weight": 0.1, "q": 1}, workdir)
+    assert cli.pair_energy(built.space, 0, 1) == Fraction(1, 10)
+
+
+def test_free_tree_literals_reject_non_integer_letters(capsys):
+    config = str(CONFIGS / "free_tree.json")
+    assert main(["dist", config, "[true]", "[2]"]) == 2
+    assert main(["dist", config, "[1.0]", "[2]"]) == 2
+    assert main(["dist", config, "[1]", "[2]"]) == 0
+    assert capsys.readouterr().err.count("configuration error:") == 2
+
+
+# ---------------------------------------------------------------------------
+# README's kinds list and key table
+
+
+def readme_key_table() -> dict:
+    """README's key table: kind -> {key: (reader name, default text)}."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("| Kind | Key | Reader | Default |", 1)[1].split("\n\n", 1)[0]
+    table: dict = {}
+    kinds: list = []
+    for line in section.strip().splitlines()[1:]:
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        kinds = re.findall(r"`(\w+)`", cells[0]) or kinds
+        for kind in kinds:
+            table.setdefault(kind, {})[cells[1].strip("`")] = (cells[2].split(":")[0], cells[3])
+    return table
+
+
+def test_readme_kinds_list_is_the_kind_table():
+    text = (ROOT / "README.md").read_text()
+    listed = re.search(r"Kinds:\s(.*?)\.\s", text, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(cli._BUILDERS)
+    assert sorted(readme_key_table()) == sorted(cli._BUILDERS)
+
+
+@pytest.mark.parametrize("kind", list(cli._BUILDERS))
+def test_readme_keys_are_the_signature(kind):
+    documented = readme_key_table()[kind]
+    keys = schema(kind)
+    assert set(documented) == set(keys)
+    for key, (reader_text, default_text) in documented.items():
+        reader, required = keys[key]
+        assert reader_text == reader.__name__.replace(" | ", " or "), (kind, key)
+        assert (default_text == "required") == required, (kind, key)
+
+
+@pytest.mark.parametrize("depth", [600, 5000])
+def test_deeply_nested_configs_exit_2(tmp_path, capsys, depth):
+    config = tmp_path / "deep.json"
+    config.write_text('{"kind": "pullback", "map": {"type": "identity"}, "inner": ' * depth
+                      + '{"kind": "walls_zn", "dim": 1, "q": 1}' + "}" * depth)
+    assert main(["table", str(config), "--limit", "2"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error:")
+
+
+def test_a_config_that_is_not_text_exits_2(tmp_path, capsys):
+    config = tmp_path / "binary.json"
+    config.write_bytes(b'{"kind": "naive\xff"}')
+    assert main(["table", str(config)]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: config is not valid JSON")

@@ -129,3 +129,17 @@ def test_table_computes_each_pair_once_off_an_orbit(monkeypatch, capsys, name):
 def test_amalgam_table_reads_energies_off_the_group_action(monkeypatch, capsys):
     calls, n = oracle_calls(monkeypatch, capsys, CONFIGS / "amalgam_q2.json", 20)
     assert n == 20 and calls <= 100  # one call per ordered pair would be 400
+
+
+def test_a_short_sampled_table_ends_with_a_comment(capsys):
+    assert main(["table", str(CONFIGS / "product.json"), "--limit", "100"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    n = len({line.split('","')[0] for line in lines[1:-1]})
+    assert n < 100 and len(lines) == 1 + n * n + 1
+    assert lines[-1] == f"# listed {n} of 100 points: seeded sampling found no more"
+
+
+@pytest.mark.parametrize("config, limit", [("product.json", 6), ("naive.json", 100), ("wreath.json", 100)])
+def test_full_finite_and_orbit_tables_end_without_a_comment(capsys, config, limit):
+    assert main(["table", str(CONFIGS / config), "--limit", str(limit)]) == 0
+    assert not any(line.startswith("#") for line in capsys.readouterr().out.splitlines())

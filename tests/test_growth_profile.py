@@ -86,3 +86,17 @@ def test_free_tree_growth_makes_one_oracle_call_per_inverse_pair(monkeypatch, ca
     assert main(["growth", str(CONFIGS / "free_tree.json"), "--radius", "4"]) == 0
     assert capsys.readouterr().out.startswith("radius,sphere_size")
     assert calls == 81
+
+
+def test_growth_converts_each_distinct_energy_to_a_distance_once(monkeypatch):
+    built = built_of(CONFIGS / "free_tree.json")
+    expected = growth_profile(built, 5)
+    converted = []
+
+    def counted(norm, energy):
+        converted.append(energy)
+        return energy_to_dist(norm, energy)
+
+    monkeypatch.setattr(cli, "energy_to_dist", counted)
+    assert growth_profile(built, 5) == expected
+    assert len(converted) == len(set(converted)) == 6
