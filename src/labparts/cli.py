@@ -19,8 +19,10 @@ identical configs produce byte-identical outputs.
 """
 
 import argparse
+import functools
 import itertools
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass, field
@@ -146,10 +148,25 @@ def finite_group(value, at: At) -> FiniteGroup:
     return obj(_group_preset)(value, at)
 
 
+# the largest order of a group built from a preset (S6's): a group's table has order² entries
+MAX_PRESET_ORDER = 720
+
+
+def _bound_order(order: int, preset: str) -> None:
+    """Reject a preset group of order above ``MAX_PRESET_ORDER`` before its table is built."""
+    if order > MAX_PRESET_ORDER:
+        raise ValueError(f"a preset group has order at most {MAX_PRESET_ORDER}; {preset} is larger")
+
+
 def _group_preset(*, cyclic: integer = None, symmetric: integer = None):
     if (cyclic is None) == (symmetric is None):
         raise ValueError("a group is a table file, {'cyclic': n} or {'symmetric': n}")
-    return FiniteGroup.cyclic(cyclic) if symmetric is None else FiniteGroup.symmetric(symmetric)
+    if symmetric is None:
+        _bound_order(cyclic, f"{{'cyclic': {cyclic}}}")
+        return FiniteGroup.cyclic(cyclic)
+    # symmetric! when symmetric <= MAX_PRESET_ORDER, else a product already past the bound
+    _bound_order(math.prod(range(2, min(symmetric, MAX_PRESET_ORDER) + 1)), f"{{'symmetric': {symmetric}}}")
+    return FiniteGroup.symmetric(symmetric)
 
 
 def node(value, at: At) -> Built:
@@ -338,6 +355,7 @@ def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer =
         raise ValueError("phi values must be nonnegative")
     else:
         phi = dict(zip(window, phi)).__getitem__
+    _bound_order(factor_cyclic, f"factor_cyclic {factor_cyclic}")
     factor_group = FiniteGroup.cyclic(factor_cyclic)
     group = DirectSumGroup(factor_group, window)
     factor_space, factor_action = cons.group_naive_space(factor_group, q)
@@ -464,9 +482,9 @@ def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> t
 
 def _build_wreath_glue(*, q: exponent, group: finite_group, co_subgroup: integers = None, factor_cyclic: integer = 2):
     subgroup_l = (group.identity,) if co_subgroup is None else co_subgroup
-    factor = FiniteGroup.cyclic(factor_cyclic)
-    if factor.size != 2:
+    if factor_cyclic != 2:
         raise ValueError("the built-in walls provider supports order-2 lamps only")
+    factor = FiniteGroup.cyclic(factor_cyclic)
     walls, lm_w, lm_g, group_w, shift, cosets = toy_wreath_walls(group, subgroup_l, factor)
     factor_space, factor_action = cons.group_naive_space(factor, q)
     wreath = cons.WreathWalls(walls=walls, label_map_w=lm_w, label_map_g=lm_g)
@@ -567,24 +585,27 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
     under inversion, so the energy of g is kept for g^-1 and read off when
     the sphere reaches it; each pair {g, g^-1} costs one oracle call.
 
-    Raises ConfigError when no action is attached; flags the profile as
-    partial when the enumeration budget is hit.  A finite group's spheres
+    Raises ConfigError when no action is attached.  Spheres are drawn one at
+    a time, and at most ``budget`` elements are profiled: the profile is
+    partial when a sphere is cut short or a sphere is left over once the
+    budget is spent, and the search stops there.  A finite group's spheres
     are empty past its diameter, so the profile then ends at the last
-    nonempty sphere and records that radius as ``reached``.
+    nonempty sphere and records that radius as ``reached``; a partial
+    profile does not know it and records ``radius``.
     """
     if "main" not in built.actions:
         raise ConfigError("growth profiles need a space built with a group action")
     action = built.actions["main"]
     group = action.group
-    shells = list(itertools.islice(spheres(group, generators), radius + 1))
-    partial = sum(len(s) for s in shells) > budget
     rows = []
-    consumed = 0
+    consumed, partial, r = 0, False, -1
     dist_of: dict = {}  # energy -> distance, each distinct energy converted once
-    for r, sphere in enumerate(shells):
-        if consumed >= budget:
+    for r, sphere in enumerate(itertools.islice(spheres(group, generators), radius + 1)):
+        room = budget - consumed
+        partial = len(sphere) > room
+        if room <= 0:
             break
-        sphere = sphere[: budget - consumed]
+        sphere = sphere[:room]
         consumed += len(sphere)
         energies = []
         of_inverse: dict = {}
@@ -610,7 +631,9 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
                 "mean_dist": sum(dists) / len(dists),
             }
         )
-    return {"rows": rows, "partial": partial, "radius": radius, "reached": len(shells) - 1}
+        if partial:
+            break
+    return {"rows": rows, "partial": partial, "radius": radius, "reached": radius if partial else r}
 
 
 def energy_table(built: Built, limit: int) -> tuple[list, list[list]]:
@@ -754,6 +777,14 @@ def _load_config(path_str: str) -> tuple[dict, Path]:
     return node, path.parent
 
 
+def _sampling_note(built: Built, listed: int, limit: int) -> str | None:
+    """The comment that a sampled node (neither an orbit nor a finite universe)
+    listed fewer than ``limit`` points; None when it listed them all or is not sampled."""
+    if listed < limit and not built.orbit and built.space.universe.points is None:
+        return f"# listed {listed} of {limit} points: seeded sampling found no more"
+    return None
+
+
 def _write_out(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -769,7 +800,10 @@ def nonnegative(text: str) -> int:
     return value
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call and shared by every later ``main``
+    call in the process: parsing keeps no state in it, and no caller may change it."""
     parser = argparse.ArgumentParser(prog="labparts", description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0, help="seed for sampled checks")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -805,8 +839,11 @@ def main(argv=None) -> int:
     p_export.add_argument("--what", required=True, choices=["labels", "vectors"])
     p_export.add_argument("--limit", type=nonnegative, default=8)
     p_export.add_argument("--out", default=None)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         node, base_dir = _load_config(args.config)
@@ -831,8 +868,9 @@ def main(argv=None) -> int:
                     if text is None:
                         text = texts[e] = f"{rational_str(e)},{energy_to_dist(built.space.norm, e):.12g}"
                     lines.append(f"{x},{y},{text}")
-            if len(points) < limit and not built.orbit and built.space.universe.points is None:
-                lines.append(f"# listed {len(points)} of {limit} points: seeded sampling found no more")
+            note = _sampling_note(built, len(points), limit)
+            if note:
+                lines.append(note)
             _write_out("\n".join(lines) + "\n", args.out)
             return 0
 
@@ -870,6 +908,9 @@ def main(argv=None) -> int:
                             labels[label_key(label)] = rational_str(built.space.norm.weight(label))
                 payload = [{"label": k, "weight": labels[k]} for k in sorted(labels)]
             _write_out(json.dumps(json_ready(payload), indent=2, sort_keys=True) + "\n", args.out)
+            note = _sampling_note(built, len(points), args.limit)
+            if note:
+                print(note, file=sys.stderr)  # stderr keeps the JSON on stdout as it was
             return 0
 
         raise ConfigError(f"unknown command {args.command!r}")

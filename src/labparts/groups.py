@@ -178,6 +178,8 @@ class FiniteGroup:
             raise InvalidInput(f"malformed group table file {path}") from exc
         if trailer[0] != "generators":
             raise InvalidInput(f"unexpected trailer line in {path}")
+        if len(tokens) > 2 + n:
+            raise InvalidInput(f"unexpected line after the generators line in {path}")
         return FiniteGroup(table, generators)
 
 

@@ -197,3 +197,11 @@ def test_malformed_group_tables_exit_2(name, tmp_path, capsys):
     code, err = run(["table", str(config)], capsys)
     assert code == 2 and err.startswith("configuration error: root") and "Traceback" not in err, err
     assert ("bad.tbl" in err) == names_file, err
+
+
+def test_a_line_after_the_generators_line_exits_2(tmp_path, capsys):
+    (tmp_path / "bad.tbl").write_text("2\n0 1\n1 0\ngenerators 1\ngarbage here\n")
+    config = tmp_path / "bad.json"
+    config.write_text(json.dumps({"kind": "naive", "group": "bad.tbl", "q": 2}))
+    code, err = run(["dist", str(config), "0", "1"], capsys)
+    assert code == 2 and err.startswith("configuration error: root") and "bad.tbl" in err, err

@@ -248,3 +248,45 @@ def test_a_config_that_is_not_text_exits_2(tmp_path, capsys):
     config.write_bytes(b'{"kind": "naive\xff"}')
     assert main(["table", str(config)]) == 2
     assert capsys.readouterr().err.startswith("configuration error: config is not valid JSON")
+
+
+@pytest.fixture
+def built_groups(monkeypatch):
+    """The order of each cyclic or symmetric group built; a build past the bound fails the test."""
+    built = []
+
+    def spy(preset):
+        original = getattr(cli.FiniteGroup, preset)
+
+        def build(n, *rest, **kwargs):
+            built.append((preset, n))
+            assert n <= (cli.MAX_PRESET_ORDER if preset == "cyclic" else 6), f"built {preset} {n}"
+            return original(n, *rest, **kwargs)
+
+        monkeypatch.setattr(cli.FiniteGroup, preset, staticmethod(build))
+
+    spy("cyclic")
+    spy("symmetric")
+    return built
+
+
+@pytest.mark.parametrize("node", [
+    {"kind": "naive", "group": {"cyclic": 721}, "q": 1},
+    {"kind": "naive", "group": {"symmetric": 7}, "q": 1},
+    {"kind": "naive", "group": {"symmetric": 10 ** 9}, "q": 1},
+    {"kind": "quotient_average", "group": {"cyclic": 10 ** 5}, "subgroup": [0], "q": 1},
+    {"kind": "proper_sum", "window": [0, 1], "factor_cyclic": 721, "q": 2},
+    {"kind": "wreath_glue", "group": {"cyclic": 3}, "factor_cyclic": 10 ** 5, "q": 2},
+])
+def test_a_preset_group_past_the_order_bound_exits_2_before_it_is_built(node, tmp_path, capsys, built_groups):
+    config = tmp_path / "big.json"
+    config.write_text(json.dumps(node))
+    assert main(["dist", str(config), "#0", "#0"]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: root")
+    assert all(n <= 3 for _, n in built_groups)  # no group past the bound was built
+
+
+@pytest.mark.parametrize("preset, n", [("cyclic", cli.MAX_PRESET_ORDER), ("symmetric", 6)])
+def test_a_preset_group_at_the_order_bound_is_built(preset, n, built_groups):
+    assert cli.finite_group({preset: n}, cli.At("root", "group", CONFIGS)).size == cli.MAX_PRESET_ORDER
+    assert built_groups == [(preset, n)]

@@ -143,3 +143,21 @@ def test_a_short_sampled_table_ends_with_a_comment(capsys):
 def test_full_finite_and_orbit_tables_end_without_a_comment(capsys, config, limit):
     assert main(["table", str(CONFIGS / config), "--limit", str(limit)]) == 0
     assert not any(line.startswith("#") for line in capsys.readouterr().out.splitlines())
+
+
+def test_a_short_sampled_export_notes_it_on_stderr(capsys, tmp_path):
+    argv = ["export", str(CONFIGS / "product.json"), "--what", "labels", "--limit", "100"]
+    assert main(argv + ["--out", str(tmp_path / "labels.json")]) == 0
+    n = len(built_of(CONFIGS / "product.json").points(100))
+    assert n < 100 and capsys.readouterr().err == f"# listed {n} of 100 points: seeded sampling found no more\n"
+    assert main(argv) == 0
+    out, err = capsys.readouterr()
+    assert out == (tmp_path / "labels.json").read_text() and json.loads(out)  # stdout holds the JSON alone
+    assert err.startswith(f"# listed {n} of 100")
+
+
+@pytest.mark.parametrize("config, limit", [("product.json", 6), ("naive.json", 100), ("wreath.json", 100)])
+@pytest.mark.parametrize("what", ["labels", "vectors"])
+def test_full_finite_and_orbit_exports_print_no_note(capsys, config, limit, what):
+    assert main(["export", str(CONFIGS / config), "--what", what, "--limit", str(limit)]) == 0
+    assert capsys.readouterr().err == ""

@@ -15,7 +15,7 @@ import pytest
 from labparts import cli
 from labparts.cli import build_space, growth_profile, main
 from labparts.core import energy_to_dist, pair_energy
-from labparts.groups import sphere_list
+from labparts.groups import sphere_list, spheres
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ACTION_CONFIGS = ("amalgam_q1", "amalgam_q2", "dihedral", "free_tree", "proper_sum", "quotient_average",
@@ -100,3 +100,50 @@ def test_growth_converts_each_distinct_energy_to_a_distance_once(monkeypatch):
     monkeypatch.setattr(cli, "energy_to_dist", counted)
     assert growth_profile(built, 5) == expected
     assert len(converted) == len(set(converted)) == 6
+
+
+def test_a_spent_budget_stops_the_sphere_search(monkeypatch, capsys):
+    # F2's radius-10 ball holds 88,573 elements; a budget of 10 profiles the
+    # first three spheres (1 + 4 + 5 of 12) and draws no sphere past them
+    drawn = []
+
+    def counted(group, generators=None):
+        for sphere in spheres(group, generators):
+            drawn.append(len(sphere))
+            yield sphere
+
+    monkeypatch.setattr(cli, "spheres", counted)
+    assert main(["growth", str(CONFIGS / "free_tree.json"), "--radius", "10", "--budget", "10"]) == 0
+    assert capsys.readouterr().out == (
+        "radius,sphere_size,min_energy,min_dist,max_dist,mean_dist\n"
+        "0,1,0/1,0,0,0\n"
+        "1,4,4/1,2,2,2\n"
+        "2,5,6/1,2.44948974278,2.44948974278,2.44948974278\n"
+        "# partial: enumeration budget exceeded\n"
+    )
+    assert len(drawn) <= 4
+
+
+@pytest.mark.parametrize("name", ACTION_CONFIGS)
+def test_a_budget_that_holds_every_sphere_changes_nothing(name):
+    built = built_of(CONFIGS / f"{name}.json")
+    elements = sum(map(len, sphere_list(built.actions["main"].group, 4)))
+    assert growth_profile(built, 4, budget=elements) == growth_profile(built, 4)
+    short = growth_profile(built, 4, budget=elements - 1)
+    assert short["partial"] and short["radius"] == short["reached"] == 4
+    assert sum(row["sphere_size"] for row in short["rows"]) == elements - 1
+
+
+def test_a_budget_spent_before_a_finite_groups_last_sphere_leaves_its_diameter_unknown(capsys):
+    # quotient_average acts by Z4, whose spheres hold 1, 2 and 1 elements: a budget spent on the
+    # first sphere leaves the others unseen, and one spent exactly on the last sphere is not partial
+    config = str(CONFIGS / "quotient_average.json")
+    sizes = [len(s) for s in sphere_list(built_of(CONFIGS / "quotient_average.json").actions["main"].group, 9) if s]
+    diameter = len(sizes) - 1
+    lines = {}
+    for budget in (sizes[0], sum(sizes)):
+        assert main(["growth", config, "--radius", "9", "--budget", str(budget)]) == 0
+        lines[budget] = capsys.readouterr().out.splitlines()
+    assert lines[sizes[0]][-2:] == ["0,1,0/1,0,0,0", "# partial: enumeration budget exceeded"]
+    assert lines[sum(sizes)][-1] == f"# radius 9 requested; spheres past radius {diameter} are empty"
+    assert not any(line.startswith("# partial") for line in lines[sum(sizes)])
