@@ -203,10 +203,10 @@ class TreeOfCosetSpaces:
         return self.vertex_of_word(side, self.am.mul(gamma, word))
 
     def act_point(self, gamma: ReducedWord, x: TotalPoint) -> TotalPoint:
-        return TotalPoint(
-            self.act_vertex(gamma, x.vertex),
-            self.tail_free(self.am.mul(gamma, x.coset)),
-        )
+        # x's coset word lies in its vertex, so gamma times it lies in the
+        # moved vertex, which is read off that one product
+        coset = self.am.mul(gamma, x.coset)
+        return TotalPoint(self.vertex_of_word(x.vertex[0], coset), self.tail_free(coset))
 
     # -- coset bookkeeping --------------------------------------------------------
 

@@ -152,8 +152,13 @@ def finite_group(value, at: At) -> FiniteGroup:
 MAX_PRESET_ORDER = 720
 
 
-def _bound_order(order: int, preset: str) -> None:
-    """Reject a preset group of order above ``MAX_PRESET_ORDER`` before its table is built."""
+def _bound_order(n: int, preset: str, factorial: bool = False) -> None:
+    """Reject a preset group before its table is built: its n must be at least 1
+    and its order (n, or n! when ``factorial``) at most ``MAX_PRESET_ORDER``."""
+    if n < 1:
+        raise ValueError(f"a preset group takes n >= 1, not {preset}")
+    # n! only up to n = MAX_PRESET_ORDER, already a product past the bound
+    order = math.prod(range(2, min(n, MAX_PRESET_ORDER) + 1)) if factorial else n
     if order > MAX_PRESET_ORDER:
         raise ValueError(f"a preset group has order at most {MAX_PRESET_ORDER}; {preset} is larger")
 
@@ -164,8 +169,7 @@ def _group_preset(*, cyclic: integer = None, symmetric: integer = None):
     if symmetric is None:
         _bound_order(cyclic, f"{{'cyclic': {cyclic}}}")
         return FiniteGroup.cyclic(cyclic)
-    # symmetric! when symmetric <= MAX_PRESET_ORDER, else a product already past the bound
-    _bound_order(math.prod(range(2, min(symmetric, MAX_PRESET_ORDER) + 1)), f"{{'symmetric': {symmetric}}}")
+    _bound_order(symmetric, f"{{'symmetric': {symmetric}}}", factorial=True)
     return FiniteGroup.symmetric(symmetric)
 
 
@@ -888,18 +892,18 @@ def main(argv=None) -> int:
 
         if args.command == "export":
             points = built.points(args.limit)
+            # the payload is all strings already; json.dumps orders each dict's keys
             if args.what == "vectors":
-                payload = []
-                for i, x in enumerate(points):
-                    for y in points[i + 1 :]:
-                        vec = sep(built.space, x, y)
-                        payload.append(
-                            {
-                                "x": repr(x),
-                                "y": repr(y),
-                                "vector": {label_key(l): rational_str(v) for l, v in sorted(vec.items(), key=lambda kv: label_key(kv[0]))},
-                            }
-                        )
+                names = [repr(x) for x in points]
+                payload = [
+                    {
+                        "x": names[i],
+                        "y": names[j],
+                        "vector": {label_key(l): rational_str(v) for l, v in sep(built.space, x, points[j]).items()},
+                    }
+                    for i, x in enumerate(points)
+                    for j in range(i + 1, len(points))
+                ]
             else:
                 labels = {}
                 for i, x in enumerate(points):
@@ -907,7 +911,7 @@ def main(argv=None) -> int:
                         for label in sep(built.space, x, y).support():
                             labels[label_key(label)] = rational_str(built.space.norm.weight(label))
                 payload = [{"label": k, "weight": labels[k]} for k in sorted(labels)]
-            _write_out(json.dumps(json_ready(payload), indent=2, sort_keys=True) + "\n", args.out)
+            _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
             note = _sampling_note(built, len(points), args.limit)
             if note:
                 print(note, file=sys.stderr)  # stderr keeps the JSON on stdout as it was

@@ -39,8 +39,9 @@ class FiniteGroup:
 
     Elements are their indices 0..n-1; ``names`` is an optional parallel list
     used only for display.  The table is validated on construction: exact
-    identity and inverses, full associativity check for small orders and a
-    sampled check beyond.
+    identity and inverses, declared generators that generate, a full
+    associativity check for small orders (Light's test over the generators)
+    and a sampled check beyond.
     """
 
     def __init__(self, table: Sequence[Sequence[int]], generators: Iterable[int] = (), names=None, name: str = ""):
@@ -55,9 +56,10 @@ class FiniteGroup:
         self.names = tuple(names) if names is not None else tuple(str(i) for i in range(n))
         self.name = name
 
+        t = self.table
         identity = None
         for e in range(n):
-            if all(self.table[e][x] == x == self.table[x][e] for x in range(n)):
+            if all(t[e][x] == x == t[x][e] for x in range(n)):
                 identity = e
                 break
         if identity is None:
@@ -67,34 +69,41 @@ class FiniteGroup:
         inverse = [None] * n
         for x in range(n):
             for y in range(n):
-                if self.table[x][y] == identity and self.table[y][x] == identity:
+                if t[x][y] == identity and t[y][x] == identity:
                     inverse[x] = y
                     break
             if inverse[x] is None:
                 raise InvalidInput(f"element {x} has no inverse")
         self._inverse = tuple(inverse)
 
+        # the symmetrised declared generators: they must generate the group,
+        # and they are the middle elements of the associativity test below
+        gens = {*self.generators, *(inverse[g] for g in self.generators)}
+        if gens and len(self._ball_saturate(gens)) != n:
+            raise InvalidInput("declared generators do not generate the group")
+
         if n <= 24:
-            triples = itertools.product(range(n), repeat=3)
+            # Light's test: the b with (a.b).c == a.(b.c) for all a, c contain e
+            # and are closed under products, so b over a generating set covers
+            # the whole group; with no declared generators b runs over all of it
+            triples = itertools.product(range(n), gens or range(n), range(n))
         else:
             rng = random.Random(0)
             triples = ((rng.randrange(n), rng.randrange(n), rng.randrange(n)) for _ in range(4096))
         for a, b, c in triples:
-            if self.table[self.table[a][b]][c] != self.table[a][self.table[b][c]]:
+            if t[t[a][b]][c] != t[a][t[b][c]]:
                 raise InvalidInput("table is not associative")
 
-        if self.generators and len(self._ball_saturate(self.generators)) != n:
-            raise InvalidInput("declared generators do not generate the group")
-
-    def _ball_saturate(self, gens):
+    def _ball_saturate(self, gens: set) -> set:
+        """The elements reached from the identity by right products with a symmetric set."""
+        t = self.table
         seen = {self.identity}
         frontier = [self.identity]
-        gens = set(gens) | {self._inverse[g] for g in gens}
         while frontier:
             nxt = []
             for x in frontier:
                 for s in gens:
-                    y = self.table[x][s]
+                    y = t[x][s]
                     if y not in seen:
                         seen.add(y)
                         nxt.append(y)
@@ -490,9 +499,10 @@ class AmalgamGroup:
 
     ``embed_left`` and ``embed_right`` list, per element of ``common``, its
     image in ``left`` and ``right``; both must be injective homomorphisms.
-    Elements are :class:`ReducedWord` values.  Multiplication splices the
-    two reduced words at the junction through the coset tables, in
-    O(|u| + |v|) syllable steps (see :meth:`mul`).  Normal forms are
+    Elements are :class:`ReducedWord` values.  Multiplication works at the
+    junction only, through per-side product tables built once: the product
+    shares the left factor's untouched pairs and costs O(|v| + cancelled
+    syllables) steps (see :meth:`mul`).  Normal forms are
     canonical for the fixed representative choice (identity first, then
     minimal element per coset), so a product equals the letter-by-letter
     rewrite of :meth:`normal_form`.
@@ -515,12 +525,17 @@ class AmalgamGroup:
                 for b in range(common.size):
                     if embed[common.mul(a, b)] != target.mul(embed[a], embed[b]):
                         raise InvalidInput(f"{side} embedding is not a homomorphism")
-        self._unembed = (
-            {g: c for c, g in enumerate(self.embed_left)},
-            {h: c for c, h in enumerate(self.embed_right)},
-        )
         self.cosets_left = coset_table(left, self.embed_left)
         self.cosets_right = coset_table(right, self.embed_right)
+        # per side, what every product reads: the multiplication table, the
+        # representative and the C-part of each x (x = rep_of[x] * embed[c_part[x]]),
+        # the embedding of C and the side identity
+        self._tables = {}
+        for side, group, cosets, embed in (("L", left, self.cosets_left, self.embed_left),
+                                            ("R", right, self.cosets_right, self.embed_right)):
+            unembed = {g: c for c, g in enumerate(embed)}
+            c_part = tuple(unembed[f] for f in cosets.factor_of)
+            self._tables[side] = (group.table, cosets.rep_of, c_part, embed, group.identity)
 
         self.identity = ReducedWord((), common.identity)
         self.generators = tuple(
@@ -535,29 +550,29 @@ class AmalgamGroup:
         return self.left if side == "L" else self.right
 
     def _side(self, side: str):
+        """The factor group, coset table, embedding of C and product tables of one side."""
         if side == "L":
-            return self.left, self.cosets_left, self.embed_left, self._unembed[0]
+            return self.left, self.cosets_left, self.embed_left, self._tables["L"]
         if side == "R":
-            return self.right, self.cosets_right, self.embed_right, self._unembed[1]
+            return self.right, self.cosets_right, self.embed_right, self._tables["R"]
         raise InvalidInput(f"side must be 'L' or 'R', got {side!r}")
 
-    def _decompose(self, side: str, x: int) -> tuple[int, int]:
-        """x = rep * embed(c); returns (rep, c) with c an element of C."""
-        _, table, _, unembed = self._side(side)
-        return table.rep_of[x], unembed[table.factor_of[x]]
-
-    def flat(self, word: ReducedWord) -> list[tuple[str, int]]:
-        """The genuine alternating syllable list, trivial edge slots dropped."""
+    def flat(self, pairs: tuple) -> list[tuple[str, int]]:
+        """The genuine alternating syllable list of a pair tuple, trivial edge
+        slots dropped; a run of pairs out of a reduced word gives its own
+        syllables, since only a word's end slots may be trivial."""
         out = []
-        n = len(word.pairs)
-        for i, (g, h) in enumerate(word.pairs):
-            if not (i == 0 and g == self.left.identity):
+        last = len(pairs) - 1
+        for i, (g, h) in enumerate(pairs):
+            if i or g != self.left.identity:
                 out.append(("L", g))
-            if not (i == n - 1 and h == self.right.identity):
+            if i < last or h != self.right.identity:
                 out.append(("R", h))
         return out
 
-    def _assemble(self, flat: list[tuple[str, int]], tail: int) -> ReducedWord:
+    def _assemble(self, flat: list[tuple[str, int]], tail: int, prefix: tuple = ()) -> ReducedWord:
+        """The word prefix + flat + tail; flat starts with a G-syllable
+        whenever prefix is nonempty (the prefix ends in a genuine H-syllable)."""
         pairs = []
         pending_g = None
         for side, s in flat:
@@ -566,12 +581,11 @@ class AmalgamGroup:
                     pairs.append((pending_g, self.right.identity))
                 pending_g = s
             else:
-                g = pending_g if pending_g is not None else self.left.identity
-                pairs.append((g, s))
+                pairs.append((self.left.identity if pending_g is None else pending_g, s))
                 pending_g = None
         if pending_g is not None:
             pairs.append((pending_g, self.right.identity))
-        return ReducedWord(tuple(pairs), tail)
+        return ReducedWord(prefix + tuple(pairs), tail)
 
     def _push_c(self, c: int, flat: list[tuple[str, int]]):
         """Rewrite embed(c) * s1 ... sk as s1' ... sk' * c_out.
@@ -581,9 +595,10 @@ class AmalgamGroup:
         """
         out = []
         for side, s in flat:
-            group, _, embed, _ = self._side(side)
-            rep, c = self._decompose(side, group.mul(embed[c], s))
-            out.append((side, rep))
+            table, rep_of, c_part, embed, _ = self._tables[side]
+            y = table[embed[c]][s]
+            out.append((side, rep_of[y]))
+            c = c_part[y]
         return out, c
 
     # -- normal form and arithmetic --------------------------------------------
@@ -592,20 +607,18 @@ class AmalgamGroup:
         return self.prepend_letter(side, x, self.identity)
 
     def prepend_letter(self, side: str, x: int, word: ReducedWord) -> ReducedWord:
-        group, _, embed, _ = self._side(side)
-        flat = self.flat(word)
+        table, rep_of, c_part, embed, e = self._side(side)[3]
+        flat = self.flat(word.pairs)
         if not flat:
-            rep, c = self._decompose(side, group.mul(x, embed[word.tail]))
-            head = [(side, rep)] if rep != group.identity else []
-            return self._assemble(head, c)
+            y = table[x][embed[word.tail]]
+            return self._assemble([(side, rep_of[y])] if rep_of[y] != e else [], c_part[y])
         if flat[0][0] == side:
-            rep, c = self._decompose(side, group.mul(x, flat[0][1]))
-            rest = flat[1:]
+            y = table[x][flat[0][1]]
+            flat = flat[1:]
         else:
-            rep, c = self._decompose(side, x)
-            rest = flat
-        pushed, c_out = self._push_c(c, rest)
-        head = [(side, rep)] if rep != group.identity else []
+            y = x
+        pushed, c_out = self._push_c(c_part[y], flat)
+        head = [(side, rep_of[y])] if rep_of[y] != e else []
         return self._assemble(head + pushed, self.common.mul(c_out, word.tail))
 
     def normal_form(self, letters: Iterable[tuple[str, int]]) -> ReducedWord:
@@ -616,44 +629,57 @@ class AmalgamGroup:
         return word
 
     def letters(self, word: ReducedWord) -> list[tuple[str, int]]:
-        out = self.flat(word)
+        out = self.flat(word.pairs)
         if word.tail != self.common.identity:
             out.append(("L", self.embed_left[word.tail]))
         return out
 
     def mul(self, u: ReducedWord, v: ReducedWord) -> ReducedWord:
-        """u * v by splicing at the junction, in O(|u| + |v|) syllable steps.
+        """u * v on the pair tuples, in O(|v| + cancelled syllables) steps.
 
-        u's trailing syllables cancel against v's leading ones while each
-        merged syllable falls into C; the one pending C element is then
-        pushed through the rest of v once.
+        A v with no syllables only moves u's tail.  Otherwise v's leading
+        syllables cancel against u's trailing ones while each merged syllable
+        falls into C; u's pairs are unpacked into syllables only as far as
+        that cancellation reaches, and the one pending C element is then
+        pushed through the rest of v.  The result shares u's untouched pairs
+        as a tuple slice.
         """
-        head = self.flat(u)
-        rest = self.flat(v)
+        if not v.pairs:
+            return ReducedWord(u.pairs, self.common.table[u.tail][v.tail])
+        pairs = u.pairs
+        i = len(pairs)  # pairs[:i] is kept as it is
+        head: list = []  # the syllables of pairs[i:] still standing
+        rest = self.flat(v.pairs)
         c = u.tail
         k = 0
         while k < len(rest):
+            if not head and i:
+                i -= 1
+                head = self.flat(pairs[i:i + 1])
             side, y = rest[k]
-            group, _, embed, _ = self._side(side)
-            y = group.mul(embed[c], y)
+            table, rep_of, c_part, embed, e = self._tables[side]
+            y = table[embed[c]][y]
             k += 1
             if not head or head[-1][0] != side:
-                rep, c = self._decompose(side, y)
-                head.append((side, rep))
+                head.append((side, rep_of[y]))
+                c = c_part[y]
                 break
-            rep, c = self._decompose(side, group.mul(head[-1][1], y))
-            if rep != group.identity:
-                head[-1] = (side, rep)
+            y = table[head[-1][1]][y]
+            c = c_part[y]
+            if rep_of[y] != e:
+                head[-1] = (side, rep_of[y])
                 break
             head.pop()
-        pushed, c = self._push_c(c, rest[k:])
-        return self._assemble(head + pushed, self.common.mul(c, v.tail))
+        if k < len(rest):
+            pushed, c = self._push_c(c, rest[k:])
+            head += pushed
+        return self._assemble(head, self.common.table[c][v.tail], pairs[:i])
 
     def inv(self, u: ReducedWord) -> ReducedWord:
         """u^{-1} = c^{-1} s_k^{-1} ... s_1^{-1} for u = s_1 ... s_k c, in one
         pass: the inverted syllables still alternate and lie outside C, so
         pushing c^{-1} through them once gives the normal form."""
-        inverted = [(side, self.side_group(side).inv(x)) for side, x in reversed(self.flat(u))]
+        inverted = [(side, self.side_group(side).inv(x)) for side, x in reversed(self.flat(u.pairs))]
         pushed, c = self._push_c(self.common.inv(u.tail), inverted)
         return self._assemble(pushed, c)
 
@@ -664,7 +690,7 @@ class AmalgamGroup:
         """The factor-group element equal to this word, or None if it has
         genuine syllables from the other side."""
         group, _, embed, _ = self._side(side)
-        flat = self.flat(word)
+        flat = self.flat(word.pairs)
         if not flat:
             return embed[word.tail]
         if len(flat) == 1 and flat[0][0] == side:

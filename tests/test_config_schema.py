@@ -290,3 +290,28 @@ def test_a_preset_group_past_the_order_bound_exits_2_before_it_is_built(node, tm
 def test_a_preset_group_at_the_order_bound_is_built(preset, n, built_groups):
     assert cli.finite_group({preset: n}, cli.At("root", "group", CONFIGS)).size == cli.MAX_PRESET_ORDER
     assert built_groups == [(preset, n)]
+
+
+@pytest.mark.parametrize("node, preset", [
+    ({"kind": "naive", "group": {"symmetric": -2}, "q": 1}, "{'symmetric': -2}"),
+    ({"kind": "naive", "group": {"symmetric": 0}, "q": 1}, "{'symmetric': 0}"),
+    ({"kind": "naive", "group": {"cyclic": 0}, "q": 1}, "{'cyclic': 0}"),
+    ({"kind": "naive", "group": {"cyclic": -3}, "q": 1}, "{'cyclic': -3}"),
+    ({"kind": "proper_sum", "window": [0, 1], "factor_cyclic": 0, "q": 2}, "factor_cyclic 0"),
+    ({"kind": "proper_sum", "window": [0, 1], "factor_cyclic": -1, "q": 2}, "factor_cyclic -1"),
+])
+def test_a_preset_group_below_n_1_exits_2_naming_the_preset(node, preset, tmp_path, capsys, built_groups):
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps(node))
+    assert main(["dist", str(config), "#0", "#0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: root") and "n >= 1" in err and preset in err
+    assert built_groups == []
+
+
+@pytest.mark.parametrize("preset", ["cyclic", "symmetric"])
+def test_a_preset_group_of_n_1_is_the_trivial_group(preset, tmp_path, capsys):
+    config = tmp_path / "trivial.json"
+    config.write_text(json.dumps({"kind": "naive", "group": {preset: 1}, "q": 1}))
+    assert main(["dist", str(config), "#0", "#0"]) == 0
+    assert capsys.readouterr().out == "energy 0/1\ndist 0\n"
