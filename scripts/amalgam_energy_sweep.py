@@ -8,6 +8,8 @@ syllable count, the tree distance, the oracle energy, the closed-form value
 with the linear tree term, and the value with the (wrong) power tree term.
 The last two columns agree exactly at q = 1 and split at q >= 2 as soon as
 the tree distance reaches 2.
+
+Exit status 0 when every linear-formula value equals the oracle, 1 otherwise.
 """
 
 import sys
@@ -42,6 +44,7 @@ def main():
 
     print(f"word | n | d_T | oracle | formula(linear) | formula(power), q={q}")
     mismatches = 0
+    linear_mismatches = 0
     for gamma, _ in ball_enumerate(am, radius):
         x = tree.act_point(gamma, tree.base_point)
         d_t = tree.tree_distance(x.vertex, tree.base_vertex)
@@ -50,13 +53,18 @@ def main():
         pow_ = amalgam_energy_formula(tree, sgc, shc, q, gamma, tree_term="power")
         flag = ""
         if lin != oracle:
+            linear_mismatches += 1
             flag = "  <-- LINEAR MISMATCH"
         if pow_ != oracle:
             mismatches += 1
             flag += "  (power differs)"
         print(f"{word_str(am, gamma):>18} | {gamma.syllable_count} | {d_t} | {oracle} | {lin} | {pow_}{flag}")
     print(f"\npower-term mismatches: {mismatches}")
+    if linear_mismatches:
+        print(f"linear-formula mismatches: {linear_mismatches}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -6,7 +6,11 @@ and edge set Gamma/C; each vertex carries its coset space (gamma G)/C or
 (gamma H)/C and each edge the single C-coset joining its endpoints.  Vertices
 and edges are represented by tail-free reduced words over the fixed coset
 representative systems, total-space points by a vertex plus the tail-free
-word of a C-coset inside that vertex's coset space.
+word of a C-coset inside that vertex's coset space.  A vertex's path from
+the base vertex G is read off the prefixes of its word's pair tuple: the
+pair (g_k, h_k) steps to the H-vertex of g_1 h_1 ... g_k (H itself for a
+trivial leading g_1) and then, for a nontrivial h_k, to the G-vertex of
+g_1 h_1 ... g_k h_k.
 
 Two structures live on the total space: the vertex-induced one, pulling a
 structure on G/C (resp. H/C) back to every vertex space through the maps
@@ -57,11 +61,11 @@ class TotalPoint:
 class TreeOfCosetSpaces:
     """The Bass-Serre tree of C-coset spaces of an amalgam, with projections.
 
-    All traversal is syllable arithmetic on reduced words; paths between
-    vertices come from splicing the two base paths at their last common
-    vertex, and the projection to a vertex v sends a point either to itself
-    (if it lives in X_v) or to the edge point of the first edge from v
-    toward it.
+    All traversal reads the pair tuples of reduced words: a base path lists
+    the vertices of a word's prefixes (see :meth:`path_from_base`), paths
+    between vertices splice two base paths at their last common vertex, and
+    the projection to a vertex v sends a point either to itself (if it lives
+    in X_v) or to the edge point of the first edge from v toward it.
     """
 
     def __init__(self, amalgam: AmalgamGroup):
@@ -74,87 +78,50 @@ class TreeOfCosetSpaces:
     def tail_free(self, word: ReducedWord) -> ReducedWord:
         return ReducedWord(word.pairs, self.am.common.identity)
 
-    def left_rep_word(self, word: ReducedWord) -> ReducedWord:
-        """Representative of the G-coset of ``word`` (ends in a nontrivial
-        H-syllable, or is empty)."""
-        pairs = word.pairs
-        if pairs and pairs[-1][1] == self.am.right.identity:
-            pairs = pairs[:-1]
-        return ReducedWord(pairs, self.am.common.identity)
-
-    def right_rep_word(self, word: ReducedWord) -> ReducedWord:
-        """Representative of the H-coset of ``word`` (ends in a G-syllable)."""
-        pairs = word.pairs
-        if not pairs:
-            return ReducedWord((), self.am.common.identity)
-        g, h = pairs[-1]
-        if h != self.am.right.identity:
-            pairs = pairs[:-1] + ((g, self.am.right.identity),)
-        if pairs[-1] == (self.am.left.identity, self.am.right.identity):
-            pairs = pairs[:-1]
-        return ReducedWord(pairs, self.am.common.identity)
-
     def vertex_of_word(self, side: str, word: ReducedWord) -> VertexId:
-        if side == "L":
-            return ("L", self.left_rep_word(word))
-        if side == "R":
-            return ("R", self.right_rep_word(word))
-        raise InvalidInput(f"side must be 'L' or 'R', got {side!r}")
+        """The vertex on ``side`` whose coset holds ``word``: a G-vertex word
+        ends in a nontrivial H-syllable, an H-vertex word in a G-syllable."""
+        if side not in ("L", "R"):
+            raise InvalidInput(f"side must be 'L' or 'R', got {side!r}")
+        pairs = word.pairs
+        e_h = self.am.right.identity
+        if side == "L" and pairs and pairs[-1][1] == e_h:
+            pairs = pairs[:-1]
+        elif side == "R" and pairs:
+            g = pairs[-1][0]
+            pairs = pairs[:-1] if g == self.am.left.identity else pairs[:-1] + ((g, e_h),)
+        return side, ReducedWord(pairs, self.am.common.identity)
+
+    def _in_vertex(self, word, v: VertexId) -> bool:
+        """Whether ``word`` is a tail-free reduced word whose coset lies in v."""
+        return (isinstance(word, ReducedWord) and word.tail == self.am.common.identity
+                and self.am.is_reduced(word) and self.vertex_of_word(v[0], word) == v)
 
     def is_vertex(self, v) -> bool:
-        if not (isinstance(v, tuple) and len(v) == 2 and v[0] in ("L", "R")):
-            return False
-        side, word = v
-        if not isinstance(word, ReducedWord) or word.tail != self.am.common.identity:
-            return False
-        return self.am.is_reduced(word) and self.vertex_of_word(side, word) == v
+        return isinstance(v, tuple) and len(v) == 2 and v[0] in ("L", "R") and self._in_vertex(v[1], v)
 
     def contains_point(self, x) -> bool:
-        if not isinstance(x, TotalPoint) or not self.is_vertex(x.vertex):
-            return False
-        word = x.coset
-        if not isinstance(word, ReducedWord) or word.tail != self.am.common.identity:
-            return False
-        return self.am.is_reduced(word) and self.vertex_of_word(x.vertex[0], word) == x.vertex
+        return isinstance(x, TotalPoint) and self.is_vertex(x.vertex) and self._in_vertex(x.coset, x.vertex)
 
     # -- paths ---------------------------------------------------------------
 
-    def _padded_syllables(self, v: VertexId) -> list[tuple[str, int]]:
-        """The base-path syllables of a vertex representative, keeping the
-        structural leading G-slot even when trivial."""
+    def path_from_base(self, v: VertexId) -> list[VertexId]:
+        """Vertices from the base to v, each read off a prefix of v's pair
+        tuple by the rule in the module docstring, with no multiplication."""
+        am = self.am
+        e_g, e_h, e_c = am.left.identity, am.right.identity, am.common.identity
         side, word = v
         pairs = word.pairs
-        out: list[tuple[str, int]] = []
-        if side == "L":
-            for g, h in pairs:
-                out.append(("L", g))
-                out.append(("R", h))
-        else:
-            if not pairs:
-                return [("L", self.am.left.identity)]
-            for i, (g, h) in enumerate(pairs):
-                out.append(("L", g))
-                if i < len(pairs) - 1:
-                    out.append(("R", h))
-        return out
-
-    def path_from_base(self, v: VertexId) -> list[VertexId]:
-        """Vertices from the base to v: the truncations of v's reduced word.
-
-        A prefix of a reduced word is already reduced, so each prefix vertex
-        is assembled from the syllables read so far, with no multiplication.
-        """
-        am = self.am
         path = [self.base_vertex]
-        done: list[tuple[str, int]] = []
-        for s, x in self._padded_syllables(v):
-            if x != am.side_group(s).identity:
-                done.append((s, x))
-            vside = "R" if s == "L" else "L"
-            path.append(self.vertex_of_word(vside, am._assemble(done, am.common.identity)))
+        for k, (g, h) in enumerate(pairs):
+            path.append(("R", ReducedWord(pairs[:k] + ((g, e_h),), e_c) if k or g != e_g else am.identity))
+            if h != e_h:
+                path.append(("L", ReducedWord(pairs[: k + 1], e_c)))
+        if side == "R" and not pairs:
+            path.append(("R", am.identity))
         # prefixes are not renormalised, so a non-reduced word would
         # reproduce itself; it is rejected explicitly
-        if path[-1] != v or not am.is_reduced(v[1]):
+        if path[-1] != v or not am.is_reduced(word):
             raise DomainError(f"not a canonical vertex representative: {v!r}")
         return path
 
@@ -177,11 +144,10 @@ class TreeOfCosetSpaces:
         if u[0] == v[0]:
             raise DomainError("edges join one left and one right vertex")
         left, right = (u, v) if u[0] == "L" else (v, u)
-        a, b = left[1], right[1]
-        if self.left_rep_word(b) == a:
-            return b
-        if self.right_rep_word(a) == b:
-            return a
+        if self.vertex_of_word("L", right[1]) == left:
+            return right[1]
+        if self.vertex_of_word("R", left[1]) == right:
+            return left[1]
         raise DomainError(f"vertices {u!r} and {v!r} are not adjacent")
 
     # -- projections -----------------------------------------------------------

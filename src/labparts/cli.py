@@ -884,6 +884,10 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "check":
+            # a suite named on its own must apply; "all" skips those that do not
+            if (args.suite == "amalgam" and "tree" not in built.extras
+                    or args.suite == "equivariance" and not built.actions):
+                raise ConfigError(f"check --suite {args.suite} does not apply to this config")
             suites = ["metric", "equivariance", "amalgam"] if args.suite == "all" else [args.suite]
             result = run_checks(built, suites, args.samples, args.seed, args.amalgam_tree_term)
             text = json.dumps(json_ready(result), indent=2, sort_keys=True) + "\n"

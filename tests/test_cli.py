@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -441,3 +442,39 @@ def test_byte_identical_outputs(workdir, tmp_path):
     assert main(["check", cfg, "--suite", "metric", "--samples", "20", "--out", str(ra)]) == 0
     assert main(["check", cfg, "--suite", "metric", "--samples", "20", "--out", str(rb)]) == 0
     assert ra.read_bytes() == rb.read_bytes()
+
+
+# stdout of scripts/amalgam_energy_sweep.py per (radius, q) argument pair
+SWEEP_SCRIPT_STDOUT = {
+    ("4", "2"): "20bc373fa93161b575a07f9994a645f57a0deb92393967480f58af262c0ea6f2",
+    ("5", "1"): "a010dc9ea40e8e2b9693a9faaec8187f1c6821dadee2af4484659138f7995980",
+}
+
+
+@pytest.mark.parametrize("args", sorted(SWEEP_SCRIPT_STDOUT))
+def test_amalgam_energy_sweep_output_is_pinned(args):
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "amalgam_energy_sweep.py"), *args],
+                          env=env, capture_output=True)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout).hexdigest() == SWEEP_SCRIPT_STDOUT[args]
+
+
+def test_amalgam_energy_sweep_exits_1_on_a_linear_mismatch(monkeypatch, capsys):
+    path = Path(__file__).resolve().parents[1] / "scripts" / "amalgam_energy_sweep.py"
+    spec = importlib.util.spec_from_file_location("amalgam_energy_sweep", path)
+    sweep = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sweep)
+    formula = sweep.amalgam_energy_formula
+
+    def off_by_one_linear(*args, tree_term):
+        return formula(*args, tree_term=tree_term) + (tree_term == "linear")
+
+    monkeypatch.setattr(sweep, "amalgam_energy_formula", off_by_one_linear)
+    monkeypatch.setattr(sys, "argv", ["amalgam_energy_sweep.py", "2", "1"])
+    assert sweep.main() == 1
+    out, err = capsys.readouterr()
+    assert "LINEAR MISMATCH" in out and err.startswith("linear-formula mismatches:")
+    monkeypatch.setattr(sweep, "amalgam_energy_formula", formula)
+    assert sweep.main() == 0

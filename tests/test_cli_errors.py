@@ -205,3 +205,17 @@ def test_a_line_after_the_generators_line_exits_2(tmp_path, capsys):
     config.write_text(json.dumps({"kind": "naive", "group": "bad.tbl", "q": 2}))
     code, err = run(["dist", str(config), "0", "1"], capsys)
     assert code == 2 and err.startswith("configuration error: root") and "bad.tbl" in err, err
+
+
+@pytest.mark.parametrize("config,suite", [("naive.json", "amalgam"), ("naive.json", "equivariance"),
+                                          ("free_tree.json", "amalgam"), ("product.json", "equivariance")])
+def test_a_named_suite_that_does_not_apply_exits_2(config, suite, capsys):
+    code = main(["check", str(CONFIGS / config), "--suite", suite, "--samples", "3"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and err.startswith("configuration error:") and f"--suite {suite}" in err, err
+
+
+def test_suite_all_skips_the_suites_that_do_not_apply(capsys):
+    assert main(["check", str(CONFIGS / "naive.json"), "--suite", "all", "--samples", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and [s["name"] for s in report["suites"]] == ["pseudo-metric"]

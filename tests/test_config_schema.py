@@ -6,6 +6,7 @@ required key, an unknown key, or a value its reader must reject makes each
 subcommand exit 2 with the node path, never 0 and never a traceback.
 """
 
+import argparse
 import json
 import re
 import shutil
@@ -232,6 +233,32 @@ def test_readme_keys_are_the_signature(kind):
         reader, required = keys[key]
         assert reader_text == reader.__name__.replace(" | ", " or "), (kind, key)
         assert (default_text == "required") == required, (kind, key)
+
+
+def readme_synopsis() -> dict:
+    """README's command-line synopsis: subcommand -> its line, continuation
+    lines joined on."""
+    block = (ROOT / "README.md").read_text().split("## Command line\n\n```\n", 1)[1].split("```", 1)[0]
+    synopsis: dict = {}
+    for line in block.splitlines():
+        if line.startswith("labparts "):
+            command = line.split()[1]
+            synopsis[command] = line
+        else:
+            synopsis[command] += " " + line.strip()
+    return synopsis
+
+
+def test_readme_synopsis_lists_each_subcommands_long_options():
+    subparsers = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    synopsis = readme_synopsis()
+    assert sorted(synopsis) == sorted(subparsers.choices)
+    for command, parser in subparsers.choices.items():
+        options = [a for a in parser._actions if a.option_strings and not isinstance(a, argparse._HelpAction)]
+        assert set(re.findall(r"--[\w-]+", synopsis[command])) == {a.option_strings[0] for a in options}, command
+        for action in options:
+            if action.choices:
+                assert f"{action.option_strings[0]} {'|'.join(action.choices)}" in synopsis[command], command
 
 
 @pytest.mark.parametrize("depth", [600, 5000])
