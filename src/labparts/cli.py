@@ -2,15 +2,9 @@
 
 A space is described by a JSON document with a tree of construction nodes;
 ``build_space`` dispatches on the node kind and returns the space together
-with its actions and a deterministic point enumeration.  Subcommands:
-
-* ``dist <config> <x> <y>``: pseudo-distance between two points;
-* ``table <config> [--limit N]``: pairwise energy/distance table as CSV;
-* ``growth <config> --radius R [--out f.csv]``: orbital growth profile over
-  word spheres (exact minimum energies, float distance columns);
-* ``check <config> [--suite all|metric|equivariance|amalgam]``: invariant
-  suites, machine-readable JSON report;
-* ``export <config> --what labels|vectors``: label or vector dumps.
+with its actions and a deterministic point enumeration.  The subcommands
+``dist``, ``table``, ``growth``, ``check`` and ``export`` and their options
+are listed in the command line synopsis of README.md.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error.  All
 randomness is seeded (``--seed``, default 0); rationals are serialized as
@@ -720,7 +714,7 @@ def run_checks(built: Built, suites, samples: int, seed: int, amalgam_tree_term:
         shc = built.extras["struct_hc"]
         q = built.space.norm.q
         report = CheckReport(f"amalgam-formula[{amalgam_tree_term}]")
-        for gamma, _ in ball_enumerate(tree.am, 4):
+        for gamma, _ in ball_enumerate(tree.am, 4)[:samples]:
             moved = tree.act_point(gamma, tree.base_point)
             oracle = pair_energy(built.space, moved, tree.base_point)
             formula = amalgam_mod.amalgam_energy_formula(tree, sgc, shc, q, gamma, tree_term=amalgam_tree_term)
@@ -896,24 +890,30 @@ def main(argv=None) -> int:
 
         if args.command == "export":
             points = built.points(args.limit)
+            # one oracle call per point: with x0 the first point, c(x, y) = c(x, x0) + c(x0, y)
+            # (Chasles), so each pair's support lies in the union of the c(x, x0) supports
+            to_x0 = [sep(built.space, x, points[0]) for x in points]
             # the payload is all strings already; json.dumps orders each dict's keys
             if args.what == "vectors":
                 names = [repr(x) for x in points]
+                from_x0 = [-v for v in to_x0]
+                # labels recur across pairs; values are not memoised, as hashing a Fraction costs
+                # more than formatting it
+                key = functools.cache(label_key)
                 payload = [
                     {
                         "x": names[i],
                         "y": names[j],
-                        "vector": {label_key(l): rational_str(v) for l, v in sep(built.space, x, points[j]).items()},
+                        "vector": {key(l): rational_str(v) for l, v in (vec + from_x0[j]).items()},
                     }
-                    for i, x in enumerate(points)
+                    for i, vec in enumerate(to_x0)
                     for j in range(i + 1, len(points))
                 ]
             else:
                 labels = {}
-                for i, x in enumerate(points):
-                    for y in points[i + 1 :]:
-                        for label in sep(built.space, x, y).support():
-                            labels[label_key(label)] = rational_str(built.space.norm.weight(label))
+                for vec in to_x0:
+                    for label in vec.support():
+                        labels[label_key(label)] = rational_str(built.space.norm.weight(label))
                 payload = [{"label": k, "weight": labels[k]} for k in sorted(labels)]
             _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
             note = _sampling_note(built, len(points), args.limit)

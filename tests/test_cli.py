@@ -478,3 +478,18 @@ def test_amalgam_energy_sweep_exits_1_on_a_linear_mismatch(monkeypatch, capsys):
     assert "LINEAR MISMATCH" in out and err.startswith("linear-formula mismatches:")
     monkeypatch.setattr(sweep, "amalgam_energy_formula", formula)
     assert sweep.main() == 0
+
+
+@pytest.mark.parametrize("samples, checked", [(0, 0), (5, 5), (50, 44)])  # the radius-4 ball has 44 words
+def test_amalgam_suite_checks_at_most_samples_words(capsys, samples, checked):
+    argv = ["check", str(CONFIGS / "amalgam_q1.json"), "--suite", "amalgam", "--samples", str(samples)]
+    assert main(argv) == 0
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    assert suite["samples"] == checked and suite["passed"]
+
+
+def test_amalgam_suite_takes_ball_words_in_ball_order(workdir):
+    # ball word 0 is the identity (d_T = 0); words 1 and 2 have d_T = 2, where the power term is wrong
+    built = build_space(dict(AMALGAM_NODE, q=2), workdir)
+    assert run_checks(built, ["amalgam"], samples=1, seed=0, amalgam_tree_term="power")["passed"]
+    assert not run_checks(built, ["amalgam"], samples=2, seed=0, amalgam_tree_term="power")["passed"]

@@ -29,13 +29,13 @@ COMMANDS = {
 }
 
 GOLDEN = {
-    ('amalgam_q1', 'check'): (0, 'fbf608fe805f5d6dfbccb0ddf61c2f796a31230990f33aea97f7b1336c5958fb'),
+    ('amalgam_q1', 'check'): (0, 'ed2fa37de71a7a17c34eb7768d1821ab435955fae487ee5fe61b6348a7f7435e'),
     ('amalgam_q1', 'dist01'): (0, '1848c8199ce31587ba3a2566aaf4032f73181c11cc89047d509c5c363e4d8e0b'),
     ('amalgam_q1', 'dist31'): (0, '6e316bf0fee9debb60b32d3fb3eca4089fbeca2efddeb335a3f7ea59ce41cb39'),
     ('amalgam_q1', 'export'): (0, '6c1d6d65504e231d26c93114eeeeb133df3a44f92b2b2b7bf56d27e8e9978e6c'),
     ('amalgam_q1', 'growth'): (0, 'bf32d64765965d9b272f12b1acb53cae2ea7b98208b62e05214d8f1b38aabcb6'),
     ('amalgam_q1', 'table'): (0, '841e3856d3f56006077e7c752df43cb03fa93515c11fae7932cf14fcb5f1082c'),
-    ('amalgam_q2', 'check'): (0, 'fbf608fe805f5d6dfbccb0ddf61c2f796a31230990f33aea97f7b1336c5958fb'),
+    ('amalgam_q2', 'check'): (0, 'ed2fa37de71a7a17c34eb7768d1821ab435955fae487ee5fe61b6348a7f7435e'),
     ('amalgam_q2', 'dist01'): (0, '213c90d2e87384a821cd46e9ce0c505c9a71dba51688a378fcef900cca3a0320'),
     ('amalgam_q2', 'dist31'): (0, 'efc5eae91b7ee7e464beda9467a67068b080f357eb89649494c709f32414a06a'),
     ('amalgam_q2', 'export'): (0, '6c1d6d65504e231d26c93114eeeeb133df3a44f92b2b2b7bf56d27e8e9978e6c'),
