@@ -9,7 +9,8 @@ with the linear tree term, and the value with the (wrong) power tree term.
 The last two columns agree exactly at q = 1 and split at q >= 2 as soon as
 the tree distance reaches 2.
 
-Exit status 0 when every linear-formula value equals the oracle, 1 otherwise.
+Exit status 0 when every linear-formula value equals the oracle, 1 otherwise,
+and 2 when q is not a rational >= 1 (the sup norm, "sup", has no closed form).
 """
 
 import sys
@@ -21,7 +22,7 @@ from labparts.amalgam import (
     amalgam_space,
     naive_quotient_structures,
 )
-from labparts.core import pair_energy
+from labparts.core import NormSpec, pair_energy
 from labparts.groups import ball_enumerate, z4_z6_amalgam
 
 
@@ -35,7 +36,12 @@ def word_str(am, word):
 
 def main():
     radius = int(sys.argv[1]) if len(sys.argv) > 1 else 4
-    q = Fraction(sys.argv[2]) if len(sys.argv) > 2 else Fraction(2)
+    try:
+        q = NormSpec(Fraction(sys.argv[2]) if len(sys.argv) > 2 else Fraction(2)).q
+    except ValueError as exc:  # "sup" included: a sup-norm energy is a maximum, not a sum
+        print(f"amalgam_energy_sweep.py: q must be a rational >= 1, as the closed form sums q-th powers: {exc}",
+              file=sys.stderr)
+        return 2
 
     am = z4_z6_amalgam()
     tree = TreeOfCosetSpaces(am)

@@ -10,7 +10,8 @@ word of a C-coset inside that vertex's coset space.  A vertex's path from
 the base vertex G is read off the prefixes of its word's pair tuple: the
 pair (g_k, h_k) steps to the H-vertex of g_1 h_1 ... g_k (H itself for a
 trivial leading g_1) and then, for a nontrivial h_k, to the G-vertex of
-g_1 h_1 ... g_k h_k.
+g_1 h_1 ... g_k h_k.  Both induced parts of one oracle call read one shared
+segment, the path between the two points' vertices with its edges.
 
 Two structures live on the total space: the vertex-induced one, pulling a
 structure on G/C (resp. H/C) back to every vertex space through the maps
@@ -37,6 +38,7 @@ from .core import (
     NormSpec,
     ONE,
     PointUniverse,
+    SUP,
     Space,
     SparseVec,
     half_weight,
@@ -72,6 +74,7 @@ class TreeOfCosetSpaces:
         self.am = amalgam
         self.base_vertex: VertexId = ("L", amalgam.identity)
         self.base_point = TotalPoint(self.base_vertex, amalgam.identity)
+        self._segment = (None, [], [])  # (v, w), path, edges of the last segment read
 
     # -- vertex representatives -----------------------------------------------
 
@@ -127,17 +130,25 @@ class TreeOfCosetSpaces:
 
     def vertex_path(self, v: VertexId, w: VertexId) -> list[VertexId]:
         """The unique edge-path vertex sequence from v to w."""
-        pv = self.path_from_base(v)
-        pw = self.path_from_base(w)
-        common = 0
-        for a, b in zip(pv, pw):
-            if a != b:
-                break
-            common += 1
-        return list(reversed(pv[common - 1 :])) + pw[common:]
+        pv, pw = self.path_from_base(v), self.path_from_base(w)
+        common = next((i for i, (a, b) in enumerate(zip(pv, pw)) if a != b), min(len(pv), len(pw)))
+        return pv[common - 1 :][::-1] + pw[common:]
+
+    def segment(self, v: VertexId, w: VertexId) -> tuple[list[VertexId], list[ReducedWord]]:
+        """The path from v to w and the edge word of each step, as shared lists; the last pair
+        read is kept (compared with ``==``) and also serves its reverse, as c(y, x) follows c(x, y)."""
+        key, path, edges = self._segment
+        if key != (v, w):
+            if key == (w, v):
+                path, edges = path[::-1], edges[::-1]
+            else:
+                path = self.vertex_path(v, w)
+                edges = [self.edge_between(a, b) for a, b in zip(path, path[1:])]
+            self._segment = (v, w), path, edges
+        return path, edges
 
     def tree_distance(self, v: VertexId, w: VertexId) -> int:
-        return len(self.vertex_path(v, w)) - 1
+        return len(self.segment(v, w)[1])
 
     def edge_between(self, u: VertexId, v: VertexId) -> ReducedWord:
         """The C-coset word of the edge joining two adjacent vertices."""
@@ -156,8 +167,7 @@ class TreeOfCosetSpaces:
         """The coset word of the projection of x to the vertex space X_v."""
         if x.vertex == v:
             return x.coset
-        path = self.vertex_path(v, x.vertex)
-        return self.edge_between(path[0], path[1])
+        return self.edge_between(*self.vertex_path(v, x.vertex)[:2])
 
     def projection_point(self, v: VertexId, x: TotalPoint) -> TotalPoint:
         return TotalPoint(v, self.project(v, x))
@@ -210,10 +220,7 @@ class TreeOfCosetSpaces:
 
 def _require_quotient_structure(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: Space, q) -> None:
     expected_q = NormSpec(q).q
-    for struct, table, side in (
-        (struct_gc, tree.am.cosets_left, "G/C"),
-        (struct_hc, tree.am.cosets_right, "H/C"),
-    ):
+    for struct, table, side in ((struct_gc, tree.am.cosets_left, "G/C"), (struct_hc, tree.am.cosets_right, "H/C")):
         if struct.norm.q != expected_q:
             raise InvalidInput(f"{side} structure must carry exponent {q}")
         if struct.universe.points is None or set(struct.universe.points) != set(table.reps):
@@ -233,17 +240,14 @@ def vertex_induced_space(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: S
     def diff(x, y):
         # on the path from x to y, an interior vertex projects x to the edge
         # toward the previous vertex and y to the edge toward the next one
-        path = tree.vertex_path(x.vertex, y.vertex)
-        edges = [tree.edge_between(u, w) for u, w in zip(path, path[1:])]
+        path, edges = tree.segment(x.vertex, y.vertex)
         toward_x = [tree.project(path[0], x)] + edges
         toward_y = edges + [tree.project(path[-1], y)]
         entries = []
         for v, px, py in zip(path, toward_x, toward_y):
-            if px == py:
-                continue
-            struct = structs[v[0]]
-            for label, value in struct.diff(tree.side_point(v, px), tree.side_point(v, py)).items():
-                entries.append((vertex_tag(v, label), value))
+            if px != py:
+                for label, value in structs[v[0]].diff(tree.side_point(v, px), tree.side_point(v, py)).items():
+                    entries.append((vertex_tag(v, label), value))
         return SparseVec(entries)
 
     def weight_of(label):
@@ -268,12 +272,10 @@ def tree_induced_space(tree: TreeOfCosetSpaces, q) -> Space:
     """
 
     def diff(x, y):
-        path = tree.vertex_path(x.vertex, y.vertex)
+        path, edges = tree.segment(x.vertex, y.vertex)
         entries = []
-        for u, v in zip(path, path[1:]):
-            edge = tree.edge_between(u, v)
-            entries.append((wall((edge, u[0])), ONE))
-            entries.append((wall((edge, v[0])), MINUS_ONE))
+        for u, v, edge in zip(path, path[1:], edges):
+            entries += [(wall((edge, u[0])), ONE), (wall((edge, v[0])), MINUS_ONE)]
         return SparseVec(entries)
 
     return Space(
@@ -308,31 +310,35 @@ def amalgam_space(
         return vertex_part.diff(x, y) + tree_part.diff(x, y)
 
     def weight_of(label):
-        if label[0][0] == "vertex":
-            return vertex_part.norm.weight(label)
-        return half_weight(label)
+        return vertex_part.norm.weight(label) if label[0][0] == "vertex" else half_weight(label)
 
-    # a label bijection moves every support label by one element, and the
-    # labels of one vertex space come together: each is inverted once
-    inv_gamma = functools.lru_cache(maxsize=1)(tree.am.inv)
-    inv_vertex = functools.lru_cache(maxsize=1)(tree.am.inv)
+    # a label bijection moves its support labels by one element; the labels of
+    # one vertex come together, and so do both orientations of one edge
+    am = tree.am
+    inv_gamma = functools.lru_cache(maxsize=1)(am.inv)
+    vertex_memo = edge_memo = inv_memo = (None, None)
 
     def label_map(gamma, label):
-        gamma_inv = inv_gamma(gamma)
+        nonlocal vertex_memo, edge_memo, inv_memo
         tag = label[0][0]
         if tag == "wall":
             edge, side = label[0][1]
-            moved = tree.tail_free(tree.am.mul(gamma_inv, edge))
-            return wall((moved, side)), 1
+            if edge_memo[0] != (gamma, edge):
+                edge_memo = (gamma, edge), tree.tail_free(am.mul(inv_gamma(gamma), edge))
+            return wall((edge_memo[1], side)), 1
         if tag == "vertex":
-            v2 = label[0][1]
-            inner = label[1:]
-            v1 = tree.act_vertex(gamma_inv, v2)
-            connector = tree.am.mul(inv_vertex(v2[1]), tree.am.mul(gamma, v1[1]))
-            g = tree.am.as_side_element(v2[0], connector)
-            if g is None:
-                raise DomainError("vertex label map left the factor group")
-            target, sign = actions[v2[0]].label_map(g, inner)
+            slot = label[0][1]
+            if vertex_memo[0] != (gamma, slot):
+                # gamma v1 = v2 g for the canonical words of v1 and v2 = slot
+                v1 = tree.act_vertex(inv_gamma(gamma), slot)
+                if inv_memo[0] != slot[1]:
+                    inv_memo = slot[1], am.inv(slot[1])
+                g = am.as_side_element(slot[0], am.mul(inv_memo[1], am.mul(gamma, v1[1])))
+                if g is None:
+                    raise DomainError("vertex label map left the factor group")
+                vertex_memo = (gamma, slot), (v1, g)
+            v1, g = vertex_memo[1]
+            target, sign = actions[slot[0]].label_map(g, label[1:])
             return vertex_tag(v1, target), sign
         raise DomainError(f"unrecognised amalgam label {label!r}")
 
@@ -350,14 +356,8 @@ def amalgam_space(
 # the closed-form orbital energy
 
 
-def amalgam_energy_formula(
-    tree: TreeOfCosetSpaces,
-    struct_gc: Space,
-    struct_hc: Space,
-    q,
-    gamma: ReducedWord,
-    tree_term: str = "linear",
-):
+def amalgam_energy_formula(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: Space, q, gamma: ReducedWord,
+                           tree_term: str = "linear"):
     """Orbital q-energy of gamma at the base point C of X_G, in closed form:
 
         sum_k ( ||c_G(g_k C, C)||^q + ||c_H(h_k C, C)||^q ) + d_T(gamma G, G).
@@ -370,33 +370,31 @@ def amalgam_energy_formula(
     Per-syllable terms vanish for trivial syllables, so the formula applies
     to every reduced word (leading g_1 = e and trailing h_n = e included);
     the projection-sum oracle remains the authority in degenerate cases and
-    the equality of the two is part of the acceptance checks.
+    the equality of the two is part of the acceptance checks.  A sup-norm
+    energy is a maximum, not a sum, so q = SUP raises InvalidInput.
     """
+    qq = NormSpec(q).q
+    if qq == SUP:
+        raise InvalidInput("the closed-form energy is a sum of q-th powers; it has no sup-norm form")
     _require_quotient_structure(tree, struct_gc, struct_hc, q)
     if tree_term not in ("linear", "power"):
         raise InvalidInput("tree_term must be 'linear' or 'power'")
-    g_table = tree.am.cosets_left
-    h_table = tree.am.cosets_right
-    e_g = g_table.rep_of[tree.am.left.identity]
-    e_h = h_table.rep_of[tree.am.right.identity]
-    total = Fraction(0)
-    exact = True
+    g_table, h_table = tree.am.cosets_left, tree.am.cosets_right
+    e_g, e_h = g_table.rep_of[tree.am.left.identity], h_table.rep_of[tree.am.right.identity]
+    total, exact = Fraction(0), True
     for g, h in gamma.pairs:
         term_g = q_energy(struct_gc.norm, struct_gc.diff(g_table.rep_of[g], e_g))
         term_h = q_energy(struct_hc.norm, struct_hc.diff(h_table.rep_of[h], e_h))
-        if not isinstance(term_g, Fraction) or not isinstance(term_h, Fraction):
-            exact = False
+        exact = exact and isinstance(term_g, Fraction) and isinstance(term_h, Fraction)
         total = total + term_g + term_h
     d_t = tree.tree_distance(tree.act_vertex(gamma, tree.base_vertex), tree.base_vertex)
     if tree_term == "linear":
         total = total + d_t
+    elif qq.denominator == 1:
+        total = total + Fraction(d_t) ** qq.numerator
     else:
-        qq = NormSpec(q).q
-        if qq.denominator == 1:
-            total = total + Fraction(d_t) ** qq.numerator
-        else:
-            total = total + float(d_t) ** float(qq)
-            exact = False
+        total = total + float(d_t) ** float(qq)
+        exact = False
     return total if exact else float(total)
 
 

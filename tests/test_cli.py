@@ -22,7 +22,8 @@ from labparts.cli import (
     toy_wreath_walls,
 )
 from labparts.constructions import wreath_glue, WreathWalls, group_naive_space
-from labparts.core import check_equivariance, pair_energy
+from labparts.amalgam import amalgam_energy_formula
+from labparts.core import InvalidInput, check_equivariance, pair_energy
 from labparts.groups import FiniteGroup, ball_enumerate
 
 
@@ -478,6 +479,32 @@ def test_amalgam_energy_sweep_exits_1_on_a_linear_mismatch(monkeypatch, capsys):
     assert "LINEAR MISMATCH" in out and err.startswith("linear-formula mismatches:")
     monkeypatch.setattr(sweep, "amalgam_energy_formula", formula)
     assert sweep.main() == 0
+
+
+def test_amalgam_energy_sweep_exits_2_under_the_sup_norm():
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, str(root / "scripts" / "amalgam_energy_sweep.py"), "2", "sup"],
+                          env=env, capture_output=True, text=True)
+    assert done.returncode == 2 and done.stdout == ""
+    assert "q must be a rational >= 1" in done.stderr and "Traceback" not in done.stderr
+
+
+def test_the_amalgam_formula_suite_does_not_apply_under_the_sup_norm(workdir, capsys):
+    # the closed form sums q-th powers; a sup-norm energy is a maximum (the
+    # oracle gives 1/2 for the word ((0, 1),), the sum would give 5/2)
+    node = dict(AMALGAM_NODE, q="sup")
+    cfg = write_config(workdir, "am_sup.json", node)
+    assert main(["check", cfg, "--suite", "amalgam"]) == 2
+    assert "check --suite amalgam does not apply to this config" in capsys.readouterr().err
+    assert main(["check", cfg, "--samples", "20"]) == 0
+    suites = json.loads(capsys.readouterr().out)["suites"]
+    assert [s["name"] for s in suites] == ["pseudo-metric", "equivariance[main]"]
+    built = build_space(node, workdir)
+    assert run_checks(built, ["amalgam"], samples=5, seed=0) == {"passed": True, "suites": []}
+    tree, sgc, shc = (built.extras[key] for key in ("tree", "struct_gc", "struct_hc"))
+    with pytest.raises(InvalidInput):
+        amalgam_energy_formula(tree, sgc, shc, "sup", tree.am.identity)
 
 
 @pytest.mark.parametrize("samples, checked", [(0, 0), (5, 5), (50, 44)])  # the radius-4 ball has 44 words
