@@ -200,13 +200,14 @@ class TreeOfCosetSpaces:
         g, h = coset.pairs[-1]
         return table.rep_of[g if side == "L" else h]
 
-    def universe(self, sample_radius: int = 3) -> PointUniverse:
+    def universe(self) -> PointUniverse:
+        """All total points; samples are the base point of X_G or of X_H moved by a word of length <= 3."""
         ball = None
 
         def sampler(rng: random.Random):
             nonlocal ball
             if ball is None:
-                ball = [w for w, _ in ball_enumerate(self.am, sample_radius)]
+                ball = [w for w, _ in ball_enumerate(self.am, 3)]
             gamma = ball[rng.randrange(len(ball))]
             start = self.base_point if rng.random() < 0.5 else TotalPoint(("R", self.am.identity), self.am.identity)
             return self.act_point(gamma, start)
@@ -254,12 +255,7 @@ def vertex_induced_space(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: S
         (tag, v) = label[0]
         return structs[v[0]].norm.weight(tuple(label[1:]))
 
-    return Space(
-        universe=tree.universe(),
-        diff=diff,
-        norm=NormSpec(q, weight_of),
-        description=f"vertex-induced structure on {tree.am!r}",
-    )
+    return Space(universe=tree.universe(), diff=diff, norm=NormSpec(q, weight_of))
 
 
 def tree_induced_space(tree: TreeOfCosetSpaces, q) -> Space:
@@ -278,12 +274,7 @@ def tree_induced_space(tree: TreeOfCosetSpaces, q) -> Space:
             entries += [(wall((edge, u[0])), ONE), (wall((edge, v[0])), MINUS_ONE)]
         return SparseVec(entries)
 
-    return Space(
-        universe=tree.universe(),
-        diff=diff,
-        norm=NormSpec(q, half_weight),
-        description=f"tree-induced structure on {tree.am!r}",
-    )
+    return Space(universe=tree.universe(), diff=diff, norm=NormSpec(q, half_weight))
 
 
 def amalgam_space(
@@ -313,41 +304,41 @@ def amalgam_space(
         return vertex_part.norm.weight(label) if label[0][0] == "vertex" else half_weight(label)
 
     # a label bijection moves its support labels by one element; the labels of
-    # one vertex come together, and so do both orientations of one edge
+    # one vertex come together, and so do both orientations of one edge; each memo is
+    # read once and replaced whole, so no thread pairs one call's key with another's value
     am = tree.am
     inv_gamma = functools.lru_cache(maxsize=1)(am.inv)
-    vertex_memo = edge_memo = inv_memo = (None, None)
+    vertex_memo, edge_memo, inv_memo = (None, (None, None)), (None, None), (None, None)
 
     def label_map(gamma, label):
         nonlocal vertex_memo, edge_memo, inv_memo
         tag = label[0][0]
         if tag == "wall":
             edge, side = label[0][1]
-            if edge_memo[0] != (gamma, edge):
-                edge_memo = (gamma, edge), tree.tail_free(am.mul(inv_gamma(gamma), edge))
-            return wall((edge_memo[1], side)), 1
+            key, moved = edge_memo
+            if key != (gamma, edge):
+                moved = tree.tail_free(am.mul(inv_gamma(gamma), edge))
+                edge_memo = (gamma, edge), moved
+            return wall((moved, side)), 1
         if tag == "vertex":
             slot = label[0][1]
-            if vertex_memo[0] != (gamma, slot):
+            key, (v1, g) = vertex_memo
+            if key != (gamma, slot):
                 # gamma v1 = v2 g for the canonical words of v1 and v2 = slot
                 v1 = tree.act_vertex(inv_gamma(gamma), slot)
-                if inv_memo[0] != slot[1]:
-                    inv_memo = slot[1], am.inv(slot[1])
-                g = am.as_side_element(slot[0], am.mul(inv_memo[1], am.mul(gamma, v1[1])))
+                word, word_inv = inv_memo
+                if word != slot[1]:
+                    word_inv = am.inv(slot[1])
+                    inv_memo = slot[1], word_inv
+                g = am.as_side_element(slot[0], am.mul(word_inv, am.mul(gamma, v1[1])))
                 if g is None:
                     raise DomainError("vertex label map left the factor group")
                 vertex_memo = (gamma, slot), (v1, g)
-            v1, g = vertex_memo[1]
             target, sign = actions[slot[0]].label_map(g, label[1:])
             return vertex_tag(v1, target), sign
         raise DomainError(f"unrecognised amalgam label {label!r}")
 
-    space = Space(
-        universe=tree.universe(),
-        diff=diff,
-        norm=NormSpec(q, weight_of),
-        description=f"amalgam structure on {tree.am!r} (q={q})",
-    )
+    space = Space(universe=tree.universe(), diff=diff, norm=NormSpec(q, weight_of))
     action = Action(group=tree.am, point_map=tree.act_point, label_map=label_map)
     return space, action
 

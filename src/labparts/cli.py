@@ -71,10 +71,14 @@ class Built:
     space: Space
     actions: dict = field(default_factory=dict)
     basepoint: Any = None
-    group: Any = None
     coerce: Callable[[Any], Point] = lambda v: v
     orbit: bool = False
     extras: dict = field(default_factory=dict)
+
+    @property
+    def group(self):
+        """The group of the main action; None when there is no main action."""
+        return self.actions["main"].group if "main" in self.actions else None
 
     def points(self, limit: int) -> list:
         """The first ``limit`` distinct points: the orbit (see
@@ -257,7 +261,7 @@ def _build_naive(*, q: exponent, points: integer = None, group: finite_group = N
         raise ValueError("a naive node takes exactly one of 'points' and 'group'")
     if group is not None:
         space, action = cons.group_naive_space(group, q, weight)
-        return Built(space, {"main": action}, basepoint=group.identity, group=group, coerce=integer)
+        return Built(space, {"main": action}, basepoint=group.identity, coerce=integer)
     space = cons.weighted_naive_space(range(points), weight, q)
     return Built(space, {}, basepoint=0, coerce=integer)
 
@@ -279,7 +283,7 @@ def _build_walls_zn(*, q: exponent, dim: integer, extent: integer = 8):
     def coerce(v):
         return (integer(v),) if dim == 1 and not isinstance(v, list) else integers(v)
 
-    return Built(space, {"main": action}, basepoint=(0,) * dim, group=group, coerce=coerce, orbit=True)
+    return Built(space, {"main": action}, basepoint=(0,) * dim, coerce=coerce, orbit=True)
 
 
 def _build_walls_custom(*, q: exponent, file: config_file):
@@ -307,6 +311,8 @@ def _build_pullback(*, inner: node, map: obj(_pullback_map)):
     mtype, value, c = map
     if mtype == "constant":
         target = inner.coerce(value)
+        if not _contains(inner.space, target):
+            raise ValueError(f"constant map value {value!r} is not a point of 'inner'")
         f = lambda y: target
     elif mtype == "scale":
 
@@ -317,7 +323,7 @@ def _build_pullback(*, inner: node, map: obj(_pullback_map)):
 
     else:
         f = lambda y: y
-    space = cons.pullback(f, inner.space, inner.space.universe, description=f"pullback({mtype})")
+    space = cons.pullback(f, inner.space, inner.space.universe)
     return Built(space, {}, basepoint=inner.basepoint, coerce=inner.coerce)
 
 
@@ -328,17 +334,15 @@ def _build_product(*, q: exponent, factors: list_of(node)):
     if all("main" in b.actions for b in factors):
         space, action = cons.product_action([b.space for b in factors], [b.actions["main"] for b in factors], q)
         actions["main"] = action
-        group = action.group
     else:
         space = cons.product_space([b.space for b in factors], q)
-        group = None
 
     def coerce(v):
         if not isinstance(v, list) or len(v) != len(factors):
             raise ValueError("product points are lists with one entry per factor")
         return tuple(b.coerce(c) for b, c in zip(factors, v))
 
-    return Built(space, actions, basepoint=tuple(b.basepoint for b in factors), group=group, coerce=coerce)
+    return Built(space, actions, basepoint=tuple(b.basepoint for b in factors), coerce=coerce)
 
 
 def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer = 2,
@@ -363,7 +367,7 @@ def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer =
         action_at=lambda i: factor_action,
     )
     space, action = cons.proper_sum_space(factors, group, q, phi)
-    return Built(space, {"main": action}, basepoint=cons.proper_sum_basepoint(group), group=group, orbit=True)
+    return Built(space, {"main": action}, basepoint=cons.proper_sum_basepoint(group), orbit=True)
 
 
 def infinite_dihedral_built(q: exponent, *, preset: one_of("infinite_dihedral") = "infinite_dihedral"):
@@ -393,7 +397,7 @@ def infinite_dihedral_built(q: exponent, *, preset: one_of("infinite_dihedral") 
         group=group,
     )
     space, action = cons.semidirect_space(data, q)
-    return Built(space, {"main": action}, basepoint=((0,), 0), group=group, orbit=True)
+    return Built(space, {"main": action}, basepoint=((0,), 0), orbit=True)
 
 
 def _walls_cosets(*, kind: one_of("walls_cosets"), subgroups: list_of(integers)):
@@ -409,7 +413,7 @@ def _build_quotient_average(*, q: exponent, group: finite_group, subgroup: integ
         inner_space = walls_mod.walls_to_labelled(walls, q)
         inner_action = walls_mod.coset_walls_action(group, walls, structure)
     space, action = cons.quotient_average(inner_space, group, subgroup, inner_action)
-    return Built(space, {"main": action}, basepoint=space.universe.points[0], group=group, coerce=integer)
+    return Built(space, {"main": action}, basepoint=space.universe.points[0], coerce=integer)
 
 
 def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> tuple:
@@ -460,7 +464,6 @@ def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> t
         weight=unit_weight,
         member=member,
         separating=separating,
-        description="toy wreath walls (support + position)",
     )
 
     def label_map_w(w, label):
@@ -489,7 +492,7 @@ def _build_wreath_glue(*, q: exponent, group: finite_group, co_subgroup: integer
     space, action_w, action_g = cons.wreath_glue(wreath, factor_space, factor_action, group_w, group, shift, q)
     i0 = cosets.reps[0]
     basepoint = (((), i0), ())
-    return Built(space, {"main": action_w, "shift": action_g}, basepoint=basepoint, group=group_w, orbit=True)
+    return Built(space, {"main": action_w, "shift": action_g}, basepoint=basepoint, orbit=True)
 
 
 def _edge_group(*, left: integers, right: integers, table: finite_group = None):
@@ -502,20 +505,20 @@ def _build_amalgam(*, q: exponent, left: finite_group, right: finite_group, comm
     tree = amalgam_mod.TreeOfCosetSpaces(group)
     sgc, agc, shc, ahc = amalgam_mod.naive_quotient_structures(tree, q)
     space, action = amalgam_mod.amalgam_space(tree, sgc, agc, shc, ahc, q)
-    return Built(space, {"main": action}, basepoint=tree.base_point, group=group, orbit=True,
+    return Built(space, {"main": action}, basepoint=tree.base_point, orbit=True,
                  extras={"tree": tree, "struct_gc": sgc, "struct_hc": shc})
 
 
 def _build_free_tree(*, q: exponent, rank: integer, radius: integer = 4):
     space, action, free = ex.free_tree_space(rank, q, sample_radius=radius)
-    return Built(space, {"main": action}, basepoint=free.identity, group=free, coerce=integers, orbit=True)
+    return Built(space, {"main": action}, basepoint=free.identity, coerce=integers, orbit=True)
 
 
 def _build_cocycle(*, group: one_of("Z", otherwise=finite_group), file: config_file, radius: integer = 6):
     group = ZGroup() if group == "Z" else group
     action_data = ex.cocycle_from_text(file, group, radius)
     space, action = ex.cocycle_space(action_data, point_radius=max(1, radius - 2))
-    return Built(space, {"main": action}, basepoint=group.identity, group=group)
+    return Built(space, {"main": action}, basepoint=group.identity)
 
 
 # the kind table: each node kind and its builder
@@ -760,9 +763,18 @@ def _parse_point(built: Built, text: str) -> Point:
         point = built.coerce(json.loads(text))
     except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
         raise ConfigError(f"point {text!r} is neither an index (#k) nor JSON of this space's point type") from exc
-    if not built.space.universe.contains(point):
+    if not _contains(built.space, point):
         raise ConfigError(f"point {text!r} is not in this space")
     return point
+
+
+def _contains(space: Space, point) -> bool:
+    """Membership of a point read from JSON: a list or object, being unhashable,
+    is in no finite universe (whose ``contains`` raises TypeError on it)."""
+    try:
+        return space.universe.contains(point)
+    except TypeError:
+        return False
 
 
 def _load_config(path_str: str) -> tuple[dict, Path]:

@@ -48,7 +48,7 @@ MAX_ENUM = 4096
 # pull-back
 
 
-def pullback(f: Callable[[Point], Point], space: Space, universe: PointUniverse, description: str = "") -> Space:
+def pullback(f: Callable[[Point], Point], space: Space, universe: PointUniverse) -> Space:
     """Pull a structure back along f: sep_Y(y, y') = sep_X(f(y), f(y')).
 
     Labels and norm are reused from the target, so f becomes a homomorphism
@@ -61,12 +61,7 @@ def pullback(f: Callable[[Point], Point], space: Space, universe: PointUniverse,
         space.universe.require(fyp)
         return space.diff(fy, fyp)
 
-    return Space(
-        universe=universe,
-        diff=diff,
-        norm=space.norm,
-        description=description or f"pullback of {space.description}",
-    )
+    return Space(universe=universe, diff=diff, norm=space.norm)
 
 
 # ---------------------------------------------------------------------------
@@ -91,12 +86,7 @@ def weighted_naive_space(points: Iterable, w, q, universe: PointUniverse | None 
             return SparseVec()
         return SparseVec(((dirac(x), w), (dirac(y), neg_w)))
 
-    return Space(
-        universe=universe,
-        diff=diff,
-        norm=NormSpec(q, half_weight),
-        description=f"naive(w={w}, q={q})",
-    )
+    return Space(universe=universe, diff=diff, norm=NormSpec(q, half_weight))
 
 
 def naive_space(points: Iterable, q, universe: PointUniverse | None = None) -> Space:
@@ -142,7 +132,7 @@ def _factor_weight(factor_at: Callable[[Any], Space]) -> Callable[[Label], Fract
     return lambda label: factor_at(label[0][1]).norm.weight(label[1:])
 
 
-def product_space(factors: Sequence[Space], q, description: str = "") -> Space:
+def product_space(factors: Sequence[Space], q) -> Space:
     """Direct product with the factor-tagged union of label families.
 
     Points are tuples; sep is the disjoint union of per-factor separation
@@ -181,7 +171,6 @@ def product_space(factors: Sequence[Space], q, description: str = "") -> Space:
         universe=PointUniverse(contains=contains, points=points, sampler=sampler),
         diff=diff,
         norm=NormSpec(q, _factor_weight(factors.__getitem__)),
-        description=description or f"product[{', '.join(f.description for f in factors)}]",
     )
 
 
@@ -214,7 +203,6 @@ def direct_sum_space(
     basepoint_at: Callable[[Any], Point],
     q,
     index_window: Sequence = (),
-    description: str = "",
 ) -> Space:
     """Restricted direct sum relative to basepoints, with lazy factors.
 
@@ -263,7 +251,6 @@ def direct_sum_space(
         universe=PointUniverse(contains=contains, sampler=sampler),
         diff=diff,
         norm=NormSpec(q, _factor_weight(factor_at)),
-        description=description or "direct sum",
     )
 
 
@@ -292,9 +279,7 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
             factors[i] = weighted_naive_space(lamps.points, phi(i), q, universe=lamps)
         return factors[i]
 
-    space = direct_sum_space(
-        factor_at, lambda i: h.identity, q, index_window=group.index_window, description=f"weighted naive sum q={q}"
-    )
+    space = direct_sum_space(factor_at, lambda i: h.identity, q, index_window=group.index_window)
     lamp_map = naive_group_action(h).label_map
     label_map = factor_label_map(lambda w, i: (lamp_map, group.component(w, i)))
     return space, Action(group=group, point_map=group.mul, label_map=label_map)
@@ -331,11 +316,9 @@ def proper_sum_space(
     if not phi_diverges:
         warnings.warn("phi is declared bounded on an infinite index set: properness is not guaranteed")
 
-    x_part = direct_sum_space(
-        factors.factor_at, factors.basepoint_at, q, index_window=group.index_window, description="orbit sum"
-    )
+    x_part = direct_sum_space(factors.factor_at, factors.basepoint_at, q, index_window=group.index_window)
     w_part, w_action = weighted_naive_sum_space(group, phi, q)
-    space = product_space([x_part, w_part], q, description=f"proper sum q={q}")
+    space = product_space([x_part, w_part], q)
 
     def point_map(w, y):
         x, u = y
@@ -382,10 +365,11 @@ class SemidirectData:
     twist_action: Action
     group: SemidirectGroup
 
-    def check_compatibility(self, rng: random.Random, samples: int = 40) -> bool:
+    def check_compatibility(self, rng: random.Random) -> bool:
+        """Whether g2 g1 g2^{-1} acts as twist(g2)(g1) on 40 sampled (g1, g2, x1)."""
         g1s = list(self.action1.group.generators) + [self.action1.group.identity]
         g2s = list(self.action2.group.generators) + [self.action2.group.identity]
-        for _ in range(samples):
+        for _ in range(40):
             g1 = rng.choice(g1s)
             g2 = rng.choice(g2s)
             x = self.space1.universe.sample(rng, 1)[0]
@@ -398,14 +382,13 @@ class SemidirectData:
         return True
 
 
-def semidirect_space(data: SemidirectData, q, rng: random.Random | None = None) -> tuple[Space, Action]:
+def semidirect_space(data: SemidirectData, q) -> tuple[Space, Action]:
     """Product structure on X1 x X2 with the glued semidirect action
     tau(g1, g2)(x1, x2) = (g1 . (twist(g2) . x1), g2 . x2)."""
-    rng = rng if rng is not None else random.Random(0)
-    if not data.check_compatibility(rng):
+    if not data.check_compatibility(random.Random(0)):
         raise InvalidInput("twist action is not compatible with the first factor action")
 
-    space = product_space([data.space1, data.space2], q, description="semidirect product structure")
+    space = product_space([data.space1, data.space2], q)
 
     def point_map(g, x):
         g1, g2 = g
@@ -455,12 +438,7 @@ def quotient_average(space: Space, group: FiniteGroup, subgroup: Iterable[int], 
             acc = acc + space.diff(group.mul(r, f), group.mul(rp, f))
         return acc.scaled(size)
 
-    quotient = Space(
-        universe=finite_universe(table.reps),
-        diff=diff,
-        norm=space.norm,
-        description=f"{space.description} averaged over F (|F|={len(table.subgroup)})",
-    )
+    quotient = Space(universe=finite_universe(table.reps), diff=diff, norm=space.norm)
 
     quotient_action = Action(
         group=group,
@@ -530,23 +508,19 @@ def wreath_glue(
         lambda i: factor_action.group.identity,
         q,
         index_window=group_w.index_window,
-        description="lamp sum",
     )
-    space = product_space([walls_space, lamp_sum], q, description=f"wreath gluing q={q}")
+    space = product_space([walls_space, lamp_sum], q)
 
     def rho(g, w):
         return tuple(sorted((shift(g, i), x) for i, x in w))
 
-    def as_sum_point(w):
-        return tuple((i, x) for i, x in w)
-
     def point_map_w(w, y):
         (w1, i), w2 = y
-        return ((group_w.mul(w, w1), i), as_sum_point(group_w.mul(w, tuple(w2))))
+        return ((group_w.mul(w, w1), i), group_w.mul(w, w2))
 
     def point_map_g(g, y):
         (w1, i), w2 = y
-        return ((rho(g, w1), shift(g, i)), as_sum_point(rho(g, tuple(w2))))
+        return ((rho(g, w1), shift(g, i)), rho(g, w2))
 
     lamp_label_map = factor_label_map(lambda w, i: (factor_action.label_map, group_w.component(w, i)))
 

@@ -33,9 +33,12 @@ from typing import Any, Callable, Iterable
 
 Point = Any
 Label = tuple
-Scalar = Fraction
 
 SUP = "sup"
+# relative tolerance of every float comparison (non-integer exponents)
+REL_TOL = 1e-9
+# a failed check keeps its first counterexamples, at most this many
+MAX_FAILURES_KEPT = 20
 
 
 class DomainError(ValueError):
@@ -254,7 +257,7 @@ def q_energy(spec: NormSpec, vec: SparseVec):
     """Weighted q-energy of ``vec``; exact Fraction for integer q and SUP.
 
     For non-integer exponents the result is a float (|v|**q is irrational in
-    general); callers comparing such energies use a 1e-9 relative tolerance.
+    general); callers comparing such energies use the relative tolerance ``REL_TOL``.
     """
     if spec.q == SUP:
         best = Fraction(0)
@@ -290,11 +293,11 @@ def energy_to_dist(spec: NormSpec, energy) -> float:
     return float(energy) ** (1.0 / float(spec.q))
 
 
-def values_match(a, b, rel_tol: float = 1e-9) -> bool:
-    """Exact comparison when both sides are rational, float tolerance otherwise."""
+def values_match(a, b) -> bool:
+    """Exact comparison when both sides are rational, ``REL_TOL`` otherwise."""
     if isinstance(a, Fraction) and isinstance(b, Fraction):
         return a == b
-    return math.isclose(float(a), float(b), rel_tol=rel_tol, abs_tol=1e-12)
+    return math.isclose(float(a), float(b), rel_tol=REL_TOL, abs_tol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +348,6 @@ class Space:
     universe: PointUniverse
     diff: Callable[[Point, Point], SparseVec]
     norm: NormSpec
-    description: str = ""
 
 
 def sep(space: Space, x: Point, y: Point) -> SparseVec:
@@ -460,7 +462,6 @@ class CheckReport:
     name: str
     total: int = 0
     failures: list = field(default_factory=list)
-    max_failures_kept: int = 20
 
     @property
     def passed(self) -> bool:
@@ -468,7 +469,7 @@ class CheckReport:
 
     def record(self, ok: bool, context=None) -> None:
         self.total += 1
-        if not ok and len(self.failures) < self.max_failures_kept:
+        if not ok and len(self.failures) < MAX_FAILURES_KEPT:
             self.failures.append(context)
 
 
@@ -486,7 +487,6 @@ def check_homomorphism(
     source: Space,
     target: Space,
     sample_pairs: Iterable[tuple[Point, Point]],
-    rel_tol: float = 1e-9,
 ) -> CheckReport:
     """Per sampled pair, does f preserve the pseudo-metric?
 
@@ -506,12 +506,12 @@ def check_homomorphism(
         es = pair_energy(source, x, y)
         et = pair_energy(target, fx, fy)
         if same_q:
-            ok = values_match(es, et, rel_tol)
+            ok = values_match(es, et)
         else:
             ok = math.isclose(
                 energy_to_dist(source.norm, es),
                 energy_to_dist(target.norm, et),
-                rel_tol=rel_tol,
+                rel_tol=REL_TOL,
                 abs_tol=1e-12,
             )
         report.record(ok, None if ok else {"pair": (x, y), "source": str(es), "target": str(et)})
@@ -522,7 +522,6 @@ def check_equivariance(
     space: Space,
     action: Action,
     samples: Iterable[tuple[Any, Point, Point]],
-    rel_tol: float = 1e-9,
 ) -> CheckReport:
     """Per sample (g, x, y): d(gx, gy) == d(x, y), plus the vector identity
     c(gx, gy) == c(x, y) relabelled, and weight preservation, when the action
@@ -533,7 +532,7 @@ def check_equivariance(
         gy = action.point_map(g, y)
         lhs = sep(space, gx, gy)
         rhs = sep(space, x, y)
-        ok = values_match(q_energy(space.norm, lhs), q_energy(space.norm, rhs), rel_tol)
+        ok = values_match(q_energy(space.norm, lhs), q_energy(space.norm, rhs))
         detail = None
         if ok and action.label_map is not None:
             moved = relabel(rhs, action.bijection(g), "forward")
@@ -556,7 +555,6 @@ def check_equivariance(
 def check_pseudo_metric(
     space: Space,
     triples: Iterable[tuple[Point, Point, Point]],
-    rel_tol: float = 1e-9,
 ) -> CheckReport:
     """Pseudo-metric axioms on sampled triples.
 
@@ -580,6 +578,6 @@ def check_pseudo_metric(
                 ok = exz <= exy + eyz
             else:
                 dxz, dxy, dyz = (energy_to_dist(norm, e) for e in (exz, exy, eyz))
-                ok = dxz <= dxy + dyz + rel_tol * (dxy + dyz + 1.0)
+                ok = dxz <= dxy + dyz + REL_TOL * (dxy + dyz + 1.0)
         report.record(ok, None if ok else {"triple": (x, y, z)})
     return report

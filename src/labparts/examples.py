@@ -93,12 +93,7 @@ def metric_realization_space(metric: FiniteMetric) -> Space:
             (dirac(z), metric.d[ix][k] - metric.d[iy][k]) for k, z in enumerate(metric.points)
         )
 
-    return Space(
-        universe=finite_universe(metric.points),
-        diff=diff,
-        norm=NormSpec(SUP),
-        description=f"sup-norm realization of a {len(metric.points)}-point metric",
-    )
+    return Space(universe=finite_universe(metric.points), diff=diff, norm=NormSpec(SUP))
 
 
 def metric_from_csv(path) -> FiniteMetric:
@@ -199,12 +194,7 @@ def free_tree_space(rank: int, q, sample_radius: int = 4) -> tuple[Space, Action
             ball = [w for w, _ in ball_enumerate(free, sample_radius)]
         return ball[rng.randrange(len(ball))]
 
-    space = Space(
-        universe=PointUniverse(contains=free.is_reduced, sampler=sampler),
-        diff=diff,
-        norm=NormSpec(q),
-        description=f"free-group tree labelling family (rank {rank}, q={q})",
-    )
+    space = Space(universe=PointUniverse(contains=free.is_reduced, sampler=sampler), diff=diff, norm=NormSpec(q))
 
     def label_map(gamma, label):
         (tag, a, b) = label[0]
@@ -380,12 +370,7 @@ def cocycle_space(action: CocycleAction, point_radius: int | None = None) -> tup
         bh = action.cocycle(h)
         return SparseVec((coset_fn(i), bg[i] - bh[i]) for i in range(action.dim))
 
-    space = Space(
-        universe=finite_universe(points),
-        diff=diff,
-        norm=NormSpec(action.q),
-        description=f"cocycle-derived structure (dim {action.dim}, q={action.q})",
-    )
+    space = Space(universe=finite_universe(points), diff=diff, norm=NormSpec(action.q))
 
     def point_map(g, x):
         y = action.group.mul(g, x)

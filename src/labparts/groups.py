@@ -37,14 +37,13 @@ from .core import InvalidInput
 class FiniteGroup:
     """A finite group as an element list plus a multiplication table on indices.
 
-    Elements are their indices 0..n-1; ``names`` is an optional parallel list
-    used only for display.  The table is validated on construction: exact
-    identity and inverses, declared generators that generate, a full
-    associativity check for small orders (Light's test over the generators)
-    and a sampled check beyond.
+    Elements are their indices 0..n-1; ``name`` labels the group in its repr.
+    The table is validated on construction: exact identity and inverses,
+    declared generators that generate, a full associativity check for small
+    orders (Light's test over the generators) and a sampled check beyond.
     """
 
-    def __init__(self, table: Sequence[Sequence[int]], generators: Iterable[int] = (), names=None, name: str = ""):
+    def __init__(self, table: Sequence[Sequence[int]], generators: Iterable[int] = (), name: str = ""):
         self.table = tuple(tuple(row) for row in table)
         self.generators = tuple(generators)
         n = len(self.table)
@@ -53,7 +52,6 @@ class FiniteGroup:
         if any(not 0 <= v < n for v in itertools.chain(*self.table, self.generators)):
             raise InvalidInput("table entries and generators must be element indices")
         self.size = n
-        self.names = tuple(names) if names is not None else tuple(str(i) for i in range(n))
         self.name = name
 
         t = self.table
@@ -79,7 +77,7 @@ class FiniteGroup:
         # the symmetrised declared generators: they must generate the group,
         # and they are the middle elements of the associativity test below
         gens = {*self.generators, *(inverse[g] for g in self.generators)}
-        if gens and len(self._ball_saturate(gens)) != n:
+        if gens and sum(map(len, spheres(self, self.generators))) != n:
             raise InvalidInput("declared generators do not generate the group")
 
         if n <= 24:
@@ -93,22 +91,6 @@ class FiniteGroup:
         for a, b, c in triples:
             if t[t[a][b]][c] != t[a][t[b][c]]:
                 raise InvalidInput("table is not associative")
-
-    def _ball_saturate(self, gens: set) -> set:
-        """The elements reached from the identity by right products with a symmetric set."""
-        t = self.table
-        seen = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s in gens:
-                    y = t[x][s]
-                    if y not in seen:
-                        seen.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        return seen
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -134,7 +116,7 @@ class FiniteGroup:
     def cyclic(n: int, name: str = "") -> "FiniteGroup":
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         gens = (1,) if n > 1 else ()
-        return FiniteGroup(table, gens, names=[f"a{i}" if i else "e" for i in range(n)], name=name or f"Z{n}")
+        return FiniteGroup(table, gens, name=name or f"Z{n}")
 
     @staticmethod
     def from_permutations(perms: Sequence[tuple], generators: Iterable[int] = (), name: str = "") -> "FiniteGroup":
@@ -152,7 +134,7 @@ class FiniteGroup:
                     raise InvalidInput("permutation set is not closed under composition")
                 row.append(index[comp])
             table.append(row)
-        return FiniteGroup(table, generators, names=[repr(p) for p in perms], name=name)
+        return FiniteGroup(table, generators, name=name)
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroup":

@@ -47,7 +47,6 @@ class MeasuredWalls:
     weight: Callable[[Any], Fraction]
     member: Callable[[Any, Point], bool]
     separating: Callable[[Point, Point], Iterable]
-    description: str = ""
 
     def wall_distance(self, x: Point, y: Point) -> Fraction:
         self.universe.require(x)
@@ -75,12 +74,7 @@ def walls_to_labelled(walls: MeasuredWalls, q) -> Space:
         w = walls.weight(label[0][1])
         return w if isinstance(w, Fraction) else Fraction(w)
 
-    return Space(
-        universe=walls.universe,
-        diff=diff,
-        norm=NormSpec(q, weight_of),
-        description=f"walls[{walls.description}] q={q}",
-    )
+    return Space(universe=walls.universe, diff=diff, norm=NormSpec(q, weight_of))
 
 
 def check_walls(walls: MeasuredWalls, samples: Iterable[tuple[Point, Point, Point]]) -> CheckReport:
@@ -134,7 +128,6 @@ def zn_half_space_walls(n: int, window: int = 8) -> MeasuredWalls:
         weight=unit_weight,
         member=member,
         separating=separating,
-        description=f"Z^{n} half-spaces",
     )
 
 
@@ -169,8 +162,8 @@ def z_line_walls_space(q) -> tuple[Space, Action]:
 # left-invariant walls on a finite group from coset partitions
 
 
-def coset_walls(group: FiniteGroup, subgroups: Iterable[Iterable[int]], weight=Fraction(1)) -> MeasuredWalls:
-    """Walls on a finite group given by left cosets of the listed subgroups.
+def coset_walls(group: FiniteGroup, subgroups: Iterable[Iterable[int]]) -> MeasuredWalls:
+    """Walls of weight 1 on a finite group given by left cosets of the listed subgroups.
 
     Each wall is a pair (subgroup index, coset representative); a point lies
     on the inside iff it belongs to that coset.  Left translation permutes
@@ -178,7 +171,6 @@ def coset_walls(group: FiniteGroup, subgroups: Iterable[Iterable[int]], weight=F
     """
     tables = [coset_table(group, sub) for sub in subgroups]
     wall_ids = tuple((i, rep) for i, table in enumerate(tables) for rep in table.reps)
-    weight = Fraction(weight)
 
     def member(h, x) -> bool:
         i, rep = h
@@ -189,10 +181,9 @@ def coset_walls(group: FiniteGroup, subgroups: Iterable[Iterable[int]], weight=F
 
     return MeasuredWalls(
         universe=finite_group_universe(group),
-        weight=lambda h: weight,
+        weight=unit_weight,
         member=member,
         separating=separating,
-        description=f"coset walls on {group.name or group.size}",
     )
 
 
@@ -255,5 +246,4 @@ def custom_walls_load(path) -> MeasuredWalls:
         weight=lambda h: weights[h],
         member=lambda h, x: masks[h][x],
         separating=lambda x, y: [h for h in weights if masks[h][x] != masks[h][y]],
-        description=f"custom walls ({len(walls)} walls)",
     )

@@ -1,11 +1,17 @@
 """The shared Bass-Serre segment of the amalgam oracle and the one-entry
 memos of the amalgam label map, each against an unmemoised reference."""
 
+import json
 import random
+import sys
+import threading
+import time
+from pathlib import Path
 
 import pytest
 
 from labparts.amalgam import TotalPoint, TreeOfCosetSpaces, amalgam_space, naive_quotient_structures
+from labparts.cli import build_space
 from labparts.core import MINUS_ONE, ONE, SparseVec, relabel, vertex_tag, wall
 from labparts.groups import ReducedWord, ball_enumerate, z4_z6_amalgam
 from oracles import bfs_tree_vertices
@@ -162,3 +168,45 @@ def test_relabelled_vectors_match_the_reference_in_both_directions(name):
             moved = [(reference_label_map(tree, actions, element, label), value) for label, value in vec.items()]
             expected = SparseVec([(target, sign * value) for (target, sign), value in moved])
             assert relabel(vec, action.bijection(g), direction) == expected
+
+
+def test_threads_sharing_the_label_map_get_the_sequential_labels():
+    """Five threads map the same labels with five fixed elements through one
+    shared action, with a short switch interval so that a thread can lose the
+    interpreter between reading a memo's key and reading its value; every
+    result must equal the one-thread mapping of a separately built space."""
+    config = Path(__file__).resolve().parents[1] / "configs" / "amalgam_q2.json"
+    node = json.loads(config.read_text())
+    shared, reference = build_space(node, config.parent), build_space(node, config.parent)
+    points = reference.points(40)
+    labels = list(dict.fromkeys(label for i in range(0, 40, 3) for label in
+                                reference.space.diff(points[i], points[-1 - i]).support()))[:33]
+    assert len(labels) == 33 and {label[0][0] for label in labels} == {"vertex", "wall"}
+    gammas = [g for g, _ in ball_enumerate(reference.group, 3)][5:30:5]
+    expected = [[reference.actions["main"].label_map(g, label) for label in labels] for g in gammas]
+    label_map = shared.actions["main"].label_map
+    failures: list = []
+
+    def worker(k: int, deadline: float) -> None:
+        try:
+            while time.monotonic() < deadline:
+                got = [label_map(gammas[k], label) for label in labels]
+                if got != expected[k]:
+                    failures.append((k, "wrong labels"))
+                    return
+        except Exception as exc:  # a thread's exception is a failure of this test
+            failures.append((k, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.monotonic() + 1.0
+        threads = [threading.Thread(target=worker, args=(k, deadline)) for k in range(len(gammas))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []

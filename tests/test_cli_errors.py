@@ -219,3 +219,35 @@ def test_suite_all_skips_the_suites_that_do_not_apply(capsys):
     assert main(["check", str(CONFIGS / "naive.json"), "--suite", "all", "--samples", "3"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] and [s["name"] for s in report["suites"]] == ["pseudo-metric"]
+
+
+COCYCLE = {"kind": "cocycle", "group": "Z", "file": "c.txt"}
+PULLBACK_OF_COCYCLE = {"kind": "pullback", "inner": COCYCLE, "map": {"type": "identity"}}
+
+
+def write_cocycle_config(tmp_path, node) -> Path:
+    (tmp_path / "c.txt").write_text("q 2\ngen 1 | 1 0 ; 0 1 | 1 0\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(node))
+    return config
+
+
+@pytest.mark.parametrize("node", [COCYCLE, PULLBACK_OF_COCYCLE], ids=["cocycle", "pullback"])
+@pytest.mark.parametrize("literal", ["[1]", '{"a": 1}'])
+def test_an_unhashable_point_on_a_finite_universe_exits_2(node, literal, tmp_path, capsys):
+    config = write_cocycle_config(tmp_path, node)
+    assert run(["dist", str(config), "0", "1"], capsys)[0] == 0
+    code, err = run(["dist", str(config), literal, "0"], capsys)
+    assert code == 2 and "is not in this space" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("inner, value", [({"kind": "naive", "points": 3, "q": 1}, 99), (COCYCLE, [1])],
+                         ids=["naive", "cocycle"])
+def test_a_constant_pullback_value_outside_inner_exits_2(inner, value, tmp_path, capsys):
+    node = {"kind": "pullback", "inner": inner, "map": {"type": "constant", "value": value}}
+    config = write_cocycle_config(tmp_path, node)
+    code, err = run(["dist", str(config), "0", "1"], capsys)
+    assert code == 2 and err.startswith("configuration error: root:") and "is not a point of 'inner'" in err
+    node["map"]["value"] = 2 if value == 99 else 1
+    config.write_text(json.dumps(node))
+    assert run(["dist", str(config), "0", "1"], capsys) == (0, "")
