@@ -34,10 +34,12 @@ from .core import (
     Action,
     CheckReport,
     Point,
+    PointUniverse,
     Space,
     check_equivariance,
     check_pseudo_metric,
     energy_to_dist,
+    finite_universe,
     label_key,
     pair_energy,
     q_energy,
@@ -323,7 +325,14 @@ def _build_pullback(*, inner: node, map: obj(_pullback_map)):
 
     else:
         f = lambda y: y
-    space = cons.pullback(f, inner.space, inner.space.universe)
+    # the points that f sends into inner, which a scale map can leave
+    inner_universe = inner.space.universe
+    if inner_universe.points is not None:
+        universe = finite_universe(y for y in inner_universe.points if inner_universe.contains(f(y)))
+    else:
+        universe = PointUniverse(contains=lambda y: inner_universe.contains(y) and inner_universe.contains(f(y)),
+                                 sampler=inner_universe.sampler)
+    space = cons.pullback(f, inner.space, universe)
     return Built(space, {}, basepoint=inner.basepoint, coerce=inner.coerce)
 
 

@@ -24,6 +24,7 @@ from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
 from .core import (
+    ZERO_VEC,
     Action,
     DomainError,
     InvalidInput,
@@ -33,6 +34,7 @@ from .core import (
     PointUniverse,
     Space,
     SparseVec,
+    _vec,
     dirac,
     factor,
     factor_label_map,
@@ -83,8 +85,8 @@ def weighted_naive_space(points: Iterable, w, q, universe: PointUniverse | None 
 
     def diff(x, y):
         if x == y or w == 0:
-            return SparseVec()
-        return SparseVec(((dirac(x), w), (dirac(y), neg_w)))
+            return ZERO_VEC
+        return _vec({dirac(x): w, dirac(y): neg_w})
 
     return Space(universe=universe, diff=diff, norm=NormSpec(q, half_weight))
 
@@ -161,11 +163,8 @@ def product_space(factors: Sequence[Space], q) -> Space:
         return tuple(f.universe.sample(rng, 1)[0] for f in factors)
 
     def diff(x, y):
-        entries = []
-        for i, fac in enumerate(factors):
-            for label, value in fac.diff(x[i], y[i]).items():
-                entries.append((factor(i, label), value))
-        return SparseVec(entries)
+        return _vec({factor(i, label): value
+                     for i, fac in enumerate(factors) for label, value in fac.diff(x[i], y[i]).items()})
 
     return Space(
         universe=PointUniverse(contains=contains, points=points, sampler=sampler),
@@ -240,12 +239,12 @@ def direct_sum_space(
 
     def diff(x, y):
         xs, ys = dict(x), dict(y)
-        entries = []
+        out = {}
         for i in xs.keys() | ys.keys():
             base = basepoint_at(i)
             for label, value in factor_at(i).diff(xs.get(i, base), ys.get(i, base)).items():
-                entries.append((factor(i, label), value))
-        return SparseVec(entries)
+                out[factor(i, label)] = value
+        return _vec(out)
 
     return Space(
         universe=PointUniverse(contains=contains, sampler=sampler),

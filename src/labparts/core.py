@@ -19,8 +19,9 @@ floats, except for the supremum norm where the distance itself is exact.
 Kernel invariants: a ``SparseVec`` stores only nonzero ``Fraction`` values;
 ``NormSpec`` weights are rationals (``int`` or ``Fraction``); integer-q
 energies accumulate integer numerators per denominator and build one
-canonical ``Fraction``; ``check_pseudo_metric`` calls the oracle once per
-distinct ordered pair of a triple, c(y, x) included.
+canonical ``Fraction``; ``check_pseudo_metric`` tests each point once, calls
+the oracle once per distinct ordered pair of a triple, c(y, x) included, and
+reads the energy of c(y, x) off the identity c(x, y) == -c(y, x).
 """
 
 from __future__ import annotations
@@ -195,7 +196,8 @@ class SparseVec:
 
 
 def _vec(entries: dict) -> SparseVec:
-    """Wrap a dict already holding only nonzero Fractions, without re-checking."""
+    """Wrap a dict already holding only nonzero Fractions, without re-checking; the
+    factor-tagged oracles of ``product_space`` and ``direct_sum_space`` use it too."""
     out = SparseVec.__new__(SparseVec)
     object.__setattr__(out, "_entries", entries)
     return out
@@ -560,20 +562,24 @@ def check_pseudo_metric(
 
     d(x, x) = 0 and symmetry are exact (at the energy level); the triangle
     inequality is exact for q = 1 and checked after root extraction with the
-    relative tolerance otherwise.  The oracle runs once per ordered pair;
-    c(y, x) is evaluated, not derived from c(x, y), so antisymmetry is tested.
+    relative tolerance otherwise.  Each point is tested for membership once, z
+    only after the first stage passes.  The oracle runs once per ordered pair;
+    c(y, x) is evaluated, not derived from c(x, y), so antisymmetry is tested;
+    as q_energy(-v) == q_energy(v) exactly, the energy of c(y, x) is not computed.
     """
     report = CheckReport("pseudo-metric")
-    norm = space.norm
+    norm, require, diff = space.norm, space.universe.require, space.diff
     for x, y, z in triples:
-        cxx, cxy, cyx = sep(space, x, x), sep(space, x, y), sep(space, y, x)
-        exx, exy, eyx = q_energy(norm, cxx), q_energy(norm, cxy), q_energy(norm, cyx)
-        ok = (not exx) and exy == eyx and cxy == -cyx
+        require(x)
+        require(y)
+        cxx, cxy, cyx = diff(x, x), diff(x, y), diff(y, x)
+        ok = (not cxx or not q_energy(norm, cxx)) and cxy == -cyx
         if ok:
-            cxz, cyz = sep(space, x, z), sep(space, y, z)
+            require(z)
+            cxz, cyz = diff(x, z), diff(y, z)
             ok = cxz == cxy + cyz
         if ok:
-            exz, eyz = q_energy(norm, cxz), q_energy(norm, cyz)
+            exy, exz, eyz = q_energy(norm, cxy), q_energy(norm, cxz), q_energy(norm, cyz)
             if norm.q != SUP and norm.q == 1:
                 ok = exz <= exy + eyz
             else:

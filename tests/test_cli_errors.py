@@ -251,3 +251,28 @@ def test_a_constant_pullback_value_outside_inner_exits_2(inner, value, tmp_path,
     node["map"]["value"] = 2 if value == 99 else 1
     config.write_text(json.dumps(node))
     assert run(["dist", str(config), "0", "1"], capsys) == (0, "")
+
+
+def scale_pullback_config(tmp_path, points, factor) -> str:
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"kind": "pullback", "inner": {"kind": "naive", "points": points, "q": 1},
+                                  "map": {"type": "scale", "factor": factor}}))
+    return str(config)
+
+
+def test_a_point_whose_scale_image_leaves_inner_exits_2(tmp_path, capsys):
+    config = scale_pullback_config(tmp_path, 3, 5)
+    code, err = run(["dist", config, "1", "2"], capsys)
+    assert code == 2 and "is not in this space" in err and "Traceback" not in err
+    assert run(["dist", config, "0", "0"], capsys) == (0, "")
+
+
+def test_table_and_check_keep_to_the_preimage_of_a_scale_pullback(tmp_path, capsys):
+    # doubling sends 0, 1, 2 into the naive points 0..4, and 3, 4 out of them
+    config = scale_pullback_config(tmp_path, 5, 2)
+    assert main(["table", config, "--limit", "10"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert {row.split(",")[0] for row in rows} == {'"0"', '"1"', '"2"'} and len(rows) == 9
+    assert main(["check", config, "--samples", "30"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["suites"][0]["samples"] == 30
