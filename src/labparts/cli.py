@@ -62,12 +62,17 @@ class ConfigError(ValueError):
     """Schema violation, missing file or invalid parameter in a config node."""
 
 
+class SamplingError(ConfigError):
+    """A sampled node gave up drawing a point of its own universe."""
+
+
 @dataclass
 class Built:
     """A constructed space with its actions and deterministic enumeration.
 
     ``orbit`` means the listed points are the orbit of ``basepoint`` under
-    ``actions["main"]``.
+    ``actions["main"]``; ``path`` is the config path of the node, which
+    ``build_space`` sets.
     """
 
     space: Space
@@ -76,6 +81,7 @@ class Built:
     coerce: Callable[[Any], Point] = lambda v: v
     orbit: bool = False
     extras: dict = field(default_factory=dict)
+    path: str = "root"
 
     @property
     def group(self):
@@ -84,12 +90,18 @@ class Built:
 
     def points(self, limit: int) -> list:
         """The first ``limit`` distinct points: the orbit (see
-        ``orbit_elements``); else the finite universe; else seeded samples."""
+        ``orbit_elements``); else the finite universe; else seeded samples,
+        up to the first draw a sampler gives up on."""
         if self.orbit:
             return list(self.orbit_elements(limit))
         if self.space.universe.points is not None:
             return list(self.space.universe.points)[:limit]
-        samples = self.space.universe.sample(random.Random(0), 4 * limit)
+        rng, samples = random.Random(0), []
+        try:
+            while len(samples) < 4 * limit:
+                samples += self.space.universe.sample(rng, 1)
+        except SamplingError:
+            pass  # the points drawn so far are listed, and ``_sampling_note`` says so
         return list(dict.fromkeys(samples))[:limit]
 
     def orbit_elements(self, limit: int) -> dict:
@@ -255,7 +267,9 @@ def build_space(node: dict, base_dir: Path, path: str = "root") -> Built:
     kind = node.get("kind")
     if not isinstance(kind, str) or kind not in _BUILDERS:
         raise ConfigError(f"{path}: kind must be one of {', '.join(_BUILDERS)}; got {kind!r}")
-    return obj(_BUILDERS[kind])({k: v for k, v in node.items() if k != "kind"}, At(path, "", base_dir))
+    built = obj(_BUILDERS[kind])({k: v for k, v in node.items() if k != "kind"}, At(path, "", base_dir))
+    built.path = path
+    return built
 
 
 def _build_naive(*, q: exponent, points: integer = None, group: finite_group = None, weight: rational = 1):
@@ -309,6 +323,10 @@ def _pullback_map(*, type: one_of("identity", "constant", "scale"), value: anyth
     return type, value, factor
 
 
+# draws of 'inner' that a sampled pullback makes for one point before it gives up
+PULLBACK_DRAWS = 1000
+
+
 def _build_pullback(*, inner: node, map: obj(_pullback_map)):
     mtype, value, c = map
     if mtype == "constant":
@@ -319,9 +337,8 @@ def _build_pullback(*, inner: node, map: obj(_pullback_map)):
     elif mtype == "scale":
 
         def f(y):
-            if isinstance(y, tuple):
-                return tuple(c * v for v in y)
-            return c * y
+            # the leaves of nested tuples are scaled: (0, (1,)) maps to (0, (c,))
+            return tuple(f(v) for v in y) if isinstance(y, tuple) else c * y
 
     else:
         f = lambda y: y
@@ -330,10 +347,20 @@ def _build_pullback(*, inner: node, map: obj(_pullback_map)):
     if inner_universe.points is not None:
         universe = finite_universe(y for y in inner_universe.points if inner_universe.contains(f(y)))
     else:
+
+        def sampler(rng: random.Random):
+            # a failing draw reads built.path, which build_space has set by then
+            for _ in range(PULLBACK_DRAWS):
+                y = inner_universe.sample(rng, 1)[0]
+                if inner_universe.contains(f(y)):
+                    return y
+            raise SamplingError(f"{built.path}: none of {PULLBACK_DRAWS} draws of 'inner' maps into 'inner'")
+
         universe = PointUniverse(contains=lambda y: inner_universe.contains(y) and inner_universe.contains(f(y)),
-                                 sampler=inner_universe.sampler)
+                                 sampler=sampler)
     space = cons.pullback(f, inner.space, universe)
-    return Built(space, {}, basepoint=inner.basepoint, coerce=inner.coerce)
+    built = Built(space, {}, basepoint=inner.basepoint, coerce=inner.coerce)
+    return built
 
 
 def _build_product(*, q: exponent, factors: list_of(node)):

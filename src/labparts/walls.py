@@ -27,6 +27,7 @@ from .core import (
     PointUniverse,
     Space,
     SparseVec,
+    _vec,
     finite_universe,
     unit_weight,
     wall,
@@ -63,12 +64,12 @@ def walls_to_labelled(walls: MeasuredWalls, q) -> Space:
     """
 
     def diff(x, y):
-        entries = []
-        for h in walls.separating(x, y):
-            entries.append((wall(h), ONE if walls.member(h, x) else MINUS_ONE))
+        entries = [(wall(h), ONE if walls.member(h, x) else MINUS_ONE) for h in walls.separating(x, y)]
         if len(entries) > 100_000:
             raise DomainError("separation set too large to be finite")
-        return SparseVec(entries)
+        # distinct walls give a vector already canonical; a repeated wall is summed
+        by_label = dict(entries)
+        return _vec(by_label) if len(by_label) == len(entries) else SparseVec(entries)
 
     def weight_of(label):
         w = walls.weight(label[0][1])

@@ -1,11 +1,13 @@
-"""The pseudo-metric check kernel and the factor-tagged oracles against their
+"""The check kernels and the factor-tagged and wall oracles against their
 straightforward reference forms: every oracle pair through ``sep`` with all
-five energies computed, and every factor-tagged vector canonicalised by
-``SparseVec``."""
+five energies computed, the equivariance check with both energies computed
+and weights tested under g, and every factor-tagged or wall vector
+canonicalised by ``SparseVec``."""
 
 import dataclasses
 import json
 import random
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,16 +15,19 @@ import pytest
 
 from labparts import constructions as cons
 from labparts import core
+from labparts import walls as walls_mod
 from labparts.cli import build_space
 from labparts.core import (
     REL_TOL,
     SUP,
+    Action,
     CheckReport,
     DomainError,
     NormSpec,
     PointUniverse,
     Space,
     SparseVec,
+    check_equivariance,
     check_pseudo_metric,
     dirac,
     energy_to_dist,
@@ -30,8 +35,12 @@ from labparts.core import (
     finite_universe,
     pair_label,
     q_energy,
+    relabel,
     sep,
+    values_match,
+    wall,
 )
+from labparts.groups import FiniteGroup, ball_enumerate
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG_NAMES = sorted(p.stem for p in CONFIGS.glob("*.json"))
@@ -173,7 +182,202 @@ def test_a_passing_triple_tests_three_points_and_computes_three_energies(monkeyp
     assert len(energies) == 3 * len(triples)
 
 
-# the factor-tagged oracles against SparseVec canonicalisation
+def test_a_passing_metric_triple_builds_no_negated_vector(monkeypatch):
+    def negate(vec):
+        raise AssertionError("a passing triple negated a vector")
+
+    monkeypatch.setattr(SparseVec, "__neg__", negate)
+    for name in ("product", "proper_sum", "wreath", "z2_walls"):
+        space = built(name).space
+        rng = random.Random(16001)
+        assert check_pseudo_metric(space, [tuple(space.universe.sample(rng, 3)) for _ in range(20)]).passed
+
+
+# the equivariance check against its reference form
+
+
+def reference_check_equivariance(
+    space: Space,
+    action: Action,
+    samples,
+) -> CheckReport:
+    """Per sample (g, x, y): d(gx, gy) == d(x, y), plus the vector identity
+    c(gx, gy) == c(x, y) relabelled, and weight preservation, when the action
+    carries a label map."""
+    report = CheckReport("equivariance")
+    for g, x, y in samples:
+        gx = action.point_map(g, x)
+        gy = action.point_map(g, y)
+        lhs = sep(space, gx, gy)
+        rhs = sep(space, x, y)
+        ok = values_match(q_energy(space.norm, lhs), q_energy(space.norm, rhs))
+        detail = None
+        if ok and action.label_map is not None:
+            moved = relabel(rhs, action.bijection(g), "forward")
+            ok = moved == lhs
+            if ok:
+                for label in rhs.support():
+                    target, _ = action.label_map(g, label)
+                    if space.norm.weight(label) != space.norm.weight(target):
+                        ok = False
+                        detail = {"sample": (g, x, y), "reason": "weight not preserved", "label": label}
+                        break
+            else:
+                detail = {"sample": (g, x, y), "reason": "vector identity failed"}
+        elif not ok:
+            detail = {"sample": (g, x, y), "reason": "distance changed"}
+        report.record(ok, detail)
+    return report
+
+
+def equivariance_samples(space, action, seed, n=30):
+    """Samples drawn as ``run_checks`` draws them: g from the radius-2 ball."""
+    rng = random.Random(seed)
+    ball = [g for g, _ in ball_enumerate(action.group, 2)]
+    return [(ball[rng.randrange(len(ball))], *space.universe.sample(rng, 2)) for _ in range(n)]
+
+
+@pytest.mark.parametrize("name", CONFIG_NAMES)
+def test_equivariance_matches_the_reference_on_every_config(name):
+    node = built(name)
+    for action in node.actions.values():
+        for seed in (0, 1, 15003):
+            samples = equivariance_samples(node.space, action, seed)
+            report = check_equivariance(node.space, action, samples)
+            reference = reference_check_equivariance(node.space, action, samples)
+            assert (report.total, report.failures) == (reference.total, reference.failures)
+            assert report.passed
+
+
+def verdicts(check, space, action, samples):
+    """Per sample, whether it passed and the reason it failed with; a weight
+    failure's "label" differs between the forms, as they test different images."""
+    out = []
+    for sample in samples:
+        report = check(space, action, [sample])
+        out.append((report.passed, report.failures[0]["reason"] if report.failures else None))
+    return out
+
+
+LINE_SAMPLES = [(t, (x,), (y,)) for t in range(-2, 3) for x in range(-3, 4) for y in range(-3, 4)]
+
+
+def line_walls(weight=None):
+    space, action = walls_mod.z_line_walls_space(2)
+    if weight is not None:
+        space = dataclasses.replace(space, norm=NormSpec(2, weight))
+    return space, action
+
+
+def translate_label(t, label):
+    (_, (axis, k)) = label[0]
+    return wall((axis, k - t)), 1
+
+
+def doubling_point_map(t, x):
+    return (2 * x[0] + t,)
+
+
+def flipped_label_map(t, label):
+    return translate_label(t, label)[0], -1
+
+
+def merging_label_map(t, label):
+    # the walls k and k + 1 of an even k land on one wall
+    (_, (axis, k)) = label[0]
+    return wall((axis, (k - t) // 2)), 1
+
+
+def raising_label_map(t, label):
+    raise KeyError(label)
+
+
+def parity_weight(label):
+    return Fraction(1 + label[0][1][1] % 2)
+
+
+BROKEN_LINE_ACTIONS = {
+    "point map doubling distances": ({"point_map": doubling_point_map}, None),
+    "sign-flipped label map": ({"label_map": flipped_label_map}, None),
+    "label map merging two labels": ({"label_map": merging_label_map}, None),
+    "weights changed by odd translations": ({}, parity_weight),
+    "raising label map, distances doubled": ({"point_map": doubling_point_map, "label_map": raising_label_map},
+                                             None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_LINE_ACTIONS))
+def test_equivariance_matches_the_reference_on_broken_actions(name):
+    changes, weight = BROKEN_LINE_ACTIONS[name]
+    space, action = line_walls(weight)
+    action = dataclasses.replace(action, **changes)
+    new = verdicts(check_equivariance, space, action, LINE_SAMPLES)
+    assert new == verdicts(reference_check_equivariance, space, action, LINE_SAMPLES)
+    reasons = {reason for _, reason in new}
+    assert len(reasons) > 1 and None in reasons  # each form passes x == y and fails some other sample
+
+
+def test_a_raising_label_map_raises_when_distances_agree():
+    space, action = line_walls()
+    action = dataclasses.replace(action, label_map=raising_label_map)
+    for check in (check_equivariance, reference_check_equivariance):
+        with pytest.raises(DomainError):
+            check(space, action, [(1, (0,), (2,))])
+
+
+# points 0, 1, 2 with c(x, y) = p(x) - p(y); the involution of Z/2 swaps 1 and 2
+# and sends both labels a and b of c(0, 1) onto the single label c of c(0, 2)
+MERGE_POINTS = {0: {}, 1: {"a": -1, "b": -1}, 2: {"c": -2}}
+MERGE_LABELS = {0: {"a": "a", "b": "b", "c": "c"}, 1: {"a": "c", "b": "c", "c": "a"}}
+
+
+def merge_space(q):
+    def diff(x, y):
+        entries = [(((l,),), v) for l, v in MERGE_POINTS[x].items()]
+        return SparseVec(entries + [(((l,),), -v) for l, v in MERGE_POINTS[y].items()])
+
+    action = Action(group=FiniteGroup.cyclic(2), point_map=lambda g, x: [0, 2, 1][x] if g else x,
+                    label_map=lambda g, label: (((MERGE_LABELS[g][label[0][0]],),), 1))
+    return Space(universe=finite_universe(range(3)), diff=diff, norm=NormSpec(q)), action
+
+
+@pytest.mark.parametrize("q", [1, 2, SUP])
+def test_labels_moved_onto_one_still_compare_energies(q):
+    space, action = merge_space(q)
+    samples = [(g, x, y) for g in range(2) for x in range(3) for y in range(3)]
+    new = verdicts(check_equivariance, space, action, samples)
+    assert new == verdicts(reference_check_equivariance, space, action, samples)
+    # c(0, 1) moves onto c(0, 2) == {c: 2}: the energies are 2 and 2 at q = 1, 2 and 4 at q = 2
+    assert new[samples.index((1, 0, 1))] == ((True, None) if q == 1 else (False, "distance changed"))
+
+
+def test_weights_are_tested_on_the_images_under_g_inverse():
+    # only the wall at 0 weighs 2: translating by 1 moves c(-1, 1) onto c(0, 2) with equal energy,
+    # and the first label whose image changes weight is -1 under g^-1, 0 under g
+    space, action = line_walls(lambda label: Fraction(2 if label[0][1][1] == 0 else 1))
+    sample = [(1, (-1,), (1,))]
+    failures = check_equivariance(space, action, sample).failures
+    reference = reference_check_equivariance(space, action, sample).failures
+    assert failures == [{"sample": sample[0], "reason": "weight not preserved", "label": wall((0, -1))}]
+    assert reference == [{"sample": sample[0], "reason": "weight not preserved", "label": wall((0, 0))}]
+
+
+@pytest.mark.parametrize("name", ["dihedral", "proper_sum", "quotient_average", "wreath", "z_walls"])
+def test_a_passing_sample_moves_each_label_once_and_computes_no_energy(name, monkeypatch):
+    node = built(name)
+    base = node.actions["main"]
+    label_calls, relabels, energies = [], [], []
+    action = dataclasses.replace(base, label_map=lambda g, l: label_calls.append(l) or base.label_map(g, l))
+    relabel_, energy = core.relabel, core.q_energy
+    monkeypatch.setattr(core, "relabel", lambda *args: relabels.append(args) or relabel_(*args))
+    monkeypatch.setattr(core, "q_energy", lambda norm, vec: energies.append(vec) or energy(norm, vec))
+    samples = equivariance_samples(node.space, base, 16002)
+    assert check_equivariance(node.space, action, samples).passed
+    assert energies == [] and len(relabels) == len(samples)
+    assert len(label_calls) == sum(len(node.space.diff(x, y)) for _, x, y in samples) > 0
+
+
+# the factor-tagged and wall oracles against SparseVec canonicalisation
 
 
 def reference_oracles(monkeypatch):
@@ -207,9 +411,18 @@ def reference_oracles(monkeypatch):
 
         return dataclasses.replace(naive_space(points, w, q, universe), diff=diff)
 
+    walls_to_labelled = walls_mod.walls_to_labelled
+
+    def walls_space(walls, q):
+        def diff(x, y):
+            return SparseVec([(wall(h), 1 if walls.member(h, x) else -1) for h in walls.separating(x, y)])
+
+        return dataclasses.replace(walls_to_labelled(walls, q), diff=diff)
+
     monkeypatch.setattr(cons, "product_space", product)
     monkeypatch.setattr(cons, "direct_sum_space", direct_sum)
     monkeypatch.setattr(cons, "weighted_naive_space", weighted_naive)
+    monkeypatch.setattr(walls_mod, "walls_to_labelled", walls_space)
 
 
 def zero_weight_lamp_sum():
@@ -218,8 +431,22 @@ def zero_weight_lamp_sum():
     return cons.direct_sum_space(lamps.__getitem__, lambda i: 0, 2, index_window=range(3))
 
 
-SPACES = {name: (lambda name=name: built(name).space) for name in ("product", "proper_sum", "wreath")}
+def coset_walls():
+    walls = walls_mod.coset_walls(FiniteGroup.cyclic(6), [[0, 3], [0, 2, 4]])
+    return walls_mod.walls_to_labelled(walls, 2)
+
+
+def custom_walls():
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "walls.txt").write_text("points a b c\nwall h 1 1 0 0\nwall k 2/3 1 1 0\nwall m 3 0 1 0\n")
+        return build_space({"kind": "walls_custom", "q": 2, "file": "walls.txt"}, Path(tmp)).space
+
+
+SPACES = {name: (lambda name=name: built(name).space)
+          for name in ("product", "proper_sum", "wreath", "z_walls", "z2_walls")}
 SPACES["zero_weight_lamp_sum"] = zero_weight_lamp_sum
+SPACES["coset_walls"] = coset_walls
+SPACES["custom_walls"] = custom_walls
 
 
 @pytest.mark.parametrize("name", sorted(SPACES))
@@ -239,3 +466,14 @@ def test_factor_tagged_oracles_match_sparsevec_canonicalisation(name, monkeypatc
             assert list(vec.items()) == list(reference.diff(a, b).items())
             nonempty += bool(vec)
     assert nonempty > 80
+
+
+def test_a_repeated_wall_is_summed_as_sparsevec_sums_it():
+    base = walls_mod.zn_half_space_walls(1)
+    walls = dataclasses.replace(base, separating=lambda x, y: [*base.separating(x, y), *base.separating(x, y)[:1]])
+    space = walls_mod.walls_to_labelled(walls, 2)
+    for x, y in ((0, 3), (3, 0), (-2, 2), (1, 1)):
+        vec = space.diff((x,), (y,))
+        expected = SparseVec([(wall(h), 1 if walls.member(h, (x,)) else -1) for h in walls.separating((x,), (y,))])
+        assert list(vec.items()) == list(expected.items())
+        assert q_energy(space.norm, vec) == abs(x - y) + 3 * (x != y)

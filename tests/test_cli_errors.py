@@ -276,3 +276,59 @@ def test_table_and_check_keep_to_the_preimage_of_a_scale_pullback(tmp_path, caps
     assert main(["check", config, "--samples", "30"]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["passed"] and report["suites"][0]["samples"] == 30
+
+
+SAMPLED_SCALE_PULLBACK = {
+    "kind": "pullback",
+    "inner": {"kind": "product", "q": 1, "factors": [{"kind": "naive", "points": 3, "q": 1},
+                                                     {"kind": "walls_zn", "dim": 1, "q": 1}]},
+    "map": {"type": "scale", "factor": 5},
+}
+
+
+def write_config(tmp_path, node) -> str:
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(node))
+    return str(config)
+
+
+def test_table_and_check_draw_a_sampled_scale_pullback_from_its_preimage(tmp_path, capsys):
+    # quintupling keeps only the naive point 0 in inner: the sampler redraws until it gets there
+    config = write_config(tmp_path, SAMPLED_SCALE_PULLBACK)
+    assert main(["table", config, "--limit", "3"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len(rows) == 9 and all(row.startswith('"(0, (') for row in rows)
+    assert main(["check", config, "--samples", "3"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["suites"][0]["samples"] == 3
+
+
+def test_scale_maps_the_leaves_of_a_nested_point(tmp_path, capsys):
+    config = write_config(tmp_path, SAMPLED_SCALE_PULLBACK)
+    assert main(["dist", config, "[0,[1]]", "[0,[2]]"]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == "energy 5/1"
+
+
+# doubling sends the metric points "a" and "b" to "aa" and "bb", which are not in inner
+UNDRAWABLE_PULLBACK = {
+    "kind": "product", "q": "sup", "factors": [
+        {"kind": "pullback", "map": {"type": "scale", "factor": 2},
+         "inner": {"kind": "product", "q": "sup", "factors": [
+             {"kind": "metric_linf", "points": ["a", "b"], "matrix": [[0, 1], [1, 0]]},
+             {"kind": "walls_zn", "dim": 1, "q": "sup"}]}},
+        {"kind": "naive", "points": 2, "q": "sup"}],
+}
+
+
+def test_check_exits_2_naming_the_node_whose_sampler_gives_up(tmp_path, capsys):
+    config = write_config(tmp_path, UNDRAWABLE_PULLBACK)
+    code, err = run(["check", config, "--samples", "3"], capsys)
+    assert code == 2 and err.startswith("configuration error: root.factors[0]: none of") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [["table", "--limit", "3"], ["export", "--what", "labels", "--limit", "3"]])
+def test_table_and_export_list_what_an_undrawable_sampler_gave(argv, tmp_path, capsys):
+    config = write_config(tmp_path, UNDRAWABLE_PULLBACK)
+    assert main([argv[0], config, *argv[1:]]) == 0
+    captured = capsys.readouterr()
+    assert "# listed 0 of 3 points: seeded sampling found no more" in captured.out + captured.err
