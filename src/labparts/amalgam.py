@@ -27,8 +27,8 @@ from __future__ import annotations
 
 import functools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import (
     Action,
@@ -40,7 +40,7 @@ from .core import (
     PointUniverse,
     SUP,
     Space,
-    SparseVec,
+    _vec,
     half_weight,
     q_energy,
     vertex_tag,
@@ -52,8 +52,7 @@ from .groups import AmalgamGroup, ReducedWord, ball_enumerate
 VertexId = tuple  # (side 'L'|'R', tail-free ReducedWord in the rep system)
 
 
-@dataclass(frozen=True)
-class TotalPoint:
+class TotalPoint(NamedTuple):
     """A point of the total space: a C-coset inside one vertex's coset space."""
 
     vertex: VertexId
@@ -244,12 +243,13 @@ def vertex_induced_space(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: S
         path, edges = tree.segment(x.vertex, y.vertex)
         toward_x = [tree.project(path[0], x)] + edges
         toward_y = edges + [tree.project(path[-1], y)]
-        entries = []
+        # the path's vertices are distinct, so the tagged labels are too
+        entries = {}
         for v, px, py in zip(path, toward_x, toward_y):
             if px != py:
                 for label, value in structs[v[0]].diff(tree.side_point(v, px), tree.side_point(v, py)).items():
-                    entries.append((vertex_tag(v, label), value))
-        return SparseVec(entries)
+                    entries[vertex_tag(v, label)] = value
+        return _vec(entries)
 
     def weight_of(label):
         (tag, v) = label[0]
@@ -269,10 +269,12 @@ def tree_induced_space(tree: TreeOfCosetSpaces, q) -> Space:
 
     def diff(x, y):
         path, edges = tree.segment(x.vertex, y.vertex)
-        entries = []
+        # the path's edges are distinct, and the two ends of an edge lie on different sides
+        entries = {}
         for u, v, edge in zip(path, path[1:], edges):
-            entries += [(wall((edge, u[0])), ONE), (wall((edge, v[0])), MINUS_ONE)]
-        return SparseVec(entries)
+            entries[wall((edge, u[0]))] = ONE
+            entries[wall((edge, v[0]))] = MINUS_ONE
+        return _vec(entries)
 
     return Space(universe=tree.universe(), diff=diff, norm=NormSpec(q, half_weight))
 
@@ -298,7 +300,8 @@ def amalgam_space(
     actions = {"L": action_gc, "R": action_hc}
 
     def diff(x, y):
-        return vertex_part.diff(x, y) + tree_part.diff(x, y)
+        # vertex and wall labels never meet, so the two parts join without summing
+        return _vec(vertex_part.diff(x, y)._entries | tree_part.diff(x, y)._entries)
 
     def weight_of(label):
         return vertex_part.norm.weight(label) if label[0][0] == "vertex" else half_weight(label)

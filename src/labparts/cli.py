@@ -323,6 +323,11 @@ def _pullback_map(*, type: one_of("identity", "constant", "scale"), value: anyth
     return type, value, factor
 
 
+def _integer_tree(y) -> bool:
+    """Whether ``y`` is an int or a plain tuple of such trees, as the points a scale map multiplies are."""
+    return type(y) is int or (type(y) is tuple and all(map(_integer_tree, y)))
+
+
 # draws of 'inner' that a sampled pullback makes for one point before it gives up
 PULLBACK_DRAWS = 1000
 
@@ -335,10 +340,13 @@ def _build_pullback(*, inner: node, map: obj(_pullback_map)):
             raise ValueError(f"constant map value {value!r} is not a point of 'inner'")
         f = lambda y: target
     elif mtype == "scale":
+        if not _integer_tree(inner.basepoint):
+            raise ValueError(f"a scale map multiplies integers, but the points of 'inner' ({inner.path}) "
+                             f"are not integers or tuples of them: {inner.basepoint!r}")
 
         def f(y):
             # the leaves of nested tuples are scaled: (0, (1,)) maps to (0, (c,))
-            return tuple(f(v) for v in y) if isinstance(y, tuple) else c * y
+            return tuple(f(v) for v in y) if type(y) is tuple else c * y
 
     else:
         f = lambda y: y
@@ -591,7 +599,7 @@ def json_ready(obj):
         return rational_str(obj)
     if isinstance(obj, dict):
         return {str(k): json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if type(obj) in (list, tuple):  # a reduced word or total point is a named tuple, written by its repr
         return [json_ready(v) for v in obj]
     if isinstance(obj, (int, float, str, bool)) or obj is None:
         return obj

@@ -200,8 +200,9 @@ class SparseVec:
 
 def _vec(entries: dict) -> SparseVec:
     """Wrap a dict already holding only nonzero Fractions, without re-checking; the
-    factor-tagged oracles of ``product_space`` and ``direct_sum_space`` and the
-    wall oracle of ``walls_to_labelled`` use it too."""
+    factor-tagged oracles of ``product_space`` and ``direct_sum_space``, the wall
+    oracle of ``walls_to_labelled``, the vertex-induced, tree-induced and amalgam
+    oracles of ``amalgam`` and the free-tree oracle use it too."""
     out = SparseVec.__new__(SparseVec)
     object.__setattr__(out, "_entries", entries)
     return out

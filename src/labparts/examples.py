@@ -35,6 +35,7 @@ from .core import (
     Space,
     SparseVec,
     SUP,
+    _vec,
     coset_fn,
     dirac,
     finite_universe,
@@ -177,14 +178,15 @@ def free_tree_space(rank: int, q, sample_radius: int = 4) -> tuple[Space, Action
     free = FreeGroup(rank)
 
     def diff(x, y):
-        entries = []
+        # the geodesic's vertices are distinct, so are the two labels at each
+        entries = {}
         for a in geodesic(free, x, y):
             bx = tree_neighbour(free, a, x)
             by = tree_neighbour(free, a, y)
             if bx != by:
-                entries.append((pair_label(a, bx), ONE))
-                entries.append((pair_label(a, by), MINUS_ONE))
-        return SparseVec(entries)
+                entries[pair_label(a, bx)] = ONE
+                entries[pair_label(a, by)] = MINUS_ONE
+        return _vec(entries)
 
     ball: list | None = None
 

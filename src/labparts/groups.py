@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import InvalidInput
 
@@ -457,15 +457,15 @@ def ball_enumerate(group, radius: int, generators: Iterable | None = None) -> li
 # amalgamated free products
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(NamedTuple):
     """Normal form g1 h1 ... gn hn c over fixed coset representative systems.
 
     ``pairs`` alternates representatives of G/C and H/C; interior syllables
     are nontrivial (g_i != e for i > 1, h_i != e for i < n) while the leading
     g1 and the trailing hn may be the identity.  ``tail`` is an element of
-    the common subgroup C.  Dataclass equality is exactly equality in the
-    amalgam.
+    the common subgroup C.  Tuple equality is exactly equality in the
+    amalgam; as a tuple, a word also equals the plain tuple (pairs, tail),
+    so a membership test that must reject plain tuples tests the type.
     """
 
     pairs: tuple[tuple[int, int], ...]

@@ -35,6 +35,31 @@ def base_points(t):
 
 
 # ---------------------------------------------------------------------------
+# value types
+
+
+def test_words_and_points_keep_their_repr_and_field_tuple_hash(z46_tree, rng):
+    t = z46_tree
+    assert repr(t.base_point) == ("TotalPoint(vertex=('L', ReducedWord(pairs=(), tail=0)), "
+                                  "coset=ReducedWord(pairs=(), tail=0))")
+    for w in ball_words(t.am, 3) + [long_word(t.am, rng, 6)]:
+        assert hash(w) == hash((w.pairs, w.tail))
+        x = t.act_point(w, t.base_point)
+        assert hash(x) == hash((x.vertex, x.coset))
+
+
+def test_membership_rejects_plain_tuples_equal_to_words_and_points(z46_tree):
+    t = z46_tree
+    vertex = t.act_vertex(t.am.normal_form([("L", 1), ("R", 1)]), t.base_vertex)
+    assert t.contains_point(t.base_point) and t.is_vertex(vertex)
+    # a word or point equals the plain tuple of its fields, so membership tests the type
+    plain_point, plain_vertex = tuple(t.base_point), ("L", tuple(vertex[1]))
+    assert plain_point == t.base_point and plain_vertex == vertex
+    assert not t.contains_point(plain_point) and not t.is_vertex(plain_vertex)
+    assert not t.is_vertex(vertex[1]) and not t.contains_point(vertex)
+
+
+# ---------------------------------------------------------------------------
 # tree geometry
 
 

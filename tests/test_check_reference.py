@@ -1,7 +1,7 @@
 """The check kernels and the factor-tagged and wall oracles against their
 straightforward reference forms: every oracle pair through ``sep`` with all
 five energies computed, the equivariance check with both energies computed
-and weights tested under g, and every factor-tagged or wall vector
+and weights tested under g, and every factor-tagged, wall or tree vector
 canonicalised by ``SparseVec``."""
 
 import dataclasses
@@ -13,8 +13,10 @@ from pathlib import Path
 
 import pytest
 
+from labparts import amalgam as amalgam_mod
 from labparts import constructions as cons
 from labparts import core
+from labparts import examples as examples_mod
 from labparts import walls as walls_mod
 from labparts.cli import build_space
 from labparts.core import (
@@ -38,6 +40,7 @@ from labparts.core import (
     relabel,
     sep,
     values_match,
+    vertex_tag,
     wall,
 )
 from labparts.groups import FiniteGroup, ball_enumerate
@@ -381,8 +384,9 @@ def test_a_passing_sample_moves_each_label_once_and_computes_no_energy(name, mon
 
 
 def reference_oracles(monkeypatch):
-    """Make the constructions build their factor-tagged and naive vectors through
-    ``SparseVec(list(entries))``, which sums repeated labels and drops zeros."""
+    """Make the constructions build their factor-tagged, naive, vertex-tagged,
+    half-tree and free-tree vectors through ``SparseVec(list(entries))``, which
+    sums repeated labels and drops zeros."""
     product_space, direct_sum_space, naive_space = cons.product_space, cons.direct_sum_space, cons.weighted_naive_space
 
     def product(factors, q):
@@ -419,10 +423,48 @@ def reference_oracles(monkeypatch):
 
         return dataclasses.replace(walls_to_labelled(walls, q), diff=diff)
 
+    vertex_induced_space, tree_induced_space = amalgam_mod.vertex_induced_space, amalgam_mod.tree_induced_space
+
+    def vertex_induced(tree, struct_gc, struct_hc, q):
+        structs = {"L": struct_gc, "R": struct_hc}
+
+        def diff(x, y):
+            path, edges = tree.segment(x.vertex, y.vertex)
+            ends = zip(path, [tree.project(path[0], x)] + edges, edges + [tree.project(path[-1], y)])
+            return SparseVec([(vertex_tag(v, label), value) for v, px, py in ends
+                              for label, value in structs[v[0]].diff(tree.side_point(v, px),
+                                                                     tree.side_point(v, py)).items()])
+
+        return dataclasses.replace(vertex_induced_space(tree, struct_gc, struct_hc, q), diff=diff)
+
+    def tree_induced(tree, q):
+        def diff(x, y):
+            path, edges = tree.segment(x.vertex, y.vertex)
+            return SparseVec([entry for u, v, edge in zip(path, path[1:], edges)
+                              for entry in ((wall((edge, u[0])), 1), (wall((edge, v[0])), -1))])
+
+        return dataclasses.replace(tree_induced_space(tree, q), diff=diff)
+
+    free_tree_space = examples_mod.free_tree_space
+
+    def free_tree(rank, q, sample_radius=4):
+        space, action, free = free_tree_space(rank, q, sample_radius)
+
+        def diff(x, y):
+            neighbours = [(a, examples_mod.tree_neighbour(free, a, x), examples_mod.tree_neighbour(free, a, y))
+                          for a in examples_mod.geodesic(free, x, y)]
+            return SparseVec([entry for a, bx, by in neighbours
+                              for entry in ((pair_label(a, bx), 1), (pair_label(a, by), -1))])
+
+        return dataclasses.replace(space, diff=diff), action, free
+
     monkeypatch.setattr(cons, "product_space", product)
     monkeypatch.setattr(cons, "direct_sum_space", direct_sum)
     monkeypatch.setattr(cons, "weighted_naive_space", weighted_naive)
     monkeypatch.setattr(walls_mod, "walls_to_labelled", walls_space)
+    monkeypatch.setattr(amalgam_mod, "vertex_induced_space", vertex_induced)
+    monkeypatch.setattr(amalgam_mod, "tree_induced_space", tree_induced)
+    monkeypatch.setattr(examples_mod, "free_tree_space", free_tree)
 
 
 def zero_weight_lamp_sum():
@@ -443,7 +485,7 @@ def custom_walls():
 
 
 SPACES = {name: (lambda name=name: built(name).space)
-          for name in ("product", "proper_sum", "wreath", "z_walls", "z2_walls")}
+          for name in ("product", "proper_sum", "wreath", "z_walls", "z2_walls", "amalgam_q2", "free_tree")}
 SPACES["zero_weight_lamp_sum"] = zero_weight_lamp_sum
 SPACES["coset_walls"] = coset_walls
 SPACES["custom_walls"] = custom_walls

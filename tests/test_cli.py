@@ -260,6 +260,39 @@ def config_node(name):
     return json.loads((CONFIGS / name).read_text())
 
 
+POWER_TERM_REPORT = """\
+{
+  "passed": false,
+  "suites": [
+    {
+      "failures": [
+        {
+          "formula": "5/1",
+          "oracle": "3/1",
+          "word": "ReducedWord(pairs=((0, 1),), tail=0)"
+        },
+        {
+          "formula": "5/1",
+          "oracle": "3/1",
+          "word": "ReducedWord(pairs=((0, 2),), tail=1)"
+        }
+      ],
+      "name": "amalgam-formula[power]",
+      "passed": false,
+      "samples": 6
+    }
+  ]
+}
+"""
+
+
+def test_a_failure_report_writes_each_word_by_its_repr(capsys):
+    # a reduced word is a named tuple; the report keeps it whole, not as nested lists
+    config = str(CONFIGS / "amalgam_q2.json")
+    assert main(["check", config, "--suite", "amalgam", "--amalgam-tree-term", "power", "--samples", "6"]) == 1
+    assert capsys.readouterr().out == POWER_TERM_REPORT
+
+
 @pytest.mark.parametrize("index", ["#-1", "#abc", "#", "#400"])
 def test_bad_point_index_is_a_config_error(capsys, index):
     # the wreath orbit is finite (16 points), so #400 is out of range

@@ -309,12 +309,12 @@ def test_scale_maps_the_leaves_of_a_nested_point(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[0] == "energy 5/1"
 
 
-# doubling sends the metric points "a" and "b" to "aa" and "bb", which are not in inner
+# doubling sends the metric points 1 and 3 to 2 and 6, which are not in inner
 UNDRAWABLE_PULLBACK = {
     "kind": "product", "q": "sup", "factors": [
         {"kind": "pullback", "map": {"type": "scale", "factor": 2},
          "inner": {"kind": "product", "q": "sup", "factors": [
-             {"kind": "metric_linf", "points": ["a", "b"], "matrix": [[0, 1], [1, 0]]},
+             {"kind": "metric_linf", "points": [1, 3], "matrix": [[0, 1], [1, 0]]},
              {"kind": "walls_zn", "dim": 1, "q": "sup"}]}},
         {"kind": "naive", "points": 2, "q": "sup"}],
 }
@@ -332,3 +332,27 @@ def test_table_and_export_list_what_an_undrawable_sampler_gave(argv, tmp_path, c
     assert main([argv[0], config, *argv[1:]]) == 0
     captured = capsys.readouterr()
     assert "# listed 0 of 3 points: seeded sampling found no more" in captured.out + captured.err
+
+
+AMALGAM = {"kind": "amalgam", "left": {"cyclic": 4}, "right": {"cyclic": 6},
+           "common": {"left": [0, 2], "right": [0, 3]}, "q": 2}
+METRIC = {"kind": "metric_linf", "points": ["a", "b"], "matrix": [[0, 1], [1, 0]]}
+WALLS = {"kind": "walls_custom", "q": 2, "file": "walls.txt"}
+
+
+@pytest.mark.parametrize("inner, argv", [
+    (AMALGAM, ["table", "--limit", "3"]),
+    (AMALGAM, ["check", "--samples", "3"]),
+    (METRIC, ["dist", "0", "0"]),
+    (WALLS, ["table", "--limit", "3"]),
+    ({"kind": "product", "q": "sup", "factors": [{"kind": "walls_zn", "dim": 1, "q": "sup"}, METRIC]},
+     ["check", "--samples", "3"]),
+], ids=["amalgam-table", "amalgam-check", "metric", "walls_custom", "product-with-metric"])
+def test_a_scale_map_over_points_that_are_not_integer_trees_exits_2(inner, argv, tmp_path, capsys):
+    # a scale map multiplies integers: over words, total points or strings it is refused when built
+    (tmp_path / "walls.txt").write_text("points a b c\nwall h 1 1 0 0\n")
+    config = write_config(tmp_path, {"kind": "pullback", "inner": inner, "map": {"type": "scale", "factor": 2}})
+    code, err = run([argv[0], config, *argv[1:]], capsys)
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("configuration error: root: a scale map multiplies integers, "
+                          "but the points of 'inner' (root.inner) are not integers or tuples of them")
