@@ -307,36 +307,33 @@ def amalgam_space(
         return vertex_part.norm.weight(label) if label[0][0] == "vertex" else half_weight(label)
 
     # a label bijection moves its support labels by one element; the labels of
-    # one vertex come together, and so do both orientations of one edge; each memo is
-    # read once and replaced whole, so no thread pairs one call's key with another's value
+    # one vertex come together, and so do both orientations of one edge, so each
+    # move is memoised for its last arguments, and the inverses of the last
+    # element and vertex word are kept (an lru_cache is thread-safe)
     am = tree.am
-    inv_gamma = functools.lru_cache(maxsize=1)(am.inv)
-    vertex_memo, edge_memo, inv_memo = (None, (None, None)), (None, None), (None, None)
+    inverse = functools.lru_cache(maxsize=2)(am.inv)
+
+    @functools.lru_cache(maxsize=1)
+    def moved_edge(gamma, edge):
+        return tree.tail_free(am.mul(inverse(gamma), edge))
+
+    @functools.lru_cache(maxsize=1)
+    def moved_vertex(gamma, slot):
+        # gamma v1 = v2 g for the canonical words of v1 and v2 = slot
+        v1 = tree.act_vertex(inverse(gamma), slot)
+        g = am.as_side_element(slot[0], am.mul(inverse(slot[1]), am.mul(gamma, v1[1])))
+        if g is None:
+            raise DomainError("vertex label map left the factor group")
+        return v1, g
 
     def label_map(gamma, label):
-        nonlocal vertex_memo, edge_memo, inv_memo
         tag = label[0][0]
         if tag == "wall":
             edge, side = label[0][1]
-            key, moved = edge_memo
-            if key != (gamma, edge):
-                moved = tree.tail_free(am.mul(inv_gamma(gamma), edge))
-                edge_memo = (gamma, edge), moved
-            return wall((moved, side)), 1
+            return wall((moved_edge(gamma, edge), side)), 1
         if tag == "vertex":
             slot = label[0][1]
-            key, (v1, g) = vertex_memo
-            if key != (gamma, slot):
-                # gamma v1 = v2 g for the canonical words of v1 and v2 = slot
-                v1 = tree.act_vertex(inv_gamma(gamma), slot)
-                word, word_inv = inv_memo
-                if word != slot[1]:
-                    word_inv = am.inv(slot[1])
-                    inv_memo = slot[1], word_inv
-                g = am.as_side_element(slot[0], am.mul(word_inv, am.mul(gamma, v1[1])))
-                if g is None:
-                    raise DomainError("vertex label map left the factor group")
-                vertex_memo = (gamma, slot), (v1, g)
+            v1, g = moved_vertex(gamma, slot)
             target, sign = actions[slot[0]].label_map(g, label[1:])
             return vertex_tag(v1, target), sign
         raise DomainError(f"unrecognised amalgam label {label!r}")

@@ -44,15 +44,14 @@ from .core import (
     pair_energy,
     q_energy,
     sep,
-    unit_weight,
 )
 from .groups import (
     AmalgamGroup,
     DirectSumGroup,
     FiniteGroup,
-    ProductGroup,
     ZGroup,
     ball_enumerate,
+    coset_table,
     infinite_dihedral,
     spheres,
 )
@@ -64,6 +63,17 @@ class ConfigError(ValueError):
 
 class SamplingError(ConfigError):
     """A sampled node gave up drawing a point of its own universe."""
+
+
+def json_point(value):
+    """A point as a tuple space holds it: JSON lists become tuples at any depth,
+    booleans and decimals are rejected, and any other value (an object too) is
+    left for the space's membership test."""
+    if type(value) is list:
+        return tuple(json_point(v) for v in value)
+    if isinstance(value, (bool, float, Fraction)):
+        raise ValueError(f"invalid literal for a point: {float(value) if isinstance(value, Fraction) else value!r}")
+    return value
 
 
 @dataclass
@@ -78,7 +88,7 @@ class Built:
     space: Space
     actions: dict = field(default_factory=dict)
     basepoint: Any = None
-    coerce: Callable[[Any], Point] = lambda v: v
+    coerce: Callable[[Any], Point] = json_point
     orbit: bool = False
     extras: dict = field(default_factory=dict)
     path: str = "root"
@@ -285,16 +295,7 @@ def _build_naive(*, q: exponent, points: integer = None, group: finite_group = N
 def _build_walls_zn(*, q: exponent, dim: integer, extent: integer = 8):
     walls = walls_mod.zn_half_space_walls(dim, window=extent)
     space = walls_mod.walls_to_labelled(walls, q)
-    group = ProductGroup([ZGroup()] * dim)
-
-    def point_map(t, x):
-        return tuple(xi + ti for xi, ti in zip(x, t))
-
-    def label_map(t, label):
-        (tag, (axis, k)) = label[0]
-        return walls_mod.wall((axis, k - t[axis])), 1
-
-    action = Action(group=group, point_map=point_map, label_map=label_map)
+    action = walls_mod.zn_translation_action(dim)
 
     def coerce(v):
         return (integer(v),) if dim == 1 and not isinstance(v, list) else integers(v)
@@ -418,9 +419,9 @@ def infinite_dihedral_built(q: exponent, *, preset: one_of("infinite_dihedral") 
     """The infinite dihedral group acting on (integer-line walls) x (naive Z/2);
     the builder of the ``semidirect`` kind, whose only preset this is."""
     space1, action1 = walls_mod.z_line_walls_space(q)
-    flip_group = FiniteGroup.cyclic(2, name="Z2")
-    space2, action2 = cons.group_naive_space(flip_group, q)
     group = infinite_dihedral()
+    flip_group = group.quotient
+    space2, action2 = cons.group_naive_space(flip_group, q)
 
     def twist_point(s, x):
         return (-x[0],) if s == 1 else x
@@ -469,11 +470,11 @@ def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> t
     are permuted by the lamp translations and the shifter, with sign flips
     exactly when a lamp translation crosses a support wall.
     """
-    from .groups import coset_table as _coset_table
-
-    cosets = _coset_table(group_g, subgroup_l)
+    cosets = coset_table(group_g, subgroup_l)
     index_set = cosets.reps
     group_w = DirectSumGroup(factor, index_set)
+    hs = [x for x in factor.elements() if x != factor.identity]
+    lamps = {(j, h) for j in index_set for h in hs}
 
     def shift(g, i):
         return cosets.rep_of[group_g.mul(g, i)]
@@ -482,12 +483,13 @@ def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> t
         if not (isinstance(p, tuple) and len(p) == 2):
             return False
         w, i = p
-        return i in index_set and isinstance(w, tuple)
+        # w is an element of group_w in its normal form: increasing indices, no identity lamp
+        return (i in index_set and isinstance(w, tuple) and all(e in lamps for e in w)
+                and all(a[0] < b[0] for a, b in zip(w, w[1:])))
 
     def sampler(rng: random.Random):
         k = rng.randrange(0, 3)
         idx = rng.sample(list(index_set), min(k, len(index_set)))
-        hs = [x for x in factor.elements() if x != factor.identity]
         w = tuple(sorted((i, rng.choice(hs)) for i in idx))
         return (w, index_set[rng.randrange(len(index_set))])
 
@@ -499,16 +501,7 @@ def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> t
         return i == j
 
     wall_ids = [("supp", j) for j in index_set] + [("pos", j) for j in index_set]
-
-    def separating(p, pb):
-        return [h for h in wall_ids if member(h, p) != member(h, pb)]
-
-    walls = walls_mod.MeasuredWalls(
-        universe=walls_mod.PointUniverse(contains=contains, sampler=sampler),
-        weight=unit_weight,
-        member=member,
-        separating=separating,
-    )
+    walls = walls_mod.finite_walls(PointUniverse(contains=contains, sampler=sampler), wall_ids, member)
 
     def label_map_w(w, label):
         # order-2 lamps only: translating by a nontrivial w_j swaps the two
@@ -805,7 +798,7 @@ def _parse_points(built: Built, texts: list[str]) -> list:
 def _parse_point(built: Built, text: str) -> Point:
     try:
         point = built.coerce(json.loads(text))
-    except (TypeError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+    except (TypeError, ValueError, RecursionError) as exc:  # json.JSONDecodeError, deep nesting
         raise ConfigError(f"point {text!r} is neither an index (#k) nor JSON of this space's point type") from exc
     if not _contains(built.space, point):
         raise ConfigError(f"point {text!r} is not in this space")

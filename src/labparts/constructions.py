@@ -364,8 +364,9 @@ class SemidirectData:
     twist_action: Action
     group: SemidirectGroup
 
-    def check_compatibility(self, rng: random.Random) -> bool:
-        """Whether g2 g1 g2^{-1} acts as twist(g2)(g1) on 40 sampled (g1, g2, x1)."""
+    def check_compatibility(self) -> bool:
+        """Whether g2 g1 g2^{-1} acts as twist(g2)(g1) on 40 (g1, g2, x1) sampled with seed 0."""
+        rng = random.Random(0)
         g1s = list(self.action1.group.generators) + [self.action1.group.identity]
         g2s = list(self.action2.group.generators) + [self.action2.group.identity]
         for _ in range(40):
@@ -384,7 +385,7 @@ class SemidirectData:
 def semidirect_space(data: SemidirectData, q) -> tuple[Space, Action]:
     """Product structure on X1 x X2 with the glued semidirect action
     tau(g1, g2)(x1, x2) = (g1 . (twist(g2) . x1), g2 . x2)."""
-    if not data.check_compatibility(random.Random(0)):
+    if not data.check_compatibility():
         raise InvalidInput("twist action is not compatible with the first factor action")
 
     space = product_space([data.space1, data.space2], q)

@@ -330,11 +330,6 @@ class PointUniverse:
             raise DomainError("universe has neither enumeration nor sampler")
         return [self.sampler(rng) for _ in range(n)]
 
-    def enumerate(self) -> tuple:
-        if self.points is None:
-            raise DomainError("universe is not finitely enumerable")
-        return self.points
-
 
 def finite_universe(points: Iterable) -> PointUniverse:
     pts = tuple(points)

@@ -113,38 +113,24 @@ class FiniteGroup:
     # -- constructors -------------------------------------------------------
 
     @staticmethod
-    def cyclic(n: int, name: str = "") -> "FiniteGroup":
+    def cyclic(n: int) -> "FiniteGroup":
         table = [[(i + j) % n for j in range(n)] for i in range(n)]
         gens = (1,) if n > 1 else ()
-        return FiniteGroup(table, gens, name=name or f"Z{n}")
-
-    @staticmethod
-    def from_permutations(perms: Sequence[tuple], generators: Iterable[int] = (), name: str = "") -> "FiniteGroup":
-        """Group of the given permutation tuples under composition p(q(.))."""
-        perms = [tuple(p) for p in perms]
-        index = {p: i for i, p in enumerate(perms)}
-        if len(index) != len(perms):
-            raise InvalidInput("duplicate permutations")
-        table = []
-        for p in perms:
-            row = []
-            for q in perms:
-                comp = tuple(p[q[k]] for k in range(len(p)))
-                if comp not in index:
-                    raise InvalidInput("permutation set is not closed under composition")
-                row.append(index[comp])
-            table.append(row)
-        return FiniteGroup(table, generators, name=name)
+        return FiniteGroup(table, gens, name=f"Z{n}")
 
     @staticmethod
     def symmetric(n: int) -> "FiniteGroup":
+        """S_n on the sorted permutations of range(n), composed as p(q(.)),
+        generated by the transposition (0 1) and the n-cycle."""
         perms = sorted(itertools.permutations(range(n)))
+        index = {p: i for i, p in enumerate(perms)}
+        table = [[index[tuple(p[k] for k in q)] for q in perms] for p in perms]
         gens: list[int] = []
         if n >= 2:
-            gens.append(perms.index(tuple([1, 0] + list(range(2, n)))))
+            gens.append(index[(1, 0, *range(2, n))])
         if n >= 3:
-            gens.append(perms.index(tuple(list(range(1, n)) + [0])))
-        return FiniteGroup.from_permutations(perms, generators=gens, name=f"S{n}")
+            gens.append(index[(*range(1, n), 0)])
+        return FiniteGroup(table, gens, name=f"S{n}")
 
     # -- file round trip ------------------------------------------------------
 
@@ -195,7 +181,6 @@ class CosetTable:
     g = rep(g) * factor(g) with factor(g) in C.
     """
 
-    group: FiniteGroup
     subgroup: tuple
     reps: tuple
     rep_of: tuple
@@ -220,7 +205,7 @@ def coset_table(group: FiniteGroup, subgroup: Iterable[int]) -> CosetTable:
     factor_of = tuple(group.mul(group.inv(rep_of[g]), g) for g in range(group.size))
     if any(f not in sub for f in factor_of):
         raise InvalidInput("coset decomposition left the subgroup")
-    return CosetTable(group, sub, tuple(reps), tuple(rep_of), factor_of)
+    return CosetTable(sub, tuple(reps), tuple(rep_of), factor_of)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +362,7 @@ class SemidirectGroup:
 
 def infinite_dihedral() -> SemidirectGroup:
     """Z x| Z/2 with the flip acting by negation."""
-    flip = FiniteGroup.cyclic(2, name="Z2")
+    flip = FiniteGroup.cyclic(2)
     return SemidirectGroup(ZGroup(), flip, twist=lambda s, n: -n if s == 1 else n)
 
 
@@ -491,13 +476,12 @@ class AmalgamGroup:
     """
 
     def __init__(self, left: FiniteGroup, right: FiniteGroup, common: FiniteGroup,
-                 embed_left: Sequence[int], embed_right: Sequence[int], name: str = ""):
+                 embed_left: Sequence[int], embed_right: Sequence[int]):
         self.left = left
         self.right = right
         self.common = common
         self.embed_left = tuple(embed_left)
         self.embed_right = tuple(embed_right)
-        self.name = name
         for embed, target, side in ((self.embed_left, left, "left"), (self.embed_right, right, "right")):
             if len(embed) != common.size or len(set(embed)) != common.size:
                 raise InvalidInput(f"{side} embedding is not injective on C")
@@ -693,7 +677,7 @@ class AmalgamGroup:
         return 0 <= word.tail < self.common.size
 
     def __repr__(self) -> str:
-        return f"AmalgamGroup({self.name or (self.left.name + '*' + self.right.name)})"
+        return f"AmalgamGroup({self.left.name}*{self.right.name})"
 
 
 def z4_z6_amalgam() -> AmalgamGroup:
@@ -701,4 +685,4 @@ def z4_z6_amalgam() -> AmalgamGroup:
     z4 = FiniteGroup.cyclic(4)
     z6 = FiniteGroup.cyclic(6)
     z2 = FiniteGroup.cyclic(2)
-    return AmalgamGroup(z4, z6, z2, embed_left=(0, 2), embed_right=(0, 3), name="Z4*Z6")
+    return AmalgamGroup(z4, z6, z2, embed_left=(0, 2), embed_right=(0, 3))

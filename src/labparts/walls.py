@@ -32,7 +32,7 @@ from .core import (
     unit_weight,
     wall,
 )
-from .groups import FiniteGroup, ZGroup, coset_table
+from .groups import FiniteGroup, ProductGroup, ZGroup, coset_table
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,15 @@ class MeasuredWalls:
         self.universe.require(x)
         self.universe.require(y)
         return sum((Fraction(self.weight(h)) for h in self.separating(x, y)), Fraction(0))
+
+
+def finite_walls(universe: PointUniverse, wall_ids: Iterable, member: Callable[[Any, Point], bool],
+                 weight: Callable[[Any], Fraction] = unit_weight) -> MeasuredWalls:
+    """Walls from a finite list of ids: the walls separating x and y are the
+    ids, in list order, whose ``member`` test differs on x and y."""
+    wall_ids = tuple(wall_ids)
+    return MeasuredWalls(universe=universe, weight=weight, member=member,
+                         separating=lambda x, y: [h for h in wall_ids if member(h, x) != member(h, y)])
 
 
 def walls_to_labelled(walls: MeasuredWalls, q) -> Space:
@@ -133,30 +142,31 @@ def zn_half_space_walls(n: int, window: int = 8) -> MeasuredWalls:
 
 
 def zn_translation_action(n: int) -> Action:
-    """Translation of Z^n on the half-space-walls space, with label map.
+    """Translation of Z^n, as n copies of Z, on the half-space-walls space.
 
-    Only provided for n = 1 as a ZGroup action; higher n actions are built
-    through products.  Pulling the indicator of {x <= k} back along the
-    translation by t gives the indicator of {x <= k - t}.
+    A group element is the translation vector t.  Pulling the indicator of
+    {x_i <= k} back along the translation by t gives the indicator of
+    {x_i <= k - t_i}.
     """
-    if n != 1:
-        raise DomainError("direct translation action provided for n=1 only")
-    group = ZGroup()
 
     def point_map(t, x):
-        return (x[0] + t,)
+        return tuple(xi + ti for xi, ti in zip(x, t))
 
     def label_map(t, label):
         (tag, (axis, k)) = label[0]
-        return wall((axis, k - t)), 1
+        return wall((axis, k - t[axis])), 1
 
-    return Action(group=group, point_map=point_map, label_map=label_map)
+    return Action(group=ProductGroup([ZGroup()] * n), point_map=point_map, label_map=label_map)
 
 
 def z_line_walls_space(q) -> tuple[Space, Action]:
-    """The integer line with half-line walls and its translation action."""
+    """The integer line with half-line walls and its translation action by Z
+    itself: the integer t acts as the vector (t,) of ``zn_translation_action(1)``."""
     space = walls_to_labelled(zn_half_space_walls(1), q)
-    return space, zn_translation_action(1)
+    line = zn_translation_action(1)
+    action = Action(group=ZGroup(), point_map=lambda t, x: line.point_map((t,), x),
+                    label_map=lambda t, label: line.label_map((t,), label))
+    return space, action
 
 
 # ---------------------------------------------------------------------------
@@ -177,22 +187,7 @@ def coset_walls(group: FiniteGroup, subgroups: Iterable[Iterable[int]]) -> Measu
         i, rep = h
         return tables[i].rep_of[x] == rep
 
-    def separating(x, y):
-        return [h for h in wall_ids if member(h, x) != member(h, y)]
-
-    return MeasuredWalls(
-        universe=finite_group_universe(group),
-        weight=unit_weight,
-        member=member,
-        separating=separating,
-    )
-
-
-def finite_group_universe(group: FiniteGroup) -> PointUniverse:
-    return PointUniverse(
-        contains=lambda x: isinstance(x, int) and 0 <= x < group.size,
-        points=tuple(range(group.size)),
-    )
+    return finite_walls(finite_universe(range(group.size)), wall_ids, member)
 
 
 def coset_walls_action(group: FiniteGroup, walls: MeasuredWalls, tables_subgroups: Iterable[Iterable[int]]) -> Action:
@@ -242,9 +237,4 @@ def custom_walls_load(path) -> MeasuredWalls:
     weights = {wid: w for wid, w, _ in walls}
     masks = {wid: mask for wid, _, mask in walls}
 
-    return MeasuredWalls(
-        universe=finite_universe(points),
-        weight=lambda h: weights[h],
-        member=lambda h, x: masks[h][x],
-        separating=lambda x, y: [h for h in weights if masks[h][x] != masks[h][y]],
-    )
+    return finite_walls(finite_universe(points), weights, lambda h, x: masks[h][x], weight=weights.__getitem__)

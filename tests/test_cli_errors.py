@@ -1,5 +1,6 @@
 """The CLI's error contract: bad input exits 2, never with a traceback."""
 
+import ast
 import json
 import shutil
 import tempfile
@@ -241,6 +242,47 @@ def test_an_unhashable_point_on_a_finite_universe_exits_2(node, literal, tmp_pat
     assert code == 2 and "is not in this space" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["dihedral.json", "proper_sum.json", "wreath.json"])
+def test_a_point_that_table_prints_is_a_dist_literal(name, capsys):
+    """Each point that ``table`` lists, written back as JSON, names the same
+    point as its ``#k`` index: JSON lists are read as the tuples the space holds."""
+    config = str(CONFIGS / name)
+    assert main(["table", config, "--limit", "6"]) == 0
+    listed = list(dict.fromkeys(row.split('",')[0][1:] for row in capsys.readouterr().out.splitlines()[1:]))
+    assert len(listed) == 6
+    for k, text in enumerate(listed):
+        literal = json.dumps(ast.literal_eval(text))
+        assert main(["dist", config, literal, "#3"]) == 0
+        by_literal = capsys.readouterr().out
+        assert main(["dist", config, f"#{k}", "#3"]) == 0
+        assert capsys.readouterr().out == by_literal
+
+
+@pytest.mark.parametrize("config, literal", [
+    ("dihedral.json", "[[true],1]"), ("dihedral.json", "[[1.5],1]"), ("proper_sum.json", "[[],[[0,true]]]"),
+    ("amalgam_q2.json", "[[],[]]"),
+    # lamp configurations out of normal form: a repeated index, unsorted indices, an identity lamp
+    ("wreath.json", "[[[[0,1],[0,1]],0],[]]"), ("wreath.json", "[[[[1,1],[0,1]],0],[]]"),
+    ("wreath.json", "[[[[0,0]],0],[]]"),
+])
+def test_a_literal_outside_the_space_or_with_a_boolean_or_a_decimal_exits_2(config, literal, capsys):
+    code, err = run(["dist", str(CONFIGS / config), literal, "#0"], capsys)
+    assert code == 2 and err.startswith("configuration error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("depth", [900, 5000])
+def test_a_deeply_nested_point_literal_exits_2(depth, capsys):
+    code, err = run(["dist", str(CONFIGS / "dihedral.json"), "[" * depth + "]" * depth, "#0"], capsys)
+    assert code == 2 and err.startswith("configuration error:") and "Traceback" not in err
+
+
+def test_true_is_not_the_point_1_of_a_cocycle_node(tmp_path, capsys):
+    config = write_cocycle_config(tmp_path, COCYCLE)
+    assert run(["dist", str(config), "1", "0"], capsys)[0] == 0
+    code, err = run(["dist", str(config), "true", "0"], capsys)
+    assert code == 2 and "neither an index (#k) nor JSON" in err
+
+
 @pytest.mark.parametrize("inner, value", [({"kind": "naive", "points": 3, "q": 1}, 99), (COCYCLE, [1])],
                          ids=["naive", "cocycle"])
 def test_a_constant_pullback_value_outside_inner_exits_2(inner, value, tmp_path, capsys):
@@ -251,6 +293,18 @@ def test_a_constant_pullback_value_outside_inner_exits_2(inner, value, tmp_path,
     node["map"]["value"] = 2 if value == 99 else 1
     config.write_text(json.dumps(node))
     assert run(["dist", str(config), "0", "1"], capsys) == (0, "")
+
+
+def test_a_constant_pullback_value_is_read_as_a_point_literal(tmp_path, capsys):
+    """A constant map's value is read as ``dist`` reads a point: lists are tuples."""
+    node = {"kind": "pullback", "inner": {"kind": "proper_sum", "q": 2, "window": [0, 1]},
+            "map": {"type": "constant", "value": [[], [[0, 1]]]}}
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(node))
+    assert run(["dist", str(config), "#0", "#1"], capsys) == (0, "")
+    config.write_text(json.dumps(node).replace("[0, 1]]]", "[0, 1.5]]]"))
+    code, err = run(["dist", str(config), "#0", "#1"], capsys)
+    assert code == 2 and err.startswith("configuration error: root: invalid literal for a point: 1.5")
 
 
 def scale_pullback_config(tmp_path, points, factor) -> str:

@@ -1,8 +1,10 @@
 import itertools
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from labparts.cli import At, finite_group
 from labparts.core import InvalidInput
 from labparts.groups import (
     AmalgamGroup,
@@ -40,6 +42,37 @@ def test_symmetric_group_has_order_six():
     assert len(s3.generators) == 2
     # generators generate: ball saturates
     assert len(ball_enumerate(s3, 5)) == 6
+
+
+def reference_symmetric(n: int) -> tuple:
+    """The table and generators of S_n as a generic permutation-group
+    constructor composed them, p(q(.)) over the sorted permutations."""
+    perms = sorted(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    table = []
+    for p in perms:
+        row = []
+        for q in perms:
+            row.append(index[tuple(p[q[k]] for k in range(len(p)))])
+        table.append(tuple(row))
+    gens = []
+    if n >= 2:
+        gens.append(perms.index(tuple([1, 0] + list(range(2, n)))))
+    if n >= 3:
+        gens.append(perms.index(tuple(list(range(1, n)) + [0])))
+    return tuple(table), tuple(gens)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_symmetric_matches_the_permutation_composition(n):
+    group = FiniteGroup.symmetric(n)
+    assert (group.table, group.generators) == reference_symmetric(n)
+    assert repr(group) == f"FiniteGroup(S{n}, n={len(group.table)})"
+
+
+def test_the_symmetric_6_preset_builds():
+    group = finite_group({"symmetric": 6}, At("root", "group", Path(".")))
+    assert len(group) == 720 and len(group.generators) == 2
 
 
 def test_bad_tables_rejected():

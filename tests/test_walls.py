@@ -1,10 +1,13 @@
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from labparts.cli import build_space, main
 from labparts.core import DomainError, check_equivariance, pair_energy, sep
-from labparts.groups import FiniteGroup
+from labparts.groups import FiniteGroup, ball_enumerate
 from labparts.walls import (
     MeasuredWalls,
     PointUniverse,
@@ -15,6 +18,7 @@ from labparts.walls import (
     walls_to_labelled,
     z_line_walls_space,
     zn_half_space_walls,
+    zn_translation_action,
 )
 from oracles import l1_distance
 
@@ -74,6 +78,38 @@ def test_translation_equivariance(rng):
     samples = [(rng.randrange(-6, 7), (rng.randrange(-8, 9),), (rng.randrange(-8, 9),)) for _ in range(150)]
     report = check_equivariance(space, action, samples)
     assert report.passed, report.failures[:2]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_zn_translation_action_is_equivariant(n, rng):
+    walls = zn_half_space_walls(n)
+    space, action = walls_to_labelled(walls, 2), zn_translation_action(n)
+    ball = [g for g, _ in ball_enumerate(action.group, 2)]
+    assert len(ball) == 2 * n * n + 2 * n + 1
+    samples = [(rng.choice(ball), *walls.universe.sample(rng, 2)) for _ in range(150)]
+    report = check_equivariance(space, action, samples)
+    assert report.passed and report.total == 150, report.failures[:2]
+    t = tuple(range(1, n + 1))
+    assert action.point_map(t, (0,) * n) == t
+
+
+def test_zn_translation_action_checks_on_a_three_dimensional_walls_node(tmp_path, capsys):
+    config = tmp_path / "z3.json"
+    config.write_text(json.dumps({"kind": "walls_zn", "dim": 3, "q": 1}))
+    assert main(["check", str(config), "--suite", "equivariance", "--samples", "60"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and report["suites"][0]["samples"] == 60
+
+
+def test_each_translation_node_keeps_its_group():
+    """walls_zn acts by n copies of Z, so a 1-dimensional node's elements are
+    1-tuples; the integer line and the dihedral group act by Z itself."""
+    built = {name: build_space({"kind": name, **keys}, Path("."))
+             for name, keys in [("walls_zn", {"dim": 1, "q": 2}), ("semidirect", {"q": 2})]}
+    assert repr(built["walls_zn"].group) == "ProductGroup([ZGroup()])"
+    assert repr(built["semidirect"].group) == "SemidirectGroup(ZGroup(), FiniteGroup(Z2, n=2))"
+    _, line = z_line_walls_space(2)
+    assert repr(line.group) == "ZGroup()" and line.point_map(3, (1,)) == (4,)
 
 
 def test_check_walls_passes_on_grid(rng):
