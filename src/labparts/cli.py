@@ -7,9 +7,11 @@ with its actions and a deterministic point enumeration.  The subcommands
 are listed in the command line synopsis of README.md.
 
 Exit codes: 0 success, 1 check failure, 2 configuration error.  All
-randomness is seeded (``--seed``, default 0); rationals are serialized as
-"num/den" strings; outputs are sorted in canonical element order, so
-identical configs produce byte-identical outputs.
+randomness is seeded: ``--seed`` (default 0) reaches only ``check``, while
+``table``, ``export`` and ``#k`` indices over a sampled node always draw with
+seed 0 (``Built.points``).  Rationals are serialized as "num/den" strings;
+outputs are sorted in canonical element order, so identical configs produce
+byte-identical outputs.
 """
 
 import argparse
@@ -33,6 +35,7 @@ from .core import (
     ZERO_VEC,
     Action,
     CheckReport,
+    DomainError,
     Point,
     PointUniverse,
     Space,
@@ -80,16 +83,13 @@ def json_point(value):
 class Built:
     """A constructed space with its actions and deterministic enumeration.
 
-    ``orbit`` means the listed points are the orbit of ``basepoint`` under
-    ``actions["main"]``; ``path`` is the config path of the node, which
-    ``build_space`` sets.
+    ``path`` is the config path of the node, which ``build_space`` sets.
     """
 
     space: Space
     actions: dict = field(default_factory=dict)
     basepoint: Any = None
     coerce: Callable[[Any], Point] = json_point
-    orbit: bool = False
     extras: dict = field(default_factory=dict)
     path: str = "root"
 
@@ -97,6 +97,12 @@ class Built:
     def group(self):
         """The group of the main action; None when there is no main action."""
         return self.actions["main"].group if "main" in self.actions else None
+
+    @property
+    def orbit(self) -> bool:
+        """Whether the listed points are the orbit of ``basepoint`` under ``actions["main"]``:
+        a node with a main action lists its orbit unless its point set is enumerated."""
+        return "main" in self.actions and self.space.universe.points is None
 
     def points(self, limit: int) -> list:
         """The first ``limit`` distinct points: the orbit (see
@@ -183,6 +189,12 @@ def _bound_order(n: int, preset: str, factorial: bool = False) -> None:
     order = math.prod(range(2, min(n, MAX_PRESET_ORDER) + 1)) if factorial else n
     if order > MAX_PRESET_ORDER:
         raise ValueError(f"a preset group has order at most {MAX_PRESET_ORDER}; {preset} is larger")
+
+
+def _at_least(low: int, key: str, value: int) -> None:
+    """Reject a builder's integer key below ``low``, naming the key."""
+    if value < low:
+        raise ValueError(f"key {key!r} takes an integer >= {low}, got {value}")
 
 
 def _group_preset(*, cyclic: integer = None, symmetric: integer = None):
@@ -288,11 +300,13 @@ def _build_naive(*, q: exponent, points: integer = None, group: finite_group = N
     if group is not None:
         space, action = cons.group_naive_space(group, q, weight)
         return Built(space, {"main": action}, basepoint=group.identity, coerce=integer)
+    _at_least(1, "points", points)
     space = cons.weighted_naive_space(range(points), weight, q)
     return Built(space, {}, basepoint=0, coerce=integer)
 
 
 def _build_walls_zn(*, q: exponent, dim: integer, extent: integer = 8):
+    _at_least(0, "extent", extent)
     walls = walls_mod.zn_half_space_walls(dim, window=extent)
     space = walls_mod.walls_to_labelled(walls, q)
     action = walls_mod.zn_translation_action(dim)
@@ -300,7 +314,7 @@ def _build_walls_zn(*, q: exponent, dim: integer, extent: integer = 8):
     def coerce(v):
         return (integer(v),) if dim == 1 and not isinstance(v, list) else integers(v)
 
-    return Built(space, {"main": action}, basepoint=(0,) * dim, coerce=coerce, orbit=True)
+    return Built(space, {"main": action}, basepoint=(0,) * dim, coerce=coerce)
 
 
 def _build_walls_custom(*, q: exponent, file: config_file):
@@ -392,6 +406,8 @@ def _build_product(*, q: exponent, factors: list_of(node)):
 
 def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer = 2,
                       phi: one_of("rank", "one_plus_abs", otherwise=list_of(rational)) = "rank"):
+    if not window:
+        raise ValueError("key 'window' needs at least one index")
     if phi == "rank":
         phi = None  # the weighted naive sum's own default
     elif phi == "one_plus_abs":
@@ -412,7 +428,7 @@ def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer =
         action_at=lambda i: factor_action,
     )
     space, action = cons.proper_sum_space(factors, group, q, phi)
-    return Built(space, {"main": action}, basepoint=cons.proper_sum_basepoint(group), orbit=True)
+    return Built(space, {"main": action}, basepoint=cons.proper_sum_basepoint(group))
 
 
 def infinite_dihedral_built(q: exponent, *, preset: one_of("infinite_dihedral") = "infinite_dihedral"):
@@ -442,7 +458,7 @@ def infinite_dihedral_built(q: exponent, *, preset: one_of("infinite_dihedral") 
         group=group,
     )
     space, action = cons.semidirect_space(data, q)
-    return Built(space, {"main": action}, basepoint=((0,), 0), orbit=True)
+    return Built(space, {"main": action}, basepoint=((0,), 0))
 
 
 def _walls_cosets(*, kind: one_of("walls_cosets"), subgroups: list_of(integers)):
@@ -529,7 +545,7 @@ def _build_wreath_glue(*, q: exponent, group: finite_group, co_subgroup: integer
     space, action_w, action_g = cons.wreath_glue(wreath, factor_space, factor_action, group_w, group, shift, q)
     i0 = cosets.reps[0]
     basepoint = (((), i0), ())
-    return Built(space, {"main": action_w, "shift": action_g}, basepoint=basepoint, orbit=True)
+    return Built(space, {"main": action_w, "shift": action_g}, basepoint=basepoint)
 
 
 def _edge_group(*, left: integers, right: integers, table: finite_group = None):
@@ -542,19 +558,24 @@ def _build_amalgam(*, q: exponent, left: finite_group, right: finite_group, comm
     tree = amalgam_mod.TreeOfCosetSpaces(group)
     sgc, agc, shc, ahc = amalgam_mod.naive_quotient_structures(tree, q)
     space, action = amalgam_mod.amalgam_space(tree, sgc, agc, shc, ahc, q)
-    return Built(space, {"main": action}, basepoint=tree.base_point, orbit=True,
+    return Built(space, {"main": action}, basepoint=tree.base_point,
                  extras={"tree": tree, "struct_gc": sgc, "struct_hc": shc})
 
 
 def _build_free_tree(*, q: exponent, rank: integer, radius: integer = 4):
+    _at_least(0, "radius", radius)
     space, action, free = ex.free_tree_space(rank, q, sample_radius=radius)
-    return Built(space, {"main": action}, basepoint=free.identity, coerce=integers, orbit=True)
+    return Built(space, {"main": action}, basepoint=free.identity, coerce=integers)
 
 
 def _build_cocycle(*, group: one_of("Z", otherwise=finite_group), file: config_file, radius: integer = 6):
+    # the check suites move the listed points, the ball of radius - 2, by elements of the radius-2 ball
+    _at_least(3, "radius", radius)
     group = ZGroup() if group == "Z" else group
     action_data = ex.cocycle_from_text(file, group, radius)
-    space, action = ex.cocycle_space(action_data, point_radius=max(1, radius - 2))
+    if not {w for w, _ in ball_enumerate(group, radius)} <= set(action_data.evaluated):
+        raise ValueError(f"key 'file': its generators do not reach the group's ball of radius {radius}")
+    space, action = ex.cocycle_space(action_data, point_radius=radius - 2)
     return Built(space, {"main": action}, basepoint=group.identity)
 
 
@@ -623,7 +644,9 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
     under inversion, so the energy of g is kept for g^-1 and read off when
     the sphere reaches it; each pair {g, g^-1} costs one oracle call.
 
-    Raises ConfigError when no action is attached.  Spheres are drawn one at
+    Raises ConfigError when no action is attached, or when the action moves
+    the basepoint out of the space (past a ``cocycle`` node's evaluated
+    ball).  Spheres are drawn one at
     a time, and at most ``budget`` elements are profiled: the profile is
     partial when a sphere is cut short or a sphere is left over once the
     budget is spent, and the search stops there.  A finite group's spheres
@@ -650,7 +673,12 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
         for g in sphere:
             e = of_inverse.pop(g, None)
             if e is None:
-                e = pair_energy(built.space, action.point_map(g, built.basepoint), built.basepoint)
+                try:
+                    moved = action.point_map(g, built.basepoint)
+                except DomainError as exc:  # a cocycle node's translations end at its evaluated ball
+                    raise ConfigError(f"{built.path}: growth --radius {radius} leaves the space "
+                                      f"at radius {r}: {exc}") from exc
+                e = pair_energy(built.space, moved, built.basepoint)
                 g_inv = group.inv(g)
                 if g_inv != g:
                     of_inverse[g_inv] = e
@@ -696,7 +724,7 @@ def energy_table(built: Built, limit: int) -> tuple[list, list[list]]:
         return points, rows
     reached = built.orbit_elements(limit)
     points, elements = list(reached), list(reached.values())
-    group = built.actions["main"].group
+    group = built.group
     inverses = [group.inv(g) for g in elements]
     cache: dict = {}
     rows = [[None] * len(points) for _ in points]
@@ -724,45 +752,48 @@ def profile_csv(profile: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_checks(built: Built, suites, samples: int, seed: int, amalgam_tree_term: str = "linear") -> dict:
-    """Aggregate invariant checks; the report carries exact counterexamples."""
-    rng = random.Random(seed)
-    reports = []
+def _metric_suite(built: Built, samples: int, rng: random.Random, tree_term: str):
+    triples = [tuple(built.space.universe.sample(rng, 3)) for _ in range(samples)]
+    yield check_pseudo_metric(built.space, triples)
 
-    if "metric" in suites:
-        triples = []
+
+def _equivariance_suite(built: Built, samples: int, rng: random.Random, tree_term: str):
+    for name, action in sorted(built.actions.items()):
+        group_samples = [g for g, _ in ball_enumerate(action.group, 2)]
+        trips = []
         for _ in range(samples):
-            x, y, z = built.space.universe.sample(rng, 3)
-            triples.append((x, y, z))
-        reports.append(check_pseudo_metric(built.space, triples))
+            g = group_samples[rng.randrange(len(group_samples))]
+            x, y = built.space.universe.sample(rng, 2)
+            trips.append((g, x, y))
+        report = check_equivariance(built.space, action, trips)
+        report.name = f"equivariance[{name}]"
+        yield report
 
-    if "equivariance" in suites:
-        for name, action in sorted(built.actions.items()):
-            group_samples = [g for g, _ in ball_enumerate(action.group, 2)]
-            trips = []
-            for _ in range(samples):
-                g = group_samples[rng.randrange(len(group_samples))]
-                x, y = built.space.universe.sample(rng, 2)
-                trips.append((g, x, y))
-            report = check_equivariance(built.space, action, trips)
-            report.name = f"equivariance[{name}]"
-            reports.append(report)
 
+def _amalgam_suite(built: Built, samples: int, rng: random.Random, tree_term: str):
     # the closed form sums q-th powers, while a sup-norm energy is a maximum
-    if "amalgam" in suites and "tree" in built.extras and built.space.norm.q != SUP:
-        tree = built.extras["tree"]
-        sgc = built.extras["struct_gc"]
-        shc = built.extras["struct_hc"]
-        q = built.space.norm.q
-        report = CheckReport(f"amalgam-formula[{amalgam_tree_term}]")
-        for gamma, _ in ball_enumerate(tree.am, 4)[:samples]:
-            moved = tree.act_point(gamma, tree.base_point)
-            oracle = pair_energy(built.space, moved, tree.base_point)
-            formula = amalgam_mod.amalgam_energy_formula(tree, sgc, shc, q, gamma, tree_term=amalgam_tree_term)
-            ok = oracle == formula and oracle >= amalgam_mod.syllable_lower_bound(gamma)
-            report.record(ok, None if ok else {"word": gamma, "oracle": oracle, "formula": formula})
-        reports.append(report)
+    if "tree" not in built.extras or built.space.norm.q == SUP:
+        return
+    tree, sgc, shc = (built.extras[key] for key in ("tree", "struct_gc", "struct_hc"))
+    report = CheckReport(f"amalgam-formula[{tree_term}]")
+    for gamma, _ in ball_enumerate(tree.am, 4)[:samples]:
+        moved = tree.act_point(gamma, tree.base_point)
+        oracle = pair_energy(built.space, moved, tree.base_point)
+        formula = amalgam_mod.amalgam_energy_formula(tree, sgc, shc, built.space.norm.q, gamma, tree_term=tree_term)
+        ok = oracle == formula and oracle >= amalgam_mod.syllable_lower_bound(gamma)
+        report.record(ok, None if ok else {"word": gamma, "oracle": oracle, "formula": formula})
+    yield report
 
+
+# the suite table: each suite yields its reports, or none when it does not apply to the node
+SUITES = {"metric": _metric_suite, "equivariance": _equivariance_suite, "amalgam": _amalgam_suite}
+
+
+def run_checks(built: Built, suites, samples: int, seed: int, amalgam_tree_term: str = "linear") -> dict:
+    """Aggregate invariant checks, in ``SUITES`` order; the report carries exact counterexamples."""
+    rng = random.Random(seed)
+    reports = [report for name, suite in SUITES.items() if name in suites
+               for report in suite(built, samples, rng, amalgam_tree_term)]
     return {
         "passed": all(r.passed for r in reports),
         "suites": [report_dict(r) for r in reports],
@@ -875,7 +906,7 @@ def _parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run invariant suites")
     p_check.add_argument("config")
-    p_check.add_argument("--suite", default="all", choices=["all", "metric", "equivariance", "amalgam"])
+    p_check.add_argument("--suite", default="all", choices=["all", *SUITES])
     p_check.add_argument("--samples", type=nonnegative, default=100)
     p_check.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                          help="seed for sampled checks (default: the top-level --seed)")
@@ -928,9 +959,9 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "check":
-            suites = ["metric", "equivariance", "amalgam"] if args.suite == "all" else [args.suite]
+            suites = SUITES if args.suite == "all" else [args.suite]
             result = run_checks(built, suites, args.samples, args.seed, args.amalgam_tree_term)
-            # run_checks skips a suite that does not apply: one named on its own must apply
+            # a suite that does not apply yields no report: one named on its own must apply
             if not result["suites"]:
                 raise ConfigError(f"check --suite {args.suite} does not apply to this config")
             text = json.dumps(json_ready(result), indent=2, sort_keys=True) + "\n"

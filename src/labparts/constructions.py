@@ -290,7 +290,7 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
 
 @dataclass(frozen=True)
 class SumFactors:
-    """Per-index data for a restricted direct sum with factor actions."""
+    """Per-index data for a restricted direct sum with factor actions, each carrying a label map."""
 
     factor_at: Callable[[Any], Space]
     basepoint_at: Callable[[Any], Point]
@@ -328,13 +328,7 @@ def proper_sum_space(
         ]
         return (sum_point(moved, factors.basepoint_at), group.mul(w, u))
 
-    def factor_part(w, i):
-        act = factors.action_at(i)
-        if act.label_map is None:
-            raise DomainError("factor action carries no label map")
-        return act.label_map, group.component(w, i)
-
-    x_map = factor_label_map(factor_part)
+    x_map = factor_label_map(lambda w, i: (factors.action_at(i).label_map, group.component(w, i)))
     label_map = factor_label_map(lambda w, part: (x_map if part == 0 else w_action.label_map, w))
     return space, Action(group=group, point_map=point_map, label_map=label_map)
 
@@ -354,7 +348,7 @@ class SemidirectData:
     ``twist_action`` is the action of the quotient group on the first space
     extending the twist homomorphism; it is required as explicit input and
     must be compatible with the first action in the sense that
-    g2 g1 g2^{-1} acts on space1 as twist(g2)(g1) does.
+    g2 g1 g2^{-1} acts on space1 as twist(g2)(g1) does.  All three actions carry label maps.
     """
 
     space1: Space
@@ -398,18 +392,14 @@ def semidirect_space(data: SemidirectData, q) -> tuple[Space, Action]:
             data.action2.point_map(g2, x2),
         )
 
-    label_map = None
-    if data.action1.label_map is not None and data.action2.label_map is not None and data.twist_action.label_map is not None:
+    def twisted_map(g, label):
+        # g1 . (twist(g2) . x1) pulls a label back along g1, then along twist(g2)
+        mid, s1 = data.action1.label_map(g[0], label)
+        out, s2 = data.twist_action.label_map(g[1], mid)
+        return out, s1 * s2
 
-        def twisted_map(g, label):
-            # g1 . (twist(g2) . x1) pulls a label back along g1, then along twist(g2)
-            mid, s1 = data.action1.label_map(g[0], label)
-            out, s2 = data.twist_action.label_map(g[1], mid)
-            return out, s1 * s2
-
-        action2_map = data.action2.label_map
-        label_map = factor_label_map(lambda g, part: (twisted_map, g) if part == 0 else (action2_map, g[1]))
-
+    action2_map = data.action2.label_map
+    label_map = factor_label_map(lambda g, part: (twisted_map, g) if part == 0 else (action2_map, g[1]))
     return space, Action(group=data.group, point_map=point_map, label_map=label_map)
 
 
@@ -470,14 +460,14 @@ def averaging_eta(space: Space, group: FiniteGroup, subgroup: Iterable[int]) -> 
 class WreathWalls:
     """A user-supplied atomic walls structure on W x I with its symmetries.
 
-    ``walls`` lives on points (w, i); the two label maps (optional) describe
+    ``walls`` lives on points (w, i); the two label maps describe
     how wall labels move under the lamp translation w0 . (w, i) = (w0 w, i)
     and the shifter g . (w, i) = (rho(g) w, g i).
     """
 
     walls: Any
-    label_map_w: Callable[[Any, Label], Any] | None = None
-    label_map_g: Callable[[Any, Label], Any] | None = None
+    label_map_w: Callable[[Any, Label], Any]
+    label_map_g: Callable[[Any, Label], Any]
 
 
 def wreath_glue(
@@ -525,8 +515,6 @@ def wreath_glue(
     lamp_label_map = factor_label_map(lambda w, i: (factor_action.label_map, group_w.component(w, i)))
 
     def make_label_map(walls_lm, lamp_lm):
-        if walls_lm is None or factor_action.label_map is None:
-            return None
         return factor_label_map(lambda g, part: (walls_lm if part == 0 else lamp_lm, g))
 
     def lamp_label_map_g(g, label):

@@ -359,7 +359,10 @@ def cocycle_space(action: CocycleAction, point_radius: int | None = None) -> tup
     Distances reproduce the affine orbit metric ||cocycle(g) - cocycle(h)||.
     When every linear part is a signed permutation the translation action
     carries an exact (signed) label map; otherwise it still preserves
-    energies because the linear parts are isometries.
+    energies because the linear parts are isometries.  The space holds every
+    evaluated element and lists those of the ball of radius ``point_radius``
+    (all of them when it is None), so a listed point moved by an element of
+    length at most (evaluated radius - ``point_radius``) stays in the space.
     """
     evaluated = set(action.evaluated)
     points = action.evaluated
@@ -372,7 +375,8 @@ def cocycle_space(action: CocycleAction, point_radius: int | None = None) -> tup
         bh = action.cocycle(h)
         return SparseVec((coset_fn(i), bg[i] - bh[i]) for i in range(action.dim))
 
-    space = Space(universe=finite_universe(points), diff=diff, norm=NormSpec(action.q))
+    space = Space(universe=PointUniverse(contains=evaluated.__contains__, points=points), diff=diff,
+                  norm=NormSpec(action.q))
 
     def point_map(g, x):
         y = action.group.mul(g, x)

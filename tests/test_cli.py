@@ -540,6 +540,19 @@ def test_the_amalgam_formula_suite_does_not_apply_under_the_sup_norm(workdir, ca
         amalgam_energy_formula(tree, sgc, shc, "sup", tree.am.identity)
 
 
+@pytest.mark.parametrize("term, code", [("linear", 0), ("power", 1)])
+def test_amalgam_formula_at_a_non_integer_q(workdir, capsys, term, code):
+    """At q = 3/2 the power term d_T**q is a float: it fails with a float
+    counterexample, and the linear term passes on all 44 words of the ball."""
+    cfg = write_config(workdir, "am32.json", dict(AMALGAM_NODE, q="3/2"))
+    assert main(["check", cfg, "--suite", "amalgam", "--amalgam-tree-term", term]) == code
+    (suite,) = json.loads(capsys.readouterr().out)["suites"]
+    assert suite["samples"] == 44 and suite["passed"] == (code == 0)
+    for failure in suite["failures"]:
+        assert type(failure["formula"]) is float and failure["formula"] != failure["oracle"]
+    assert bool(suite["failures"]) == (term == "power")
+
+
 @pytest.mark.parametrize("samples, checked", [(0, 0), (5, 5), (50, 44)])  # the radius-4 ball has 44 words
 def test_amalgam_suite_checks_at_most_samples_words(capsys, samples, checked):
     argv = ["check", str(CONFIGS / "amalgam_q1.json"), "--suite", "amalgam", "--samples", str(samples)]

@@ -410,3 +410,64 @@ def test_a_scale_map_over_points_that_are_not_integer_trees_exits_2(inner, argv,
     assert code == 2 and "Traceback" not in err
     assert err.startswith("configuration error: root: a scale map multiplies integers, "
                           "but the points of 'inner' (root.inner) are not integers or tuples of them")
+
+
+@pytest.mark.parametrize("node, key", [
+    ({"kind": "naive", "points": 0, "q": 2}, "points"),
+    ({"kind": "naive", "points": -3, "q": 2}, "points"),
+    ({"kind": "walls_zn", "dim": 1, "extent": -1, "q": 2}, "extent"),
+    ({"kind": "proper_sum", "window": [], "q": 2}, "window"),
+    ({"kind": "free_tree_mineyev", "rank": 2, "radius": -1, "q": 2}, "radius"),
+    ({**COCYCLE, "radius": 2}, "radius"),
+], ids=["naive-0", "naive--3", "walls_zn", "proper_sum", "free_tree", "cocycle"])
+@pytest.mark.parametrize("wrapped", [False, True], ids=["node", "pullback"])
+def test_an_out_of_range_key_exits_2_naming_the_node_and_the_key(node, key, wrapped, tmp_path, capsys):
+    path = "root.inner" if wrapped else "root"
+    if wrapped:
+        node = {"kind": "pullback", "inner": node, "map": {"type": "identity"}}
+    config = str(write_cocycle_config(tmp_path, node))
+    for argv in (["check", config, "--samples", "5"], ["table", config], ["dist", config, "#0", "#1"],
+                 ["export", config, "--what", "vectors"]):
+        code, err = run(argv, capsys)
+        assert code == 2 and err.startswith(f"configuration error: {path}: key {key!r}"), (argv, err)
+
+
+@pytest.mark.parametrize("radius", [3, 6])
+def test_check_passes_on_a_cocycle_node_over_z(radius, tmp_path, capsys):
+    """The suites move the listed points, the ball of radius - 2, by elements of
+    the radius-2 ball: the space holds the whole evaluated ball."""
+    config = write_cocycle_config(tmp_path, {**COCYCLE, "radius": radius})
+    assert main(["check", str(config), "--samples", "100"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["passed"] and [s["samples"] for s in report["suites"]] == [100, 100]
+
+
+def test_growth_on_a_cocycle_node_exits_2_past_its_evaluated_ball(tmp_path, capsys):
+    config = str(write_cocycle_config(tmp_path, COCYCLE))
+    assert main(["growth", config, "--radius", "6"]) == 0
+    assert [row.split(",")[:3] for row in capsys.readouterr().out.splitlines()[1:]] == [
+        [str(r), "1" if r == 0 else "2", f"{r * r}/1"] for r in range(7)]
+    code, err = run(["growth", config, "--radius", "10"], capsys)
+    assert code == 2 and err.startswith("configuration error: root: growth --radius 10 leaves the space at radius 7")
+
+
+def test_a_cocycle_node_lists_its_inner_ball_and_holds_its_evaluated_ball(tmp_path, capsys):
+    config = str(write_cocycle_config(tmp_path, COCYCLE))
+    assert main(["table", config, "--limit", "20"]) == 0
+    listed = dict.fromkeys(int(row.split(",")[0].strip('"')) for row in capsys.readouterr().out.splitlines()[1:])
+    assert sorted(listed) == list(range(-4, 5))
+    assert main(["dist", config, "6", "-6"]) == 0
+    assert capsys.readouterr().out == "energy 144/1\ndist 12\n"
+    code, err = run(["dist", config, "7", "0"], capsys)
+    assert code == 2 and "is not in this space" in err
+
+
+def test_a_cocycle_file_that_misses_a_generator_of_the_group_exits_2(tmp_path, capsys):
+    """A cocycle given on 2Z only leaves the odd integers unevaluated, so the
+    translation by 1 that ``check`` samples would leave the space."""
+    (tmp_path / "even.txt").write_text("q 2\ngen 2 | 1 | 1\n")
+    config = tmp_path / "even.json"
+    config.write_text(json.dumps({**COCYCLE, "file": "even.txt"}))
+    for argv in (["check", str(config)], ["table", str(config)]):
+        code, err = run(argv, capsys)
+        assert code == 2 and err.startswith("configuration error: root: key 'file'"), (argv, err)

@@ -7,6 +7,7 @@ subcommand exit 2 with the node path, never 0 and never a traceback.
 """
 
 import argparse
+import itertools
 import json
 import re
 import shutil
@@ -342,3 +343,39 @@ def test_a_preset_group_of_n_1_is_the_trivial_group(preset, tmp_path, capsys):
     config.write_text(json.dumps({"kind": "naive", "group": {preset: 1}, "q": 1}))
     assert main(["dist", str(config), "#0", "#0"]) == 0
     assert capsys.readouterr().out == "energy 0/1\ndist 0\n"
+
+
+# ---------------------------------------------------------------------------
+# boundary values of integer and list keys
+
+BOUNDARY_COMMANDS = (["dist", "#0", "#1"], ["table", "--limit", "3"], ["growth", "--radius", "2"],
+                     ["check", "--samples", "5"], ["export", "--what", "labels", "--limit", "3"],
+                     ["export", "--what", "vectors", "--limit", "3"])
+
+
+def boundary_cases() -> list:
+    """(kind, key, value): each integer key of each kind set to -1 and 0, each list key to []."""
+    cases = []
+    for kind in BASE:
+        for key, (reader, _) in schema(kind).items():
+            values = [-1, 0] if reader.__name__ == "integer" else [[]] if "list of" in reader.__name__ else []
+            cases += [pytest.param(kind, key, value, id=f"{kind}.{key}={value}") for value in values]
+    return cases
+
+
+@pytest.mark.parametrize("kind, key, value", boundary_cases())
+def test_boundary_values_exit_0_or_2(workdir, kind, key, value, capsys):
+    """No integer or list key at its boundary makes a subcommand raise: each exits
+    0 or 2, and only ``check`` exits 1, with a failing report.  The key is set
+    on the base node and on the base node's required keys alone, where the
+    other optional keys take their defaults."""
+    keys = schema(kind)
+    required = {k: v for k, v in BASE[kind].items() if k == "kind" or keys[k][1]}
+    for document, argv in itertools.product([{**BASE[kind], key: value}, {**required, key: value}], BOUNDARY_COMMANDS):
+        code = run(workdir, document, list(argv))
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if code == 1:
+            assert argv[0] == "check" and not json.loads((workdir / "out.csv").read_text())["passed"], (argv, err)
+        else:
+            assert code in (0, 2), (argv, code, err)

@@ -63,6 +63,19 @@ def test_orbit_table_equals_the_direct_table(capsys, name):
     assert mismatches(table_cells(capsys, config, 30), direct_cells(built, 30)) == []
 
 
+@pytest.mark.parametrize("second", [{"kind": "free_tree_mineyev", "rank": 2, "q": 2},
+                                    {"kind": "naive", "group": {"cyclic": 3}, "q": 2}], ids=["free_tree", "naive"])
+def test_a_product_of_acting_factors_lists_its_orbit(tmp_path, capsys, second):
+    """A product whose factors all act and whose points are not enumerated lists
+    its orbit, as a ``semidirect`` node does, and its table is the direct one."""
+    config = tmp_path / "acting_product.json"
+    factors = [{"kind": "walls_zn", "dim": 1, "q": 2}, second]
+    config.write_text(json.dumps({"kind": "product", "q": 2, "factors": factors}))
+    built = built_of(config)
+    assert built.orbit and built.points(20) == list(built.orbit_elements(20))
+    assert mismatches(table_cells(capsys, config, 20), direct_cells(built, 20)) == []
+
+
 def test_a_point_map_that_is_no_isometry_is_caught(capsys, monkeypatch):
     # x -> x + t|t| per coordinate: the energy of (g x0, h x0) then depends on
     # more than g^-1 h.  (A map like x -> 2x + t would not do: on the orbit of
