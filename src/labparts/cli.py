@@ -35,7 +35,6 @@ from .core import (
     ZERO_VEC,
     Action,
     CheckReport,
-    DomainError,
     Point,
     PointUniverse,
     Space,
@@ -79,6 +78,15 @@ def json_point(value):
     return value
 
 
+class Listing(dict):
+    """Listed points in order, each mapped to the group element that moved the
+    basepoint there on an orbit node (to None elsewhere).  ``note`` is the
+    ``#`` comment that says why fewer points were listed than asked for; it is
+    None when all were, or when a finite orbit or point set has no more."""
+
+    note: str | None = None
+
+
 @dataclass
 class Built:
     """A constructed space with its actions and deterministic enumeration.
@@ -104,32 +112,51 @@ class Built:
         a node with a main action lists its orbit unless its point set is enumerated."""
         return "main" in self.actions and self.space.universe.points is None
 
+    @property
+    def sampled(self) -> bool:
+        """Whether the listed points are seeded samples: the node has neither an orbit nor an enumerated point set."""
+        return "main" not in self.actions and self.space.universe.points is None
+
     def points(self, limit: int) -> list:
+        """The first ``limit`` distinct points of ``listing``."""
+        return list(self.listing(limit))
+
+    def listing(self, limit: int) -> Listing:
         """The first ``limit`` distinct points: the orbit (see
-        ``orbit_elements``); else the finite universe; else seeded samples,
-        up to the first draw a sampler gives up on."""
+        ``orbit_elements``); else the enumerated point set; else seeded
+        samples, up to the first draw a sampler gives up on."""
         if self.orbit:
-            return list(self.orbit_elements(limit))
-        if self.space.universe.points is not None:
-            return list(self.space.universe.points)[:limit]
+            return self.orbit_elements(limit)
+        if not self.sampled:
+            return Listing.fromkeys(itertools.islice(self.space.universe.points, limit))
         rng, samples = random.Random(0), []
         try:
             while len(samples) < 4 * limit:
                 samples += self.space.universe.sample(rng, 1)
         except SamplingError:
-            pass  # the points drawn so far are listed, and ``_sampling_note`` says so
-        return list(dict.fromkeys(samples))[:limit]
+            pass  # the points drawn so far are listed, and the note says so
+        listed = Listing.fromkeys(itertools.islice(dict.fromkeys(samples), limit))
+        if len(listed) < limit:
+            listed.note = f"# listed {len(listed)} of {limit} points: seeded sampling found no more"
+        return listed
 
-    def orbit_elements(self, limit: int) -> dict:
+    def orbit_elements(self, limit: int) -> Listing:
         """The first ``limit`` distinct orbit points, sphere by sphere with no
-        radius cap (it ends early only when a finite group's spheres run out),
-        each mapped to the first group element that moved the basepoint there."""
+        radius cap, each mapped to the first group element that moved the
+        basepoint there.  It ends early when a finite group's spheres run out,
+        and with a note where the action leaves the space (a ``cocycle``
+        factor's translations end at its evaluated ball)."""
         action = self.actions["main"]
-        out: dict = {}
+        out = Listing()
         if limit > 0:
-            for sphere in spheres(action.group):
+            for r, sphere in enumerate(spheres(action.group)):
                 for g in sphere:
-                    out.setdefault(action.point_map(g, self.basepoint), g)
+                    try:
+                        x = action.point_map(g, self.basepoint)
+                    except ex.OutsideBall:
+                        out.note = f"# listed {len(out)} of {limit} points: the orbit leaves the space at radius {r}"
+                        return out
+                    out.setdefault(x, g)
                     if len(out) == limit:
                         return out
         return out
@@ -569,13 +596,18 @@ def _build_free_tree(*, q: exponent, rank: integer, radius: integer = 4):
 
 
 def _build_cocycle(*, group: one_of("Z", otherwise=finite_group), file: config_file, radius: integer = 6):
-    # the check suites move the listed points, the ball of radius - 2, by elements of the radius-2 ball
-    _at_least(3, "radius", radius)
     group = ZGroup() if group == "Z" else group
     action_data = ex.cocycle_from_text(file, group, radius)
-    if not {w for w, _ in ball_enumerate(group, radius)} <= set(action_data.evaluated):
-        raise ValueError(f"key 'file': its generators do not reach the group's ball of radius {radius}")
-    space, action = ex.cocycle_space(action_data, point_radius=radius - 2)
+    point_radius = max(1, radius - 2)
+    # the check suites move the listed points by elements of the radius-2 ball, so the
+    # evaluated ball must hold the ball of radius point_radius + 2
+    reach = {w for w, _ in ball_enumerate(group, point_radius + 2)}
+    if not reach <= set(action_data.evaluated):
+        if not reach <= {w for w, _ in ball_enumerate(group, radius)}:
+            raise ValueError(f"key 'radius' takes an integer >= 3 unless the ball of radius {radius} "
+                             f"is the whole group, got {radius}")
+        raise ValueError(f"key 'file': its generators do not reach the group's ball of radius {point_radius + 2}")
+    space, action = ex.cocycle_space(action_data, point_radius=point_radius)
     return Built(space, {"main": action}, basepoint=group.identity)
 
 
@@ -675,7 +707,7 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
             if e is None:
                 try:
                     moved = action.point_map(g, built.basepoint)
-                except DomainError as exc:  # a cocycle node's translations end at its evaluated ball
+                except ex.OutsideBall as exc:  # a cocycle node's translations end at its evaluated ball
                     raise ConfigError(f"{built.path}: growth --radius {radius} leaves the space "
                                       f"at radius {r}: {exc}") from exc
                 e = pair_energy(built.space, moved, built.basepoint)
@@ -702,8 +734,8 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
     return {"rows": rows, "partial": partial, "radius": radius, "reached": radius if partial else r}
 
 
-def energy_table(built: Built, limit: int) -> tuple[list, list[list]]:
-    """The first ``limit`` points and the matrix of their pair energies.
+def energy_table(built: Built, limit: int) -> tuple[Listing, list[list]]:
+    """The listing of the first ``limit`` points and the matrix of their pair energies.
 
     Energies are symmetric (c(y, x) = -c(x, y)), so each unordered pair is
     computed once and mirrored.  On an orbit node the main action is taken to
@@ -714,16 +746,16 @@ def energy_table(built: Built, limit: int) -> tuple[list, list[list]]:
     the zero vector.
     """
     space = built.space
+    listed = built.listing(limit)
+    points = list(listed)
     if not built.orbit:
-        points = built.points(limit)
         zero = q_energy(space.norm, ZERO_VEC)
         rows = [[zero] * len(points) for _ in points]
         for i, x in enumerate(points):
             for j in range(i + 1, len(points)):
                 rows[i][j] = rows[j][i] = pair_energy(space, x, points[j])
-        return points, rows
-    reached = built.orbit_elements(limit)
-    points, elements = list(reached), list(reached.values())
+        return listed, rows
+    elements = list(listed.values())
     group = built.group
     inverses = [group.inv(g) for g in elements]
     cache: dict = {}
@@ -735,7 +767,7 @@ def energy_table(built: Built, limit: int) -> tuple[list, list[list]]:
             if e is None:
                 e = cache[key] = cache[group.inv(key)] = pair_energy(space, x, points[j])
             rows[i][j] = rows[j][i] = e
-    return points, rows
+    return listed, rows
 
 
 def profile_csv(profile: dict) -> str:
@@ -856,14 +888,6 @@ def _load_config(path_str: str) -> tuple[dict, Path]:
     return node, path.parent
 
 
-def _sampling_note(built: Built, listed: int, limit: int) -> str | None:
-    """The comment that a sampled node (neither an orbit nor a finite universe)
-    listed fewer than ``limit`` points; None when it listed them all or is not sampled."""
-    if listed < limit and not built.orbit and built.space.universe.points is None:
-        return f"# listed {listed} of {limit} points: seeded sampling found no more"
-    return None
-
-
 def _write_out(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
@@ -937,8 +961,8 @@ def main(argv=None) -> int:
 
         if args.command == "table":
             limit = args.limit if args.radius is None else max(args.limit, 2 * args.radius + 1)
-            points, energies = energy_table(built, limit)
-            names = [f"\"{p!r}\"" for p in points]
+            listed, energies = energy_table(built, limit)
+            names = [f"\"{p!r}\"" for p in listed]
             texts: dict = {}  # energy -> its "energy,dist" cells
             lines = ["x,y,energy,dist"]
             for x, row in zip(names, energies):
@@ -947,9 +971,8 @@ def main(argv=None) -> int:
                     if text is None:
                         text = texts[e] = f"{rational_str(e)},{energy_to_dist(built.space.norm, e):.12g}"
                     lines.append(f"{x},{y},{text}")
-            note = _sampling_note(built, len(points), limit)
-            if note:
-                lines.append(note)
+            if listed.note:
+                lines.append(listed.note)
             _write_out("\n".join(lines) + "\n", args.out)
             return 0
 
@@ -969,7 +992,8 @@ def main(argv=None) -> int:
             return 0 if result["passed"] else 1
 
         if args.command == "export":
-            points = built.points(args.limit)
+            listed = built.listing(args.limit)
+            points = list(listed)
             # one oracle call per point: with x0 the first point, c(x, y) = c(x, x0) + c(x0, y)
             # (Chasles), so each pair's support lies in the union of the c(x, x0) supports
             to_x0 = [sep(built.space, x, points[0]) for x in points]
@@ -996,9 +1020,8 @@ def main(argv=None) -> int:
                         labels[label_key(label)] = rational_str(built.space.norm.weight(label))
                 payload = [{"label": k, "weight": labels[k]} for k in sorted(labels)]
             _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-            note = _sampling_note(built, len(points), args.limit)
-            if note:
-                print(note, file=sys.stderr)  # stderr keeps the JSON on stdout as it was
+            if listed.note:
+                print(listed.note, file=sys.stderr)  # stderr keeps the JSON on stdout as it was
             return 0
 
         raise ConfigError(f"unknown command {args.command!r}")

@@ -257,6 +257,10 @@ def is_orthogonal(a: Matrix) -> bool:
     return mat_mul(a, mat_transpose(a)) == mat_identity(len(a))
 
 
+class OutsideBall(DomainError):
+    """A translation moved a point past the ball on which a cocycle is evaluated."""
+
+
 @dataclass(frozen=True)
 class CocycleAction:
     """An affine isometric action on a rational q-space, evaluated on a ball.
@@ -381,7 +385,7 @@ def cocycle_space(action: CocycleAction, point_radius: int | None = None) -> tup
     def point_map(g, x):
         y = action.group.mul(g, x)
         if y not in evaluated:
-            raise DomainError("translation left the evaluated ball")
+            raise OutsideBall("translation left the evaluated ball")
         return y
 
     label_map = None

@@ -1,6 +1,7 @@
 """The CLI's error contract: bad input exits 2, never with a traceback."""
 
 import ast
+import dataclasses
 import json
 import shutil
 import tempfile
@@ -9,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from labparts.cli import main
+from labparts.cli import build_space, growth_profile, main
+from labparts.core import DomainError
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG_NAMES = sorted(p.name for p in CONFIGS.glob("*.json"))
@@ -471,3 +473,49 @@ def test_a_cocycle_file_that_misses_a_generator_of_the_group_exits_2(tmp_path, c
     for argv in (["check", str(config)], ["table", str(config)]):
         code, err = run(argv, capsys)
         assert code == 2 and err.startswith("configuration error: root: key 'file'"), (argv, err)
+
+
+def test_a_product_with_a_cocycle_factor_ends_its_orbit_at_the_ball(tmp_path, capsys):
+    """The orbit of walls_zn x cocycle(Z, radius 3) leaves the space at Z x Z's
+    sphere of radius 4: a listing past its 25 points ends with a note, an index
+    past it is out of range and a growth profile past it exits 2."""
+    node = {"kind": "product", "q": 2, "factors": [{"kind": "walls_zn", "dim": 1, "q": 2}, {**COCYCLE, "radius": 3}]}
+    config = str(write_cocycle_config(tmp_path, node))
+    note = "# listed 25 of 30 points: the orbit leaves the space at radius 4"
+    assert main(["table", config, "--limit", "30"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == note
+    assert run(["export", config, "--what", "vectors", "--limit", "30"], capsys) == (0, note + "\n")
+    code, err = run(["dist", config, "#40", "#0"], capsys)
+    assert code == 2 and err == "configuration error: point index #40 out of range\n"
+    code, err = run(["growth", config, "--radius", "5"], capsys)
+    assert code == 2 and err.startswith("configuration error: root: growth --radius 5 leaves the space at radius 4")
+    assert run(["check", config], capsys) == (0, "")
+
+
+@pytest.mark.parametrize("radius", [1, 2, 3])
+def test_a_cocycle_over_a_group_its_ball_covers_takes_any_radius_from_1(radius, tmp_path, capsys):
+    """The ball of radius 1 is all of Z/2, so every translation that ``check``
+    samples stays in the evaluated ball and both elements are listed."""
+    (tmp_path / "c.txt").write_text("q 2\ngen 1 | -1 | 1\n")
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({**COCYCLE, "group": {"cyclic": 2}, "radius": radius}))
+    assert main(["table", str(config)]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert rows == ["x,y,energy,dist", '"0","0",0/1,0', '"0","1",1/1,1', '"1","0",1/1,1', '"1","1",0/1,0']
+    assert run(["check", str(config)], capsys) == (0, "")
+    config.write_text(json.dumps({**COCYCLE, "group": {"cyclic": 2}, "radius": 0}))
+    code, err = run(["check", str(config)], capsys)
+    assert code == 2 and err.startswith("configuration error: root: key 'radius' takes an integer >= 3")
+
+
+def test_growth_reports_an_error_of_the_action_itself(monkeypatch):
+    """Only a cocycle's translation past its evaluated ball is a configuration
+    error; any other DomainError from a point map is a fault and propagates."""
+    built = build_space(json.loads((CONFIGS / "z_walls.json").read_text()), CONFIGS)
+
+    def broken(g, x):
+        raise DomainError("broken point map")
+
+    monkeypatch.setitem(built.actions, "main", dataclasses.replace(built.actions["main"], point_map=broken))
+    with pytest.raises(DomainError, match="broken point map"):
+        growth_profile(built, 2)

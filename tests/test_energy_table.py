@@ -63,17 +63,31 @@ def test_orbit_table_equals_the_direct_table(capsys, name):
     assert mismatches(table_cells(capsys, config, 30), direct_cells(built, 30)) == []
 
 
-@pytest.mark.parametrize("second", [{"kind": "free_tree_mineyev", "rank": 2, "q": 2},
-                                    {"kind": "naive", "group": {"cyclic": 3}, "q": 2}], ids=["free_tree", "naive"])
-def test_a_product_of_acting_factors_lists_its_orbit(tmp_path, capsys, second):
+@pytest.mark.parametrize("second, limit", [
+    ({"kind": "free_tree_mineyev", "rank": 2, "q": 2}, 20),
+    ({"kind": "naive", "group": {"cyclic": 3}, "q": 2}, 20),
+    ({"kind": "cocycle", "group": "Z", "file": "c.txt", "radius": 3}, 30),
+], ids=["free_tree", "naive", "cocycle"])
+def test_a_product_of_acting_factors_lists_its_orbit(tmp_path, capsys, second, limit):
     """A product whose factors all act and whose points are not enumerated lists
-    its orbit, as a ``semidirect`` node does, and its table is the direct one."""
+    its orbit, as a ``semidirect`` node does, and its table is the direct one.
+    A ``cocycle`` factor's translations end at its evaluated ball of radius 3,
+    so that orbit ends at Z x Z's sphere of radius 4, after 25 points, and the
+    table says so in a last line."""
+    (tmp_path / "c.txt").write_text("q 2\ngen 1 | 1 0 ; 0 1 | 1 0\n")
     config = tmp_path / "acting_product.json"
     factors = [{"kind": "walls_zn", "dim": 1, "q": 2}, second]
     config.write_text(json.dumps({"kind": "product", "q": 2, "factors": factors}))
     built = built_of(config)
-    assert built.orbit and built.points(20) == list(built.orbit_elements(20))
-    assert mismatches(table_cells(capsys, config, 20), direct_cells(built, 20)) == []
+    listed = built.listing(limit)
+    assert built.orbit and built.points(limit) == list(built.orbit_elements(limit)) == list(listed)
+    cells = table_cells(capsys, config, limit)
+    if second["kind"] == "cocycle":
+        assert len(listed) == 25
+        assert cells.pop() == ["# listed 25 of 30 points: the orbit leaves the space at radius 4"]
+    else:
+        assert len(listed) == limit and listed.note is None
+    assert mismatches(cells, direct_cells(built, limit)) == []
 
 
 def test_a_point_map_that_is_no_isometry_is_caught(capsys, monkeypatch):
