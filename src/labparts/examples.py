@@ -64,6 +64,9 @@ class FiniteMetric:
         object.__setattr__(self, "d", m)
         if n == 0 or len(m) != n or any(len(row) != n for row in m):
             raise InvalidInput("a metric needs a nonempty point list and a square matrix to match")
+        for i, p in enumerate(self.points):
+            if p in self.points[:i]:
+                raise InvalidInput(f"metric point {p!r} is named twice; each point needs its own name")
         for i in range(n):
             if m[i][i] != 0:
                 raise InvalidInput("metric has a nonzero diagonal entry")

@@ -403,12 +403,14 @@ def spheres(group, generators: Iterable | None = None) -> Iterator[list]:
 
     Breadth-first search over the Cayley graph of the symmetrised generating
     set, deduplicated by element equality (for amalgam handles this is the
-    reduced-word normal form).  Each sphere is sorted by ``element_key``; a
-    sphere is only computed when it is asked for, and the search stops after
-    the last nonempty sphere of a finite group.
+    reduced-word normal form).  The symmetrised set lists each element once,
+    so an involution, or a generator whose inverse is also a generator, costs
+    one product per element, not two.  Each sphere is sorted by
+    ``element_key``; a sphere is only computed when it is asked for, and the
+    search stops after the last nonempty sphere of a finite group.
     """
     gens = list(generators if generators is not None else group.generators)
-    gens = gens + [group.inv(g) for g in gens]
+    gens = list(dict.fromkeys(gens + [group.inv(g) for g in gens]))
     seen = {group.identity}
     sphere = [group.identity]
     while sphere:
@@ -466,13 +468,13 @@ class AmalgamGroup:
 
     ``embed_left`` and ``embed_right`` list, per element of ``common``, its
     image in ``left`` and ``right``; both must be injective homomorphisms.
-    Elements are :class:`ReducedWord` values.  Multiplication works at the
-    junction only, through per-side product tables built once: the product
-    shares the left factor's untouched pairs and costs O(|v| + cancelled
-    syllables) steps (see :meth:`mul`).  Normal forms are
-    canonical for the fixed representative choice (identity first, then
-    minimal element per coset), so a product equals the letter-by-letter
-    rewrite of :meth:`normal_form`.
+    Elements are :class:`ReducedWord` values.  A product u * v copies u's
+    pairs once and multiplies v's syllables onto their end in one pass,
+    through per-side product tables built once: a copy of u's pairs plus
+    O(|v| + cancelled syllables) table steps, with no syllable lists (see
+    :meth:`mul`).  Normal forms are canonical for the fixed representative
+    choice (identity first, then minimal element per coset), so a product
+    equals the letter-by-letter rewrite of :meth:`normal_form`.
     """
 
     def __init__(self, left: FiniteGroup, right: FiniteGroup, common: FiniteGroup,
@@ -536,9 +538,8 @@ class AmalgamGroup:
                 out.append(("R", h))
         return out
 
-    def _assemble(self, flat: list[tuple[str, int]], tail: int, prefix: tuple = ()) -> ReducedWord:
-        """The word prefix + flat + tail; flat starts with a G-syllable
-        whenever prefix is nonempty (the prefix ends in a genuine H-syllable)."""
+    def _assemble(self, flat: list[tuple[str, int]], tail: int) -> ReducedWord:
+        """The word flat + tail."""
         pairs = []
         pending_g = None
         for side, s in flat:
@@ -551,7 +552,7 @@ class AmalgamGroup:
                 pending_g = None
         if pending_g is not None:
             pairs.append((pending_g, self.right.identity))
-        return ReducedWord(prefix + tuple(pairs), tail)
+        return ReducedWord(tuple(pairs), tail)
 
     def _push_c(self, c: int, flat: list[tuple[str, int]]):
         """Rewrite embed(c) * s1 ... sk as s1' ... sk' * c_out.
@@ -601,45 +602,51 @@ class AmalgamGroup:
         return out
 
     def mul(self, u: ReducedWord, v: ReducedWord) -> ReducedWord:
-        """u * v on the pair tuples, in O(|v| + cancelled syllables) steps.
+        """u * v in one pass over v's syllables: a copy of u's pairs plus
+        O(|v| + cancelled syllables) table steps.
 
-        A v with no syllables only moves u's tail.  Otherwise v's leading
-        syllables cancel against u's trailing ones while each merged syllable
-        falls into C; u's pairs are unpacked into syllables only as far as
-        that cancellation reaches, and the one pending C element is then
-        pushed through the rest of v.  The result shares u's untouched pairs
-        as a tuple slice.
+        The pending C element c starts as u's tail.  Each genuine syllable s
+        of v becomes embed(c) * s = rep * c' through its side's tables, and
+        meets the last syllable of the pairs built so far: on the same side
+        the two merge, and the merged syllable replaces the last one or, when
+        it falls into C, is dropped, so that the next syllable of v meets the
+        one before; on the other side it fills the last pair's trivial H slot
+        or opens a new pair.  u's pairs are copied once and never unpacked.
         """
-        if not v.pairs:
-            return ReducedWord(u.pairs, self.common.table[u.tail][v.tail])
-        pairs = u.pairs
-        i = len(pairs)  # pairs[:i] is kept as it is
-        head: list = []  # the syllables of pairs[i:] still standing
-        rest = self.flat(v.pairs)
+        tab_l, rep_l, cpart_l, emb_l, e_l = self._tables["L"]
+        tab_r, rep_r, cpart_r, emb_r, e_r = self._tables["R"]
+        pairs = list(u.pairs)
         c = u.tail
-        k = 0
-        while k < len(rest):
-            if not head and i:
-                i -= 1
-                head = self.flat(pairs[i:i + 1])
-            side, y = rest[k]
-            table, rep_of, c_part, embed, e = self._tables[side]
-            y = table[embed[c]][y]
-            k += 1
-            if not head or head[-1][0] != side:
-                head.append((side, rep_of[y]))
-                c = c_part[y]
-                break
-            y = table[head[-1][1]][y]
-            c = c_part[y]
-            if rep_of[y] != e:
-                head[-1] = (side, rep_of[y])
-                break
-            head.pop()
-        if k < len(rest):
-            pushed, c = self._push_c(c, rest[k:])
-            head += pushed
-        return self._assemble(head, self.common.table[c][v.tail], pairs[:i])
+        last = len(v.pairs) - 1
+        for i, (g, h) in enumerate(v.pairs):
+            if i or g != e_l:
+                y = tab_l[emb_l[c]][g]
+                if pairs and pairs[-1][1] == e_r:  # the word so far ends in a G-syllable
+                    y = tab_l[pairs[-1][0]][y]
+                    if rep_l[y] == e_l:
+                        pairs.pop()
+                    else:
+                        pairs[-1] = (rep_l[y], e_r)
+                else:
+                    pairs.append((rep_l[y], e_r))
+                c = cpart_l[y]
+            if i < last or h != e_r:
+                y = tab_r[emb_r[c]][h]
+                if not pairs:
+                    pairs.append((e_l, rep_r[y]))
+                elif pairs[-1][1] == e_r:  # fill the trivial H slot
+                    pairs[-1] = (pairs[-1][0], rep_r[y])
+                else:
+                    g0, h0 = pairs[-1]
+                    y = tab_r[h0][y]
+                    if rep_r[y] != e_r:
+                        pairs[-1] = (g0, rep_r[y])
+                    elif g0 != e_l:
+                        pairs[-1] = (g0, e_r)
+                    else:
+                        pairs.pop()
+                c = cpart_r[y]
+        return ReducedWord(tuple(pairs), self.common.table[c][v.tail])
 
     def inv(self, u: ReducedWord) -> ReducedWord:
         """u^{-1} = c^{-1} s_k^{-1} ... s_1^{-1} for u = s_1 ... s_k c, in one

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from labparts.amalgam import TotalPoint
 from labparts.cli import build_space
 from labparts.core import InvalidInput
-from labparts.groups import FiniteGroup, ReducedWord, z4_z6_amalgam
+from labparts.groups import FiniteGroup, ReducedWord, ball_enumerate, z4_z6_amalgam
 from oracles import sl2_of_letters
 from test_group_search import s3_amalgam, z6_z9_amalgam
 
@@ -74,6 +74,25 @@ def test_words_that_start_on_the_right_keep_their_identity_slot():
     b, a = am.letter_word("R", 1), am.letter_word("L", 1)
     assert am.mul(b, a) == ReducedWord(((0, 1), (1, 0)), 0)
     assert am.mul(am.mul(b, a), am.inv(a)) == b == ReducedWord(((0, 1),), 0)
+
+
+@pytest.mark.parametrize("name", sorted(AMALGAMS))
+def test_mul_matches_the_rewrite_on_every_pair_from_two_balls(name):
+    """Every product of the radius-3 ball with the radius-2 ball, both ways:
+    the balls hold words that start on either side, pure C words and the
+    inverse of every word of the radius-2 ball, so each kind of cancellation
+    in ``mul`` is reached."""
+    am = AMALGAMS[name]
+    big = [w for w, _ in ball_enumerate(am, 3)]
+    small = [w for w, _ in ball_enumerate(am, 2)]
+    assert any(not w.pairs and w != am.identity for w in small)
+    assert any(w.pairs and w.pairs[0][0] == am.left.identity for w in small)
+    for u in big:
+        for v in small:
+            for a, b in ((u, v), (v, u)):
+                product = am.mul(a, b)
+                assert product == am.normal_form(am.letters(a) + am.letters(b))
+                assert am.is_reduced(product)
 
 
 def reference_orbit(built, limit):

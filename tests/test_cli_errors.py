@@ -519,3 +519,22 @@ def test_growth_reports_an_error_of_the_action_itself(monkeypatch):
     monkeypatch.setitem(built.actions, "main", dataclasses.replace(built.actions["main"], point_map=broken))
     with pytest.raises(DomainError, match="broken point map"):
         growth_profile(built, 2)
+
+
+REPEATED_NAME = {"kind": "metric_linf", "points": ["a", "b", "a"], "matrix": [[0, 1, 0], [1, 0, 1], [0, 1, 0]]}
+
+
+def test_a_metric_point_named_twice_exits_2(tmp_path, capsys):
+    # the two rows of "a" used to give two labels of one point, and dist a b read 2 where the matrix says 1
+    code, err = run(["dist", write_config(tmp_path, REPEATED_NAME), '"a"', '"b"'], capsys)
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("configuration error: root: metric point 'a' is named twice")
+
+
+def test_a_metric_file_that_names_a_point_twice_exits_2_naming_its_node(tmp_path, capsys):
+    (tmp_path / "m.csv").write_text("a,b,a\n0,1,0\n1,0,1\n0,1,0\n")
+    node = {"kind": "product", "q": "sup",
+            "factors": [{"kind": "walls_zn", "dim": 1, "q": "sup"}, {"kind": "metric_linf", "file": "m.csv"}]}
+    code, err = run(["dist", write_config(tmp_path, node), '[0,"a"]', '[0,"b"]'], capsys)
+    assert code == 2 and "Traceback" not in err
+    assert err.startswith("configuration error: root.factors[1]: metric point 'a' is named twice")

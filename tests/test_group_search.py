@@ -1,10 +1,13 @@
 """The lazy sphere-by-sphere search and the one-pass amalgam inverse."""
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from labparts.cli import build_space
 from labparts.groups import (
     AmalgamGroup,
     DirectSumGroup,
@@ -91,6 +94,54 @@ def test_sphere_search_runs_only_as_far_as_asked():
     assert len(products) == 2 * len(z46.generators) == len(first)
     next(search)
     assert len(products) == 2 * len(z46.generators) * (1 + len(first))
+
+
+def spheres_with_repeats(group, generators=None):
+    """The sphere search over the symmetrised generators with repeats kept,
+    so that an involution is multiplied twice per element."""
+    gens = list(generators if generators is not None else group.generators)
+    gens = gens + [group.inv(g) for g in gens]
+    seen = {group.identity}
+    sphere = [group.identity]
+    while sphere:
+        yield sphere
+        nxt = []
+        for x in sphere:
+            for s in gens:
+                y = group.mul(x, s)
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        sphere = sorted(nxt, key=group.element_key)
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+BUILT = {path.name: build_space(json.loads(path.read_text()), CONFIGS) for path in sorted(CONFIGS.glob("*.json"))}
+ACTING = {name: built.group for name, built in BUILT.items() if built.group is not None}
+
+
+@pytest.mark.parametrize("name", sorted(ACTING))
+def test_spheres_equal_the_search_with_repeated_generators(name):
+    group = ACTING[name]
+    # radii 0 to 6, or fewer where a finite group runs out
+    assert list(itertools.islice(spheres(group), 7)) == list(itertools.islice(spheres_with_repeats(group), 7))
+
+
+def test_an_involution_costs_one_product_per_sphere_element():
+    group = ACTING["proper_sum.json"]  # seven generators, each its own inverse
+    products = []
+
+    class Counting:
+        identity, generators, element_key, inv = group.identity, group.generators, group.element_key, group.inv
+
+        def mul(self, a, b):
+            products.append(1)
+            return group.mul(a, b)
+
+    search = spheres(Counting())
+    sizes = [len(next(search)) for _ in range(4)]
+    assert sizes == [1, 7, 21, 35]
+    assert len(products) == 7 * (1 + 7 + 21)
 
 
 def test_spheres_of_a_finite_group_stop_after_its_diameter():
