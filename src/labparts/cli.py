@@ -6,10 +6,11 @@ with its actions and a deterministic point enumeration.  The subcommands
 ``dist``, ``table``, ``growth``, ``check`` and ``export`` and their options
 are listed in the command line synopsis of README.md.
 
-Exit codes: 0 success, 1 check failure, 2 configuration error.  All
-randomness is seeded: ``--seed`` (default 0) reaches only ``check``, while
-``table``, ``export`` and ``#k`` indices over a sampled node always draw with
-seed 0 (``Built.points``).  Rationals are serialized as "num/den" strings;
+Exit codes: 0 success, 1 check failure, 2 configuration error (an
+``--out`` path that cannot be written is one).  All randomness is seeded:
+``--seed`` (default 0) reaches only ``check``, while ``table``, ``export``
+and ``#k`` indices over a sampled node always draw with seed 0
+(``Built.points``).  Rationals are serialized as "num/den" strings;
 outputs are sorted in canonical element order, so identical configs produce
 byte-identical outputs.
 """
@@ -19,12 +20,14 @@ import functools
 import itertools
 import json
 import math
+import os
 import random
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
-from typing import Any, Callable, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from . import amalgam as amalgam_mod
 from . import constructions as cons
@@ -661,6 +664,31 @@ def report_dict(report: CheckReport) -> dict:
     }
 
 
+def json_chunks(entries: Iterable[dict]) -> Iterator[str]:
+    """``json.dumps(list(entries), indent=2, sort_keys=True) + "\\n"``, one chunk per
+    entry, for entries whose values are strings or objects of strings (what
+    ``export`` writes).  Strings go through json's C encoder, and keys sort on
+    the unescaped string, as ``json`` sorts them."""
+    written = False
+    for entry in entries:
+        yield (",\n  " if written else "[\n  ") + _json_object(entry, "  ")
+        written = True
+    yield "\n]\n" if written else "[]\n"
+
+
+def _json_object(obj: dict, indent: str) -> str:
+    """``json.dumps(obj, indent=2, sort_keys=True)`` at nesting ``indent``."""
+    if not obj:
+        return "{}"
+    inner = indent + "  "
+    items = ",\n".join([
+        f"{inner}{encode_basestring_ascii(k)}: "
+        f"{_json_object(v, inner) if type(v) is dict else encode_basestring_ascii(v)}"
+        for k, v in sorted(obj.items())
+    ])
+    return f"{{\n{items}\n{indent}}}"
+
+
 # ---------------------------------------------------------------------------
 # profiles and check suites
 
@@ -768,6 +796,24 @@ def energy_table(built: Built, limit: int) -> tuple[Listing, list[list]]:
                 e = cache[key] = cache[group.inv(key)] = pair_energy(space, x, points[j])
             rows[i][j] = rows[j][i] = e
     return listed, rows
+
+
+def table_csv(listed: Listing, energies: list[list], norm) -> Iterator[str]:
+    """``table``'s CSV in chunks: the header, one chunk per listed point x with
+    its line for every pair (x, y), then the listing's note."""
+    names = [f"\"{p!r}\"" for p in listed]
+    texts: dict = {}  # energy -> its "energy,dist" cells
+    yield "x,y,energy,dist\n"
+    for x, row in zip(names, energies):
+        lines = []
+        for y, e in zip(names, row):
+            text = texts.get(e)
+            if text is None:
+                text = texts[e] = f"{rational_str(e)},{energy_to_dist(norm, e):.12g}"
+            lines.append(f"{x},{y},{text}\n")
+        yield "".join(lines)
+    if listed.note:
+        yield listed.note + "\n"
 
 
 def profile_csv(profile: dict) -> str:
@@ -888,11 +934,29 @@ def _load_config(path_str: str) -> tuple[dict, Path]:
     return node, path.parent
 
 
-def _write_out(text: str, out: str | None) -> None:
+def _write_out(chunks: Iterable[str], out: str | None) -> None:
+    """Write text chunks as they come, to the file ``out`` or to stdout.
+
+    An ``out`` that cannot be opened is a ConfigError, raised before the first
+    chunk is made.  When the reader of stdout closes the pipe early, writing
+    stops and fd 1 is pointed at ``os.devnull``, so that the interpreter's last
+    flush is quiet too; the command still exits as it would have.
+    """
     if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            file = Path(out).open("w")
+        except OSError as exc:
+            raise ConfigError(f"cannot write --out {out!r}: {exc.strerror}") from exc
+        with file:
+            file.writelines(chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def nonnegative(text: str) -> int:
@@ -962,23 +1026,12 @@ def main(argv=None) -> int:
         if args.command == "table":
             limit = args.limit if args.radius is None else max(args.limit, 2 * args.radius + 1)
             listed, energies = energy_table(built, limit)
-            names = [f"\"{p!r}\"" for p in listed]
-            texts: dict = {}  # energy -> its "energy,dist" cells
-            lines = ["x,y,energy,dist"]
-            for x, row in zip(names, energies):
-                for y, e in zip(names, row):
-                    text = texts.get(e)
-                    if text is None:
-                        text = texts[e] = f"{rational_str(e)},{energy_to_dist(built.space.norm, e):.12g}"
-                    lines.append(f"{x},{y},{text}")
-            if listed.note:
-                lines.append(listed.note)
-            _write_out("\n".join(lines) + "\n", args.out)
+            _write_out(table_csv(listed, energies, built.space.norm), args.out)
             return 0
 
         if args.command == "growth":
             profile = growth_profile(built, args.radius, budget=args.budget)
-            _write_out(profile_csv(profile), args.out)
+            _write_out([profile_csv(profile)], args.out)
             return 0
 
         if args.command == "check":
@@ -987,8 +1040,7 @@ def main(argv=None) -> int:
             # a suite that does not apply yields no report: one named on its own must apply
             if not result["suites"]:
                 raise ConfigError(f"check --suite {args.suite} does not apply to this config")
-            text = json.dumps(json_ready(result), indent=2, sort_keys=True) + "\n"
-            _write_out(text, args.out)
+            _write_out([json.dumps(json_ready(result), indent=2, sort_keys=True) + "\n"], args.out)
             return 0 if result["passed"] else 1
 
         if args.command == "export":
@@ -997,14 +1049,14 @@ def main(argv=None) -> int:
             # one oracle call per point: with x0 the first point, c(x, y) = c(x, x0) + c(x0, y)
             # (Chasles), so each pair's support lies in the union of the c(x, x0) supports
             to_x0 = [sep(built.space, x, points[0]) for x in points]
-            # the payload is all strings already; json.dumps orders each dict's keys
             if args.what == "vectors":
                 names = [repr(x) for x in points]
                 from_x0 = [-v for v in to_x0]
                 # labels recur across pairs; values are not memoised, as hashing a Fraction costs
                 # more than formatting it
                 key = functools.cache(label_key)
-                payload = [
+                # each pair's vector is summed as its entry is written: arithmetic only, after every oracle call
+                entries = (
                     {
                         "x": names[i],
                         "y": names[j],
@@ -1012,14 +1064,14 @@ def main(argv=None) -> int:
                     }
                     for i, vec in enumerate(to_x0)
                     for j in range(i + 1, len(points))
-                ]
+                )
             else:
                 labels = {}
                 for vec in to_x0:
                     for label in vec.support():
                         labels[label_key(label)] = rational_str(built.space.norm.weight(label))
-                payload = [{"label": k, "weight": labels[k]} for k in sorted(labels)]
-            _write_out(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+                entries = ({"label": k, "weight": labels[k]} for k in sorted(labels))
+            _write_out(json_chunks(entries), args.out)
             if listed.note:
                 print(listed.note, file=sys.stderr)  # stderr keeps the JSON on stdout as it was
             return 0
