@@ -126,6 +126,9 @@ class SparseVec:
     """
 
     __slots__ = ("_entries",)
+    # not iterable: iter, list and ``in`` would fall back to __getitem__,
+    # which returns 0 for every missing label, and never end
+    __iter__ = None
 
     def __init__(self, entries: Iterable | dict = ()):
         items = entries.items() if isinstance(entries, dict) else entries

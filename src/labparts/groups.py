@@ -474,7 +474,8 @@ class AmalgamGroup:
     O(|v| + cancelled syllables) table steps, with no syllable lists (see
     :meth:`mul`).  Normal forms are canonical for the fixed representative
     choice (identity first, then minimal element per coset), so a product
-    equals the letter-by-letter rewrite of :meth:`normal_form`.
+    equals the letter-by-letter syllable-list rewrite that the tests keep as
+    their reference (``rewrite_normal_form`` in ``tests/oracles.py``).
     """
 
     def __init__(self, left: FiniteGroup, right: FiniteGroup, common: FiniteGroup,
@@ -525,68 +526,23 @@ class AmalgamGroup:
             return self.right, self.cosets_right, self.embed_right, self._tables["R"]
         raise InvalidInput(f"side must be 'L' or 'R', got {side!r}")
 
-    def flat(self, pairs: tuple) -> list[tuple[str, int]]:
-        """The genuine alternating syllable list of a pair tuple, trivial edge
-        slots dropped; a run of pairs out of a reduced word gives its own
-        syllables, since only a word's end slots may be trivial."""
-        out = []
-        last = len(pairs) - 1
-        for i, (g, h) in enumerate(pairs):
-            if i or g != self.left.identity:
-                out.append(("L", g))
-            if i < last or h != self.right.identity:
-                out.append(("R", h))
-        return out
-
-    def _assemble(self, flat: list[tuple[str, int]], tail: int) -> ReducedWord:
-        """The word flat + tail."""
-        pairs = []
-        pending_g = None
-        for side, s in flat:
-            if side == "L":
-                if pending_g is not None:
-                    pairs.append((pending_g, self.right.identity))
-                pending_g = s
-            else:
-                pairs.append((self.left.identity if pending_g is None else pending_g, s))
-                pending_g = None
-        if pending_g is not None:
-            pairs.append((pending_g, self.right.identity))
-        return ReducedWord(tuple(pairs), tail)
-
-    def _push_c(self, c: int, flat: list[tuple[str, int]]):
-        """Rewrite embed(c) * s1 ... sk as s1' ... sk' * c_out.
-
-        Interior syllables never lie in C, so their rewritten representatives
-        stay nontrivial and the alternation pattern is unchanged.
-        """
-        out = []
-        for side, s in flat:
-            table, rep_of, c_part, embed, _ = self._tables[side]
-            y = table[embed[c]][s]
-            out.append((side, rep_of[y]))
-            c = c_part[y]
-        return out, c
-
     # -- normal form and arithmetic --------------------------------------------
 
     def letter_word(self, side: str, x: int) -> ReducedWord:
         return self.prepend_letter(side, x, self.identity)
 
     def prepend_letter(self, side: str, x: int, word: ReducedWord) -> ReducedWord:
-        table, rep_of, c_part, embed, e = self._side(side)[3]
-        flat = self.flat(word.pairs)
-        if not flat:
-            y = table[x][embed[word.tail]]
-            return self._assemble([(side, rep_of[y])] if rep_of[y] != e else [], c_part[y])
-        if flat[0][0] == side:
-            y = table[x][flat[0][1]]
-            flat = flat[1:]
+        """x * word through :meth:`mul`, x being the one-pair word of its
+        representative with its C-part as tail."""
+        _, rep_of, c_part, _, e = self._side(side)[3]
+        r = rep_of[x]
+        if r == e:
+            pairs = ()
+        elif side == "L":
+            pairs = ((r, self.right.identity),)
         else:
-            y = x
-        pushed, c_out = self._push_c(c_part[y], flat)
-        head = [(side, rep_of[y])] if rep_of[y] != e else []
-        return self._assemble(head + pushed, self.common.mul(c_out, word.tail))
+            pairs = ((self.left.identity, r),)
+        return self.mul(ReducedWord(pairs, c_part[x]), word)
 
     def normal_form(self, letters: Iterable[tuple[str, int]]) -> ReducedWord:
         """Reduced word of a product of letters from G ('L') and H ('R')."""
@@ -596,7 +552,15 @@ class AmalgamGroup:
         return word
 
     def letters(self, word: ReducedWord) -> list[tuple[str, int]]:
-        out = self.flat(word.pairs)
+        """The genuine syllables of a word in order, trivial end slots dropped,
+        then its tail as a G-letter when it is nontrivial."""
+        out = []
+        last = len(word.pairs) - 1
+        for i, (g, h) in enumerate(word.pairs):
+            if i or g != self.left.identity:
+                out.append(("L", g))
+            if i < last or h != self.right.identity:
+                out.append(("R", h))
         if word.tail != self.common.identity:
             out.append(("L", self.embed_left[word.tail]))
         return out
@@ -649,12 +613,20 @@ class AmalgamGroup:
         return ReducedWord(tuple(pairs), self.common.table[c][v.tail])
 
     def inv(self, u: ReducedWord) -> ReducedWord:
-        """u^{-1} = c^{-1} s_k^{-1} ... s_1^{-1} for u = s_1 ... s_k c, in one
-        pass: the inverted syllables still alternate and lie outside C, so
-        pushing c^{-1} through them once gives the normal form."""
-        inverted = [(side, self.side_group(side).inv(x)) for side, x in reversed(self.flat(u.pairs))]
-        pushed, c = self._push_c(self.common.inv(u.tail), inverted)
-        return self._assemble(pushed, c)
+        """u^{-1} = c^{-1} h_n^{-1} g_n^{-1} ... h_1^{-1} g_1^{-1} for
+        u = g_1 h_1 ... g_n h_n c, through :meth:`mul`: the inverted syllables
+        in reverse order are paired as (e, h_n^{-1}), (g_n^{-1}, h_{n-1}^{-1}),
+        ..., (g_1^{-1}, e), an end pair that is trivial on both sides (h_n or
+        g_1 trivial) is dropped, and c^{-1} is multiplied onto them."""
+        e_g, e_h = self.left.identity, self.right.identity
+        gs = [self.left.inv(g) for g, _ in reversed(u.pairs)]
+        hs = [self.right.inv(h) for _, h in reversed(u.pairs)]
+        pairs = list(zip([e_g] + gs, hs + [e_h]))
+        if pairs[0] == (e_g, e_h):
+            del pairs[0]
+        if pairs and pairs[-1] == (e_g, e_h):
+            del pairs[-1]
+        return self.mul(ReducedWord((), self.common.inv(u.tail)), ReducedWord(tuple(pairs), self.common.identity))
 
     def element_key(self, word: ReducedWord):
         return (len(word.pairs), word.pairs, word.tail)
@@ -663,11 +635,14 @@ class AmalgamGroup:
         """The factor-group element equal to this word, or None if it has
         genuine syllables from the other side."""
         group, _, embed, _ = self._side(side)
-        flat = self.flat(word.pairs)
-        if not flat:
+        if not word.pairs:
             return embed[word.tail]
-        if len(flat) == 1 and flat[0][0] == side:
-            return group.mul(flat[0][1], embed[word.tail])
+        if len(word.pairs) == 1:
+            g, h = word.pairs[0]
+            if side == "L" and h == self.right.identity:
+                return group.mul(g, embed[word.tail])
+            if side == "R" and g == self.left.identity:
+                return group.mul(h, embed[word.tail])
         return None
 
     def is_reduced(self, word: ReducedWord) -> bool:

@@ -1,8 +1,10 @@
 """Independent reference computations used to freeze expected test values.
 
 Everything here deliberately avoids the production code paths: matrix
-arithmetic over SL2(Z) for the amalgam word problem, breadth-first searches
-over explicitly materialised graphs for tree distances and projections, and
+arithmetic over SL2(Z) for the amalgam word problem, the letter-by-letter
+syllable-list rewrite of amalgam normal forms (``rewrite_normal_form``, the
+reference for ``AmalgamGroup.mul`` and ``inv``), breadth-first searches over
+explicitly materialised graphs for tree distances and projections, and
 first-principles recounts of separating walls and Dirac supports.
 """
 
@@ -41,6 +43,68 @@ def sl2_of_letters(letters):
     for side, x in letters:
         out = mat2_mul(out, mat2_pow(SL2_S, x) if side == "L" else mat2_pow(SL2_U, x))
     return out
+
+
+# ---------------------------------------------------------------------------
+# amalgam normal forms by the syllable-list rewrite
+
+
+def rewrite_normal_form(am, letters):
+    """Reduced word of a product of letters from G ('L') and H ('R'),
+    prepended one at a time onto a list of genuine syllables.
+
+    Each side's lookups come from the amalgam's coset tables and embeddings
+    and its factor groups' ``mul``; ``am.mul``, ``am._tables`` and
+    ``am._side`` are never read, so the result is independent of the
+    product under test.
+    """
+    from labparts.groups import ReducedWord
+
+    sides = {}
+    for side, group, cosets, embed in (("L", am.left, am.cosets_left, am.embed_left),
+                                       ("R", am.right, am.cosets_right, am.embed_right)):
+        unembed = {g: c for c, g in enumerate(embed)}
+        sides[side] = (group, cosets.rep_of, [unembed[f] for f in cosets.factor_of], embed)
+
+    def push_c(c, flat):
+        """Rewrite embed(c) * s1 ... sk as s1' ... sk' * c_out: interior
+        syllables never lie in C, so the pattern of sides is unchanged."""
+        out = []
+        for side, s in flat:
+            group, rep_of, c_part, embed = sides[side]
+            y = group.mul(embed[c], s)
+            out.append((side, rep_of[y]))
+            c = c_part[y]
+        return out, c
+
+    flat, tail = [], am.common.identity
+    for side, x in reversed(list(letters)):
+        group, rep_of, c_part, embed = sides[side]
+        if not flat:
+            y = group.mul(x, embed[tail])
+            flat, tail = [(side, rep_of[y])] if rep_of[y] != group.identity else [], c_part[y]
+            continue
+        if flat[0][0] == side:
+            y = group.mul(x, flat[0][1])
+            flat = flat[1:]
+        else:
+            y = x
+        pushed, c_out = push_c(c_part[y], flat)
+        flat = ([(side, rep_of[y])] if rep_of[y] != group.identity else []) + pushed
+        tail = am.common.mul(c_out, tail)
+
+    pairs, pending_g = [], None
+    for side, s in flat:
+        if side == "L":
+            if pending_g is not None:
+                pairs.append((pending_g, am.right.identity))
+            pending_g = s
+        else:
+            pairs.append((am.left.identity if pending_g is None else pending_g, s))
+            pending_g = None
+    if pending_g is not None:
+        pairs.append((pending_g, am.right.identity))
+    return ReducedWord(tuple(pairs), tail)
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 from labparts.amalgam import TotalPoint
 from labparts.cli import build_space
 from labparts.core import InvalidInput
-from labparts.groups import FiniteGroup, ReducedWord, ball_enumerate, z4_z6_amalgam
-from oracles import sl2_of_letters
+from labparts.groups import AmalgamGroup, FiniteGroup, ReducedWord, ball_enumerate, z4_z6_amalgam
+from oracles import rewrite_normal_form, sl2_of_letters
 from test_group_search import s3_amalgam, z6_z9_amalgam
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -53,7 +53,7 @@ def test_mul_matches_the_letter_by_letter_rewrite(name, l1, l2, d, c):
              (am.identity, v), (v, am.identity), (u, am.inv(u)), (w, am.inv(w))]
     for a, b in cases:
         product = am.mul(a, b)
-        assert product == am.normal_form(am.letters(a) + am.letters(b))
+        assert product == rewrite_normal_form(am, am.letters(a) + am.letters(b))
         assert am.is_reduced(product)
     assert am.mul(u, am.inv(u)) == am.identity == am.mul(w, am.inv(w))
 
@@ -91,19 +91,57 @@ def test_mul_matches_the_rewrite_on_every_pair_from_two_balls(name):
         for v in small:
             for a, b in ((u, v), (v, u)):
                 product = am.mul(a, b)
-                assert product == am.normal_form(am.letters(a) + am.letters(b))
+                assert product == rewrite_normal_form(am, am.letters(a) + am.letters(b))
                 assert am.is_reduced(product)
+
+
+@pytest.mark.parametrize("name", sorted(AMALGAMS))
+def test_inv_and_side_elements_on_every_word_of_the_radius_5_ball(name):
+    """``inv`` against the rewrite of the inverted letters in reverse order,
+    and ``as_side_element`` against ``letter_word``: the radius-5 ball holds
+    words that start and end on either side, so both end pairs that ``inv``
+    may drop are reached."""
+    am = AMALGAMS[name]
+    ball = [w for w, _ in ball_enumerate(am, 5)]
+    ends = {(w.pairs[0][0] == am.left.identity, w.pairs[-1][1] == am.right.identity) for w in ball if w.pairs}
+    assert ends == {(True, True), (True, False), (False, True), (False, False)}
+    side_elements = {}
+    for side in "LR":
+        for x in range(am.side_group(side).size):
+            letter = am.letter_word(side, x)
+            assert letter == rewrite_normal_form(am, [(side, x)])
+            side_elements[side, letter] = x
+    for u in ball:
+        inverse = am.inv(u)
+        assert inverse == rewrite_normal_form(am, [(s, am.side_group(s).inv(x)) for s, x in reversed(am.letters(u))])
+        assert am.is_reduced(inverse)
+        for side in "LR":
+            assert am.as_side_element(side, u) == side_elements.get((side, u))
+
+
+@pytest.mark.parametrize("name", sorted(AMALGAMS))
+def test_the_rewrite_never_reads_the_product_it_checks(name, monkeypatch):
+    am = AMALGAMS[name]
+    ball = [w for w, _ in ball_enumerate(am, 3)]
+
+    def no_mul(*args):
+        raise AssertionError("the reference rewrite called AmalgamGroup.mul")
+
+    monkeypatch.setattr(AmalgamGroup, "mul", no_mul)
+    monkeypatch.delattr(am, "_tables")
+    for w in ball:
+        assert rewrite_normal_form(am, am.letters(w)) == w
 
 
 def reference_orbit(built, limit):
     """The orbit walk of ``Built.orbit_elements`` with every product taken
-    through ``normal_form`` and every vertex moved on its own word."""
+    through ``rewrite_normal_form`` and every vertex moved on its own word."""
     am, tree, x0 = built.group, built.extras["tree"], built.basepoint
 
     def mul(u, v):
-        return am.normal_form(am.letters(u) + am.letters(v))
+        return rewrite_normal_form(am, am.letters(u) + am.letters(v))
 
-    gens = list(am.generators) + [am.normal_form(reversed([(s, am.side_group(s).inv(x)) for s, x in am.letters(g)]))
+    gens = list(am.generators) + [rewrite_normal_form(am, reversed([(s, am.side_group(s).inv(x)) for s, x in am.letters(g)]))
                                   for g in am.generators]
     out, seen, sphere = {}, {am.identity}, [am.identity]
     while sphere:

@@ -61,6 +61,19 @@ def test_combine_is_linear_combination(a, b, lam, mu):
     assert combine(a, b, lam, mu) == expected
 
 
+def test_a_vector_is_not_iterable():
+    # iter is checked first: through __getitem__ the sequence fallback of
+    # list and ``in`` would never end
+    vec = SparseVec(((dirac(0), 2),))
+    with pytest.raises(TypeError):
+        iter(vec)
+    with pytest.raises(TypeError):
+        list(vec)
+    with pytest.raises(TypeError):
+        dirac(0) in vec
+    assert vec[dirac(0)] == 2 and list(vec.support()) == [dirac(0)]
+
+
 def test_combine_examples():
     v = SparseVec(((dirac(0), 2),))
     assert combine(v, v, 1, -1) == SparseVec()

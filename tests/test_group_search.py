@@ -21,6 +21,7 @@ from labparts.groups import (
     spheres,
     z4_z6_amalgam,
 )
+from oracles import rewrite_normal_form
 
 
 def reference_ball(group, radius, generators=None):
@@ -160,6 +161,6 @@ def test_one_pass_inverse_matches_letter_by_letter_rewrite(name, letters):
     letters = [(side, x % am.side_group(side).size) for side, x in letters]
     u = am.normal_form(letters)
     inverse = am.inv(u)
-    assert inverse == am.normal_form([(side, am.side_group(side).inv(x)) for side, x in reversed(am.letters(u))])
+    assert inverse == rewrite_normal_form(am, [(side, am.side_group(side).inv(x)) for side, x in reversed(am.letters(u))])
     assert am.is_reduced(inverse)
     assert am.mul(u, inverse) == am.identity == am.mul(inverse, u)

@@ -21,7 +21,7 @@ from labparts.groups import (
     sphere_list,
     z4_z6_amalgam,
 )
-from oracles import sl2_of_letters
+from oracles import rewrite_normal_form, sl2_of_letters
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_ball_against_brute_force_products(z46):
     brute = {z46.identity}
     for k in (1, 2):
         for seq in itertools.product(letters, repeat=k):
-            brute.add(z46.normal_form(list(seq)))
+            brute.add(rewrite_normal_form(z46, list(seq)))
     assert set(ball) == brute
 
 
@@ -296,8 +296,8 @@ def test_junction_mul_matches_letter_by_letter_rewrite(l1, l2):
     am = z4_z6_amalgam()
     u, v = am.normal_form(l1), am.normal_form(l2)
     product = am.mul(u, v)
-    assert product == am.normal_form(am.letters(u) + am.letters(v))
-    assert product == am.normal_form(l1 + l2)
+    assert product == rewrite_normal_form(am, am.letters(u) + am.letters(v))
+    assert product == rewrite_normal_form(am, l1 + l2)
 
 
 def test_multiply_associative_and_inverses(z46, rng):
