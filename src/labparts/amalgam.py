@@ -306,7 +306,7 @@ def amalgam_space(
     def weight_of(label):
         return vertex_part.norm.weight(label) if label[0][0] == "vertex" else half_weight(label)
 
-    # a label bijection moves its support labels by one element; the labels of
+    # relabel moves a vector's support labels by one element; the labels of
     # one vertex come together, and so do both orientations of one edge, so each
     # move is memoised for its last arguments, and the inverses of the last
     # element and vertex word are kept (an lru_cache is thread-safe)

@@ -18,6 +18,7 @@ Three families:
 from __future__ import annotations
 
 import csv
+import functools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ from .core import (
     relabel,
     sep,
 )
-from .groups import FreeGroup, ball_enumerate
+from .groups import FiniteGroup, FreeGroup, ball_enumerate
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +412,24 @@ def cocycle_from_space(
 ) -> CheckReport:
     """Extract the affine action attached to a space with an automorphism
     action and verify it: with b(g) = sep(g x0, x0) and pi(g) acting by the
-    label bijection of g, check b(gh) = pi(g) b(h) + b(g) exactly, and that
+    label map of g^-1, check b(gh) = pi(g) b(h) + b(g) exactly, and that
     pi preserves energies on the separation span."""
     report = CheckReport("cocycle-identity")
-    group = action.group
+    group, label_map = action.group, action.label_map
+    if label_map is None:
+        raise DomainError("action carries no label map")
 
     def b(g):
         return sep(space, action.point_map(g, basepoint), basepoint)
 
     for g, h in sample_pairs:
+        pi = functools.partial(label_map, group.inv(g))
         lhs = b(group.mul(g, h))
-        rhs = relabel(b(h), action.bijection(g), "forward") + b(g)
+        rhs = relabel(b(h), pi) + b(g)
         ok = lhs == rhs
         if ok:
             xi = b(g) + b(h).scaled(Fraction(1, 3))
-            moved = relabel(xi, action.bijection(g), "forward")
+            moved = relabel(xi, pi)
             ok = q_energy(space.norm, moved) == q_energy(space.norm, xi)
             report.record(ok, None if ok else {"pair": (g, h), "reason": "norm not preserved"})
         else:
@@ -438,7 +442,8 @@ def cocycle_from_text(path, group, radius: int) -> CocycleAction:
 
     Format, one declaration per line: ``q <exponent>``, then per generator
     ``gen <element> | <matrix rows ; separated> | <vector>`` with rational
-    entries.  Elements are parsed as integers (finite group indices or Z).
+    entries.  Elements are parsed as integers (finite group indices or Z),
+    each declared once.
     """
     q = None
     gen_rep: dict = {}
@@ -456,6 +461,10 @@ def cocycle_from_text(path, group, radius: int) -> CocycleAction:
             _, rest = line.split(" ", 1)
             elem_s, mat_s, vec_s = (part.strip() for part in rest.split("|"))
             elem = int(elem_s)
+            if elem in gen_rep:
+                raise InvalidInput(f"cocycle generator {elem} is declared twice; each gen line needs its own element")
+            if isinstance(group, FiniteGroup) and not 0 <= elem < len(group):
+                raise InvalidInput(f"cocycle generator {elem} is not an element 0..{len(group) - 1} of the group")
             matrix = tuple(
                 tuple(Fraction(v) for v in row.split()) for row in mat_s.split(";")
             )

@@ -209,32 +209,44 @@ def coset_walls_action(group: FiniteGroup, walls: MeasuredWalls, tables_subgroup
 def custom_walls_load(path) -> MeasuredWalls:
     """Load walls from a text file over an enumerated point set.
 
-    Format: a ``points`` line naming the points, then one line per wall:
+    Format: one ``points`` line naming the points, then one line per wall:
     ``wall <id> <weight> <m_1> ... <m_k>`` with m_j in {0, 1} flagging
     membership of the j-th point.  Weights are rationals like ``2/3``.
+    Point names and wall ids are distinct.
     """
-    points: tuple = ()
-    walls = []
+    points = None
+    weights: dict = {}
+    masks: dict = {}
     with open(path, encoding="ascii") as fh:
         for line in fh:
             parts = line.split()
             if not parts or parts[0].startswith("#"):
                 continue
             if parts[0] == "points":
+                if points is not None:
+                    raise DomainError(f"a second points line: {line!r}; the points are declared once")
                 points = tuple(parts[1:])
+                for i, p in enumerate(points):
+                    if p in points[:i]:
+                        raise DomainError(f"walls point {p!r} is named twice; each point needs its own name")
             elif parts[0] == "wall":
+                if points is None:
+                    raise DomainError(f"wall line before the points line: {line!r}")
                 if len(parts) != 3 + len(points):
                     raise DomainError(f"wall line has wrong arity: {line!r}")
                 wid, w = parts[1], Fraction(parts[2])
+                if wid in weights:
+                    raise DomainError(f"wall {wid!r} is declared twice; each wall needs its own id")
                 if w <= 0:
                     raise DomainError("wall weights must be positive")
-                mask = {p: v == "1" for p, v in zip(points, parts[3:])}
-                walls.append((wid, w, mask))
+                for p, v in zip(points, parts[3:]):
+                    if v not in ("0", "1"):
+                        raise DomainError(f"wall {wid!r} flags point {p!r} with {v!r}; a membership flag is 0 or 1")
+                weights[wid] = w
+                masks[wid] = {p: v == "1" for p, v in zip(points, parts[3:])}
             else:
                 raise DomainError(f"unrecognised walls line: {line!r}")
     if not points:
         raise DomainError("walls file declares no points")
-    weights = {wid: w for wid, w, _ in walls}
-    masks = {wid: mask for wid, _, mask in walls}
 
     return finite_walls(finite_universe(points), weights, lambda h, x: masks[h][x], weight=weights.__getitem__)

@@ -216,7 +216,7 @@ def reference_check_equivariance(
         ok = values_match(q_energy(space.norm, lhs), q_energy(space.norm, rhs))
         detail = None
         if ok and action.label_map is not None:
-            moved = relabel(rhs, action.bijection(g), "forward")
+            moved = relabel(rhs, lambda l: action.label_map(action.group.inv(g), l))
             ok = moved == lhs
             if ok:
                 for label in rhs.support():

@@ -538,3 +538,46 @@ def test_a_metric_file_that_names_a_point_twice_exits_2_naming_its_node(tmp_path
     code, err = run(["dist", write_config(tmp_path, node), '[0,"a"]', '[0,"b"]'], capsys)
     assert code == 2 and "Traceback" not in err
     assert err.startswith("configuration error: root.factors[1]: metric point 'a' is named twice")
+
+
+@pytest.mark.parametrize("text, message", [
+    # the first h1 used to be dropped, and dist a c read energy 0/1 with exit 0
+    ("points a b c\nwall h1 1 1 0 0\nwall h1 2 0 1 0\n", "wall 'h1' is declared twice"),
+    ("points a b a\nwall h 1 1 0 0\n", "walls point 'a' is named twice"),
+    # a flag other than 1 used to be read as 0
+    ("points a b c\nwall h 1 1 2 0\n", "wall 'h' flags point 'b' with '2'; a membership flag is 0 or 1"),
+    ("points a b c\nwall h 1 1 yes 0\n", "wall 'h' flags point 'b' with 'yes'"),
+    # after a wall line, a second points line used to end table, dist and check in a KeyError
+    ("points a b c\nwall h 1 1 0 0\npoints a b c\n", "a second points line: 'points a b c\\n'"),
+    ("points a b\npoints a b c\nwall h 1 1 0 0\n", "a second points line: 'points a b c\\n'"),
+    ("wall h 1\npoints a b c\n", "wall line before the points line: 'wall h 1\\n'"),
+], ids=["wall-twice", "point-twice", "flag-2", "flag-word", "points-after-wall", "points-twice", "wall-first"])
+@pytest.mark.parametrize("wrapped", [False, True], ids=["node", "pullback"])
+def test_a_walls_file_that_repeats_a_name_or_a_points_line_or_misflags_exits_2(text, message, wrapped, tmp_path,
+                                                                                capsys):
+    path = "root.inner" if wrapped else "root"
+    node = {"kind": "pullback", "inner": WALLS, "map": {"type": "identity"}} if wrapped else WALLS
+    (tmp_path / "walls.txt").write_text(text)
+    config = write_config(tmp_path, node)
+    for argv in (["dist", config, '"a"', '"b"'], ["table", config], ["check", config, "--samples", "5"]):
+        code, err = run(argv, capsys)
+        assert code == 2 and "Traceback" not in err, (argv, err)
+        assert err.startswith(f"configuration error: {path}: {message}"), (argv, err)
+
+
+@pytest.mark.parametrize("group, gens, message", [
+    # the later line used to replace the earlier one, with exit 0
+    ("Z", "gen 1 | 1 | 1\ngen 1 | -1 | 1\n", "cocycle generator 1 is declared twice"),
+    ({"cyclic": 4}, "gen 1 | 1 | 0\ngen 1 | 1 | 0\n", "cocycle generator 1 is declared twice"),
+    # gen 4 used to raise IndexError with exit 1, and gen -1 to wrap round to element 3
+    ({"cyclic": 4}, "gen 4 | 1 | 0\n", "cocycle generator 4 is not an element 0..3 of the group"),
+    ({"cyclic": 4}, "gen -1 | 1 | 0\n", "cocycle generator -1 is not an element 0..3 of the group"),
+], ids=["Z-twice", "Z4-twice", "Z4-gen-4", "Z4-gen--1"])
+def test_a_cocycle_file_that_repeats_a_generator_or_leaves_the_group_exits_2(group, gens, message, tmp_path,
+                                                                              capsys):
+    (tmp_path / "c.txt").write_text("q 2\n" + gens)
+    config = write_config(tmp_path, {**COCYCLE, "group": group})
+    for argv in (["dist", config, "0", "1"], ["table", config], ["check", config, "--samples", "5"]):
+        code, err = run(argv, capsys)
+        assert code == 2 and "Traceback" not in err, (argv, err)
+        assert err.startswith(f"configuration error: root: {message}"), (argv, err)

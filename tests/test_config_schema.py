@@ -7,8 +7,12 @@ subcommand exit 2 with the node path, never 0 and never a traceback.
 """
 
 import argparse
+import builtins
+import importlib
+import inspect
 import itertools
 import json
+import pkgutil
 import re
 import shutil
 from fractions import Fraction
@@ -17,6 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+import labparts
 from labparts import cli
 from labparts.cli import main
 
@@ -234,6 +239,20 @@ def test_readme_keys_are_the_signature(kind):
         reader, required = keys[key]
         assert reader_text == reader.__name__.replace(" | ", " or "), (kind, key)
         assert (default_text == "required") == required, (kind, key)
+
+
+def test_readme_cites_only_classes_of_the_package():
+    """Every backticked CamelCase name in README (``FiniteGroup.save`` cites
+    ``FiniteGroup``), other than a Python builtin such as ``SystemExit``, is a
+    class defined in a labparts module."""
+    classes = set()
+    for info in pkgutil.iter_modules(labparts.__path__):
+        module = importlib.import_module(f"labparts.{info.name}")
+        classes |= {name for name, obj in vars(module).items()
+                    if inspect.isclass(obj) and obj.__module__ == module.__name__}
+    cited = set(re.findall(r"`([A-Z][a-z0-9]+(?:[A-Z][a-z0-9]*)+)\b", (ROOT / "README.md").read_text()))
+    cited -= set(vars(builtins))
+    assert cited and cited <= classes, sorted(cited - classes)
 
 
 def readme_synopsis() -> dict:

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import given, strategies as st
 from labparts.core import (
     DomainError,
     InvalidInput,
-    LabelBijection,
     NormSpec,
     SUP,
     Space,
@@ -19,6 +19,7 @@ from labparts.core import (
     combine,
     dirac,
     dist,
+    factor,
     finite_universe,
     pair_energy,
     pair_label,
@@ -26,6 +27,7 @@ from labparts.core import (
     relabel,
     sep,
     values_match,
+    wall,
 )
 from labparts.constructions import naive_space, pullback, weighted_naive_space
 from labparts.walls import z_line_walls_space, zn_half_space_walls, walls_to_labelled
@@ -200,24 +202,19 @@ def test_naive_sep_vector_and_metric():
 def test_relabel_identity_and_translation():
     space = naive_space(range(5), 2)
     v = sep(space, 0, 3)
-    ident = LabelBijection(apply=lambda l: l, invert=lambda l: l)
-    assert relabel(v, ident) == v
+    assert relabel(v, lambda l: (l, 1)) == v
 
     # the pull-back map of the translation by +1 sends Dirac(z) to Dirac(z-1),
-    # and composing sep(x, y) with it yields sep(x+1, y+1)
-    shift = LabelBijection(
-        apply=lambda l: dirac((l[0][1] - 1) % 5),
-        invert=lambda l: dirac((l[0][1] + 1) % 5),
-    )
-    assert relabel(v, shift, "forward") == sep(space, 1, 4)
-    assert relabel(sep(space, 1, 4), shift, "inverse") == v
+    # and moving sep(x, y) by its inverse Dirac(z) -> Dirac(z+1) yields
+    # sep(x+1, y+1); moving that by the pull-back map gives sep(x, y) back
+    def pull_back(l):
+        return dirac((l[0][1] - 1) % 5), 1
 
-    # pushing labels forward along Dirac(z) -> Dirac(z+1) gives the same thing
-    push = LabelBijection(
-        apply=lambda l: dirac((l[0][1] + 1) % 5),
-        invert=lambda l: dirac((l[0][1] - 1) % 5),
-    )
-    assert relabel(v, push, "inverse") == sep(space, 1, 4)
+    def push(l):
+        return dirac((l[0][1] + 1) % 5), 1
+
+    assert relabel(v, push) == sep(space, 1, 4)
+    assert relabel(sep(space, 1, 4), pull_back) == v
 
 
 def test_relabel_undefined_label_raises():
@@ -227,14 +224,24 @@ def test_relabel_undefined_label_raises():
         raise KeyError(label)
 
     with pytest.raises(DomainError):
-        relabel(v, LabelBijection(apply=boom, invert=boom))
+        relabel(v, boom)
+
+
+@pytest.mark.parametrize("image", [
+    None, wall(5), factor(0, wall(5)), (wall(5), 2), (wall(5), 0), (wall(5), 1, 1),
+], ids=["none", "bare-1", "bare-2", "sign-2", "sign-0", "triple"])
+def test_relabel_rejects_an_image_that_is_not_a_signed_pair(image):
+    # a two-component bare label would unpack as (label, sign): its "sign" is a tuple
+    v = SparseVec(((dirac(0), 1), (dirac(1), -1)))
+    with pytest.raises(DomainError, match=re.escape(repr(dirac(0)))):
+        relabel(v, lambda l: image)
 
 
 def test_relabel_preserves_energy_for_weight_preserving_maps(rng):
     space, action = z_line_walls_space(2)
     v = sep(space, (-2,), (4,))
     for t in range(-3, 4):
-        moved = relabel(v, action.bijection(t), "forward")
+        moved = relabel(v, lambda l: action.label_map(action.group.inv(t), l))
         assert q_energy(space.norm, moved) == q_energy(space.norm, v)
 
 

@@ -13,7 +13,6 @@ from labparts.cli import build_space
 from labparts.constructions import weighted_naive_sum_space
 from labparts.core import (
     InvalidInput,
-    LabelBijection,
     SparseVec,
     check_equivariance,
     dirac,
@@ -45,12 +44,10 @@ def test_factor_label_map_moves_the_inner_label_and_keeps_tag_and_sign():
     assert nested((1, 3), factor(1, factor(1, wall(5)))) == (factor(1, factor(1, wall(2))), 1)
 
 
-def test_relabel_reads_signed_and_bare_images():
+def test_relabel_reads_signed_images():
     v = SparseVec(((dirac(0), 2), (dirac(1), -2)))
-    signed = LabelBijection(apply=lambda l: (l, -1), invert=lambda l: (l, -1))
-    bare = LabelBijection(apply=lambda l: l, invert=lambda l: l)
-    assert relabel(v, signed) == -v
-    assert relabel(v, bare) == v
+    assert relabel(v, lambda l: (l, -1)) == -v
+    assert relabel(v, lambda l: (l, 1)) == v
 
 
 def test_every_config_action_returns_signed_label_pairs():
@@ -80,6 +77,31 @@ def test_every_config_action_returns_signed_label_pairs():
         "amalgam_q1:main", "amalgam_q2:main", "dihedral:main", "free_tree:main", "proper_sum:main",
         "quotient_average:main", "wreath:main", "wreath:shift", "z2_walls:main", "z_walls:main",
     ]
+
+
+def test_moving_by_g_inverse_then_by_g_gives_the_vector_back():
+    """On the main action of every shipped config, relabelling c(x, y) by the
+    label map of g^-1 gives c(gx, gy), and relabelling that by the label map
+    of g gives c(x, y) back."""
+    rng = random.Random(23)
+    covered = []
+    for config in sorted(CONFIGS.glob("*.json")):
+        built = build_space(json.loads(config.read_text()), CONFIGS)
+        action = built.actions.get("main")
+        if action is None:
+            continue
+        ball = [g for g, _ in ball_enumerate(action.group, 2)]
+        for _ in range(25):
+            g = rng.choice(ball)
+            inv = action.group.inv(g)
+            x, y = built.space.universe.sample(rng, 2)
+            vec = built.space.diff(x, y)
+            moved = relabel(vec, lambda l: action.label_map(inv, l))
+            assert moved == built.space.diff(action.point_map(g, x), action.point_map(g, y)), (config.stem, g)
+            assert relabel(moved, lambda l: action.label_map(g, l)) == vec, (config.stem, g)
+        covered.append(config.stem)
+    assert covered == ["amalgam_q1", "amalgam_q2", "dihedral", "free_tree", "proper_sum", "quotient_average",
+                       "wreath", "z2_walls", "z_walls"]
 
 
 # ---------------------------------------------------------------------------
