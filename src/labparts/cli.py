@@ -479,15 +479,7 @@ def infinite_dihedral_built(q: exponent, *, preset: one_of("infinite_dihedral") 
         return label, 1
 
     twist_action = Action(group=flip_group, point_map=twist_point, label_map=twist_label)
-    data = cons.SemidirectData(
-        space1=space1,
-        action1=action1,
-        space2=space2,
-        action2=action2,
-        twist_action=twist_action,
-        group=group,
-    )
-    space, action = cons.semidirect_space(data, q)
+    space, action = cons.semidirect_space(space1, action1, space2, action2, twist_action, group, q)
     return Built(space, {"main": action}, basepoint=((0,), 0))
 
 
@@ -502,7 +494,7 @@ def _build_quotient_average(*, q: exponent, group: finite_group, subgroup: integ
     else:
         walls = walls_mod.coset_walls(group, structure)
         inner_space = walls_mod.walls_to_labelled(walls, q)
-        inner_action = walls_mod.coset_walls_action(group, walls, structure)
+        inner_action = walls_mod.coset_walls_action(group, structure)
     space, action = cons.quotient_average(inner_space, group, subgroup, inner_action)
     return Built(space, {"main": action}, basepoint=space.universe.points[0], coerce=integer)
 

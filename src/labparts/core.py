@@ -519,8 +519,9 @@ def check_equivariance(
 
         def invert(label, inv=inv, changed=changed):  # defaults: read as fast locals
             image = label_map(inv, label)
+            # an image that is no (label, +-1) pair is left for relabel to reject, naming the label;
             # weights are mostly one shared Fraction, and `is` skips the slow `!=`
-            if not changed and image is not None:
+            if not changed and type(image) is tuple and len(image) == 2 and image[1] in (1, -1):
                 w, w_image = weight(label), weight(image[0])
                 if w is not w_image and w != w_image:
                     changed.append(label)

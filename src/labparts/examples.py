@@ -440,7 +440,7 @@ def cocycle_from_space(
 def cocycle_from_text(path, group, radius: int) -> CocycleAction:
     """Load generator images from a text description and extend them.
 
-    Format, one declaration per line: ``q <exponent>``, then per generator
+    Format, one declaration per line: ``q <exponent>`` once, then per generator
     ``gen <element> | <matrix rows ; separated> | <vector>`` with rational
     entries.  Elements are parsed as integers (finite group indices or Z),
     each declared once.
@@ -454,6 +454,8 @@ def cocycle_from_text(path, group, radius: int) -> CocycleAction:
             if not line or line.startswith("#"):
                 continue
             if line.startswith("q "):
+                if q is not None:
+                    raise InvalidInput("cocycle file declares q twice; give one q line")
                 q = Fraction(line.split()[1])
                 continue
             if not line.startswith("gen "):

@@ -277,7 +277,8 @@ class DirectSumGroup:
     Elements are sorted tuples of (index, factor element) with factor
     elements different from the factor identity; the empty tuple is the
     identity.  The index set may be infinite; ``index_window`` fixes the
-    finite window used for generator enumeration.
+    finite window used for generator enumeration, and the direct sum spaces
+    built on the group hold only points supported in that window.
     """
 
     def __init__(self, factor, index_window: Sequence):

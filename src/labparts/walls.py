@@ -190,7 +190,7 @@ def coset_walls(group: FiniteGroup, subgroups: Iterable[Iterable[int]]) -> Measu
     return finite_walls(finite_universe(range(group.size)), wall_ids, member)
 
 
-def coset_walls_action(group: FiniteGroup, walls: MeasuredWalls, tables_subgroups: Iterable[Iterable[int]]) -> Action:
+def coset_walls_action(group: FiniteGroup, tables_subgroups: Iterable[Iterable[int]]) -> Action:
     """Left translation action on a coset-walls space.
 
     Pulling the coset indicator 1_{rep C} back along x -> gx gives the

@@ -158,7 +158,7 @@ def quotient_structures_for(group, subgroups_for_walls, q):
     naive = group_naive_space(group, q)
     walls = coset_walls(group, subgroups_for_walls)
     walls_space = walls_to_labelled(walls, q)
-    walls_action = coset_walls_action(group, walls, subgroups_for_walls)
+    walls_action = coset_walls_action(group, subgroups_for_walls)
     return [("naive", naive[0], naive[1]), ("walls", walls_space, walls_action)]
 
 

@@ -581,3 +581,33 @@ def test_a_cocycle_file_that_repeats_a_generator_or_leaves_the_group_exits_2(gro
         code, err = run(argv, capsys)
         assert code == 2 and "Traceback" not in err, (argv, err)
         assert err.startswith(f"configuration error: root: {message}"), (argv, err)
+
+
+def test_a_cocycle_file_that_declares_q_twice_exits_2(tmp_path, capsys):
+    # the later q line used to replace the earlier one: dist 0 3 gave the q = 1 energy 3/1 with exit 0
+    (tmp_path / "c.txt").write_text("q 2\ngen 1 | 1 | 1\nq 1\n")
+    for node, path in ((COCYCLE, "root"), (PULLBACK_OF_COCYCLE, "root.inner")):
+        config = write_config(tmp_path, node)
+        code, err = run(["dist", config, "0", "3"], capsys)
+        assert code == 2 and "Traceback" not in err, err
+        assert err.startswith(f"configuration error: {path}: cocycle file declares q twice"), err
+
+
+PROPER_SUM_PHI_LIST = {"kind": "proper_sum", "q": 2, "window": [0, 1, 2, 3], "phi": [1, 2, 3, 4]}
+PROPER_SUM_RANK = {"kind": "proper_sum", "q": 2, "window": [0, 1, 2, 3], "phi": "rank"}
+
+
+@pytest.mark.parametrize("node, literal", [
+    # a lamp at index 7, outside I = {0..3}, used to give energy 1/1 with exit 0
+    ("wreath.json", '[[[],0],[[7,1]]]'),
+    ("wreath.json", '[[[],0],[["a",1]]]'),
+    # phi given as a list used to end in a KeyError traceback with exit 1
+    (PROPER_SUM_PHI_LIST, '[[],[[100,1]]]'),
+    # the rank default used to weigh an index outside the window as the next rank (energy 16)
+    (PROPER_SUM_RANK, '[[],[["a",1]]]'),
+], ids=["wreath-7", "wreath-a", "proper-sum-phi-list-100", "proper-sum-rank-a"])
+def test_a_direct_sum_literal_off_the_index_window_exits_2(node, literal, tmp_path, capsys):
+    config = str(CONFIGS / node) if isinstance(node, str) else write_config(tmp_path, node)
+    code, err = run(["dist", config, literal, "#0"], capsys)
+    assert code == 2 and "Traceback" not in err, err
+    assert f"point {literal!r} is not in this space" in err, err

@@ -215,7 +215,7 @@ def test_semidirect_orbital_energy_dihedral():
 
 def test_semidirect_rejects_incompatible_twist():
     from labparts.core import Action, InvalidInput
-    from labparts.constructions import SemidirectData, semidirect_space
+    from labparts.constructions import semidirect_space
     from labparts.groups import FiniteGroup, infinite_dihedral
     from labparts.walls import z_line_walls_space
 
@@ -223,16 +223,8 @@ def test_semidirect_rejects_incompatible_twist():
     flip_group = FiniteGroup.cyclic(2)
     space2, action2 = group_naive_space(flip_group, 2)
     broken_twist = Action(group=flip_group, point_map=lambda s, x: (x[0] + 1,) if s == 1 else x)
-    data = SemidirectData(
-        space1=space1,
-        action1=action1,
-        space2=space2,
-        action2=action2,
-        twist_action=broken_twist,
-        group=infinite_dihedral(),
-    )
     with pytest.raises(InvalidInput):
-        semidirect_space(data, 2)
+        semidirect_space(space1, action1, space2, action2, broken_twist, infinite_dihedral(), 2)
 
 
 def test_wreath_support_evidence():
@@ -244,6 +236,34 @@ def test_wreath_support_evidence():
     evidence = wreath_support_evidence(walls, group_w, cosets.reps[0], 3)
     assert set(evidence) == set(cosets.reps)
     assert all(v >= 1 for v in evidence.values())
+
+
+def test_wreath_lamps_move_by_the_factor_action(rng):
+    """A lamp factor that is not its group under left translation: Z/2 swapping
+    points 1 and 2 of a 3-point naive space.  The lamp group used to move lamp
+    points by its own product, which raised IndexError on the point 2."""
+    from labparts.cli import toy_wreath_walls
+    from labparts.constructions import WreathWalls, naive_group_action, wreath_glue
+    from labparts.groups import ball_enumerate
+
+    z2, z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
+    factor_space = weighted_naive_space(range(3), 1, 2)
+    factor_action = naive_group_action(z2, lambda s, x: {1: 2, 2: 1}.get(x, x) if s else x)
+    pairs = [(s, x, y) for s in range(2) for x in range(3) for y in range(3)]
+    assert check_equivariance(factor_space, factor_action, pairs).passed
+
+    walls, lm_w, lm_g, group_w, shift, cosets = toy_wreath_walls(z4, (0,), z2)
+    space, action_w, action_g = wreath_glue(WreathWalls(walls, lm_w, lm_g), factor_space, factor_action,
+                                            group_w, z4, shift, 2)
+    i0 = cosets.reps[0]
+    lamp = ((i0, 1),)
+    assert action_w.point_map(lamp, (((), i0), ((i0, 2),))) == ((lamp, i0), ((i0, 1),))
+    assert action_w.point_map(lamp, (((), i0), ())) == ((lamp, i0), ())
+    for action in (action_w, action_g):
+        ball = [g for g, _ in ball_enumerate(action.group, 2)]
+        samples = [(rng.choice(ball), *space.universe.sample(rng, 2)) for _ in range(60)]
+        report = check_equivariance(space, action, samples)
+        assert report.passed, report.failures
 
 
 def test_proper_sum_warns_on_bounded_phi():

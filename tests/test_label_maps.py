@@ -12,6 +12,7 @@ import pytest
 from labparts.cli import build_space
 from labparts.constructions import weighted_naive_sum_space
 from labparts.core import (
+    DomainError,
     InvalidInput,
     SparseVec,
     check_equivariance,
@@ -80,28 +81,50 @@ def test_every_config_action_returns_signed_label_pairs():
 
 
 def test_moving_by_g_inverse_then_by_g_gives_the_vector_back():
-    """On the main action of every shipped config, relabelling c(x, y) by the
+    """On every action of every shipped config, relabelling c(x, y) by the
     label map of g^-1 gives c(gx, gy), and relabelling that by the label map
     of g gives c(x, y) back."""
     rng = random.Random(23)
     covered = []
     for config in sorted(CONFIGS.glob("*.json")):
         built = build_space(json.loads(config.read_text()), CONFIGS)
-        action = built.actions.get("main")
-        if action is None:
-            continue
-        ball = [g for g, _ in ball_enumerate(action.group, 2)]
-        for _ in range(25):
-            g = rng.choice(ball)
-            inv = action.group.inv(g)
-            x, y = built.space.universe.sample(rng, 2)
-            vec = built.space.diff(x, y)
-            moved = relabel(vec, lambda l: action.label_map(inv, l))
-            assert moved == built.space.diff(action.point_map(g, x), action.point_map(g, y)), (config.stem, g)
-            assert relabel(moved, lambda l: action.label_map(g, l)) == vec, (config.stem, g)
-        covered.append(config.stem)
-    assert covered == ["amalgam_q1", "amalgam_q2", "dihedral", "free_tree", "proper_sum", "quotient_average",
-                       "wreath", "z2_walls", "z_walls"]
+        for name, action in sorted(built.actions.items()):
+            ball = [g for g, _ in ball_enumerate(action.group, 2)]
+            for _ in range(25):
+                g = rng.choice(ball)
+                inv = action.group.inv(g)
+                x, y = built.space.universe.sample(rng, 2)
+                vec = built.space.diff(x, y)
+                moved = relabel(vec, lambda l: action.label_map(inv, l))
+                assert moved == built.space.diff(action.point_map(g, x), action.point_map(g, y)), (config.stem, g)
+                assert relabel(moved, lambda l: action.label_map(g, l)) == vec, (config.stem, g)
+            covered.append(f"{config.stem}:{name}")
+    assert covered == [
+        "amalgam_q1:main", "amalgam_q2:main", "dihedral:main", "free_tree:main", "proper_sum:main",
+        "quotient_average:main", "wreath:main", "wreath:shift", "z2_walls:main", "z_walls:main",
+    ]
+
+
+def test_a_label_map_returning_a_bare_label_raises_domain_error_naming_it():
+    """check_equivariance reads an image's weight only once it is a (label, +-1)
+    pair: on dihedral and wreath the weight function used to raise TypeError
+    on a bare label before relabel could name it."""
+    rng = random.Random(5)
+    covered = []
+    for config in sorted(CONFIGS.glob("*.json")):
+        built = build_space(json.loads(config.read_text()), CONFIGS)
+        for name, action in sorted(built.actions.items()):
+            bare = dataclasses.replace(action, label_map=lambda g, l, inner=action.label_map: inner(g, l)[0])
+            ball = [g for g, _ in ball_enumerate(action.group, 2)]
+            samples = []
+            while len(samples) < 5:
+                x, y = built.space.universe.sample(rng, 2)
+                if len(built.space.diff(x, y)):
+                    samples.append((rng.choice(ball), x, y))
+            with pytest.raises(DomainError, match="not to a \\(label, \\+-1\\) pair"):
+                check_equivariance(built.space, bare, samples)
+            covered.append(f"{config.stem}:{name}")
+    assert len(covered) == 10 and {"dihedral:main", "wreath:main", "z_walls:main", "amalgam_q2:main"} <= set(covered)
 
 
 # ---------------------------------------------------------------------------

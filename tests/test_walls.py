@@ -156,7 +156,7 @@ def test_coset_walls_on_s3(rng):
     triples = [tuple(walls.universe.sample(rng, 3)) for _ in range(40)]
     assert check_walls(walls, triples).passed
     space = walls_to_labelled(walls, 1)
-    action = coset_walls_action(s3, walls, subgroups)
+    action = coset_walls_action(s3, subgroups)
     samples = [(rng.randrange(6), rng.randrange(6), rng.randrange(6)) for _ in range(120)]
     assert check_equivariance(space, action, samples).passed
 
