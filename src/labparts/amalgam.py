@@ -168,9 +168,6 @@ class TreeOfCosetSpaces:
             return x.coset
         return self.edge_between(*self.vertex_path(v, x.vertex)[:2])
 
-    def projection_point(self, v: VertexId, x: TotalPoint) -> TotalPoint:
-        return TotalPoint(v, self.project(v, x))
-
     # -- the group action --------------------------------------------------------
 
     def act_vertex(self, gamma: ReducedWord, v: VertexId) -> VertexId:
@@ -187,10 +184,10 @@ class TreeOfCosetSpaces:
 
     def side_point(self, v: VertexId, coset: ReducedWord) -> int:
         """The G/C (or H/C) representative of a point of X_v under the map
-        gamma g C -> g C attached to the vertex's canonical representative."""
+        gamma g C -> g C attached to the vertex's canonical representative.
+        ``coset`` must lie in v, as every projection to v does; words from
+        outside are tested by ``contains_point``, not here."""
         side, rep_word = v
-        if self.vertex_of_word(side, coset) != v:
-            raise DomainError(f"coset {coset!r} does not lie in vertex {v!r}")
         group, table, _, _ = self.am._side(side)
         # coset = rep_word * g * c: either g lies in C, or g is the one
         # syllable the coset word adds to the vertex word (its last pair)

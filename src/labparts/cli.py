@@ -438,6 +438,8 @@ def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer =
                       phi: one_of("rank", "one_plus_abs", otherwise=list_of(rational)) = "rank"):
     if not window:
         raise ValueError("key 'window' needs at least one index")
+    if len(set(window)) != len(window):
+        raise ValueError(f"key 'window' repeats an index, but its indices must be distinct: {list(window)}")
     if phi == "rank":
         phi = None  # the weighted naive sum's own default
     elif phi == "one_plus_abs":
@@ -452,12 +454,7 @@ def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer =
     factor_group = FiniteGroup.cyclic(factor_cyclic)
     group = DirectSumGroup(factor_group, window)
     factor_space, factor_action = cons.group_naive_space(factor_group, q)
-    factors = cons.SumFactors(
-        factor_at=lambda i: factor_space,
-        basepoint_at=lambda i: factor_group.identity,
-        action_at=lambda i: factor_action,
-    )
-    space, action = cons.proper_sum_space(factors, group, q, phi)
+    space, action = cons.proper_sum_space(factor_space, factor_action, group, q, phi)
     return Built(space, {"main": action}, basepoint=cons.proper_sum_basepoint(group))
 
 

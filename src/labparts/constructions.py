@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
@@ -204,20 +203,19 @@ def diagonal_action(group, parts: tuple[Action, Action]) -> Action:
 # restricted direct sums
 
 
-def sum_point(entries: Iterable[tuple[Any, Point]], basepoint_at: Callable[[Any], Point]) -> tuple:
+def sum_point(entries: Iterable[tuple[Any, Point]], basepoint: Point) -> tuple:
     """Canonical finite-support point of a restricted direct sum."""
-    return tuple(sorted((i, x) for i, x in entries if x != basepoint_at(i)))
+    return tuple(sorted((i, x) for i, x in entries if x != basepoint))
 
 
-def direct_sum_space(factor_at: Callable[[Any], Space], basepoint_at: Callable[[Any], Point], q,
-                     index_window: Sequence) -> Space:
-    """Restricted direct sum relative to basepoints, with lazy factors.
+def direct_sum_space(factor_at: Callable[[Any], Space], basepoint: Point, q, index_window: Sequence) -> Space:
+    """Restricted direct sum relative to one base point, with lazy factors.
 
     Points are sorted tuples of (index, factor point) listing only the
-    coordinates that differ from the basepoint, each index in
-    ``index_window``; factors are materialised only on the supports of
-    queried points, and an index outside the window is rejected before its
-    factor is asked for.
+    coordinates that differ from ``basepoint``, which every factor shares,
+    each index in ``index_window``; factors are materialised only on the
+    supports of queried points, and an index outside the window is rejected
+    before its factor is asked for.
     """
     window = frozenset(index_window)
 
@@ -230,21 +228,20 @@ def direct_sum_space(factor_at: Callable[[Any], Space], basepoint_at: Callable[[
                 return False
             i, xi = item
             indices.append(i)
-            if not factor_at(i).universe.contains(xi) or xi == basepoint_at(i):
+            if not factor_at(i).universe.contains(xi) or xi == basepoint:
                 return False
         return all(indices[k] < indices[k + 1] for k in range(len(indices) - 1))
 
     def sampler(rng: random.Random):
         k = rng.randrange(0, min(3, len(index_window)) + 1)
         chosen = rng.sample(list(index_window), k)
-        return sum_point([(i, factor_at(i).universe.sample(rng, 1)[0]) for i in chosen], basepoint_at)
+        return sum_point([(i, factor_at(i).universe.sample(rng, 1)[0]) for i in chosen], basepoint)
 
     def diff(x, y):
         xs, ys = dict(x), dict(y)
         out = {}
         for i in xs.keys() | ys.keys():
-            base = basepoint_at(i)
-            for label, value in factor_at(i).diff(xs.get(i, base), ys.get(i, base)).items():
+            for label, value in factor_at(i).diff(xs.get(i, basepoint), ys.get(i, basepoint)).items():
                 out[factor(i, label)] = value
         return _vec(out)
 
@@ -255,20 +252,20 @@ def direct_sum_space(factor_at: Callable[[Any], Space], basepoint_at: Callable[[
     )
 
 
-def direct_sum_action(group: DirectSumGroup, action_at: Callable[[Any], Action],
-                      basepoint_at: Callable[[Any], Point]) -> Action:
-    """The lamp group's coordinatewise action on a ``direct_sum_space``: w moves
-    coordinate i by ``action_at(i)`` with its component w_i, and leaves the
-    coordinates off its support in place."""
+def direct_sum_action(group: DirectSumGroup, action: Action, basepoint: Point) -> Action:
+    """The lamp group's coordinatewise action on a ``direct_sum_space`` with
+    base point ``basepoint``: w moves coordinate i by ``action`` with its
+    component w_i, and leaves the coordinates off its support in place."""
+    move, label_map = action.point_map, action.label_map
 
     def point_map(w, x):
         moved = dict(x)
         for i, h in w:
-            moved[i] = action_at(i).point_map(h, moved.get(i, basepoint_at(i)))
-        return sum_point(moved.items(), basepoint_at)
+            moved[i] = move(h, moved.get(i, basepoint))
+        return sum_point(moved.items(), basepoint)
 
-    label_map = factor_label_map(lambda w, i: (action_at(i).label_map, group.component(w, i)))
-    return Action(group=group, point_map=point_map, label_map=label_map)
+    return Action(group=group, point_map=point_map,
+                  label_map=factor_label_map(lambda w, i: (label_map, group.component(w, i))))
 
 
 def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fraction] | None, q) -> tuple[Space, Action]:
@@ -296,9 +293,8 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
             factors[i] = weighted_naive_space(lamps.points, phi(i), q, universe=lamps)
         return factors[i]
 
-    space = direct_sum_space(factor_at, lambda i: h.identity, q, index_window=group.index_window)
-    lamp_action = naive_group_action(h)
-    coordinatewise = direct_sum_action(group, lambda i: lamp_action, lambda i: h.identity)
+    space = direct_sum_space(factor_at, h.identity, q, index_window=group.index_window)
+    coordinatewise = direct_sum_action(group, naive_group_action(h), h.identity)
     # group.mul is the same map on the group's own elements, and about 1.6x faster
     return space, Action(group=group, point_map=group.mul, label_map=coordinatewise.label_map)
 
@@ -307,37 +303,24 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
 # properness-restoring sum
 
 
-@dataclass(frozen=True)
-class SumFactors:
-    """Per-index data for a restricted direct sum with factor actions, each carrying a label map."""
+def proper_sum_space(factor_space: Space, factor_action: Action, group: DirectSumGroup, q,
+                     phi: Callable[[Any], Fraction] | None = None) -> tuple[Space, Action]:
+    """Product of a direct sum of copies of ``factor_space`` with the
+    diverging-weight naive structure on the acting lamp group, carrying the
+    diagonal action.
 
-    factor_at: Callable[[Any], Space]
-    basepoint_at: Callable[[Any], Point]
-    action_at: Callable[[Any], Action]
-
-
-def proper_sum_space(
-    factors: SumFactors,
-    group: DirectSumGroup,
-    q,
-    phi: Callable[[Any], Fraction] | None = None,
-    phi_diverges: bool = True,
-) -> tuple[Space, Action]:
-    """Product of a direct sum of factor structures with the diverging-weight
-    naive structure on the acting lamp group, carrying the diagonal action.
-
-    For w in the lamp group and base point y0 = (basepoints, identity), the
-    q-energy of c(w.y0, y0) is the sum over supp(w) of the factor orbital
-    energies plus phi(i)**q, so orbits escape every ball whenever the factor
-    actions are proper and phi diverges.
+    Every coordinate of the direct sum has one base point, the identity of
+    ``factor_action``'s group, and moves by ``factor_action``.  For w in the
+    lamp group and base point y0 = ((), identity), the q-energy of
+    c(w.y0, y0) is the sum over supp(w) of the factor orbital energies plus
+    phi(i)**q, so orbits escape every ball whenever the factor action is
+    proper and phi diverges.
     """
-    if not phi_diverges:
-        warnings.warn("phi is declared bounded on an infinite index set: properness is not guaranteed")
-
-    x_part = direct_sum_space(factors.factor_at, factors.basepoint_at, q, index_window=group.index_window)
+    basepoint = factor_action.group.identity
+    x_part = direct_sum_space(lambda i: factor_space, basepoint, q, index_window=group.index_window)
     w_part, w_action = weighted_naive_sum_space(group, phi, q)
     space = product_space([x_part, w_part], q)
-    x_action = direct_sum_action(group, factors.action_at, factors.basepoint_at)
+    x_action = direct_sum_action(group, factor_action, basepoint)
     return space, diagonal_action(group, (x_action, w_action))
 
 
@@ -480,7 +463,7 @@ def wreath_glue(
 
     walls_space = walls_to_labelled(wreath_walls.walls, q)
     lamp_base = factor_action.group.identity
-    lamp_sum = direct_sum_space(lambda i: factor_space, lambda i: lamp_base, q, index_window=group_w.index_window)
+    lamp_sum = direct_sum_space(lambda i: factor_space, lamp_base, q, index_window=group_w.index_window)
     space = product_space([walls_space, lamp_sum], q)
 
     def rho(g, w):
@@ -493,7 +476,7 @@ def wreath_glue(
 
     action_w = diagonal_action(group_w, (
         Action(group_w, lambda w, p: (group_w.mul(w, p[0]), p[1]), wreath_walls.label_map_w),
-        direct_sum_action(group_w, lambda i: factor_action, lambda i: lamp_base),
+        direct_sum_action(group_w, factor_action, lamp_base),
     ))
     action_g = diagonal_action(group_g, (
         Action(group_g, lambda g, p: (rho(g, p[0]), shift(g, p[1])), wreath_walls.label_map_g),

@@ -287,9 +287,6 @@ class DirectSumGroup:
         self.identity: tuple = ()
         self.generators = tuple(((i, s),) for i in self.index_window for s in factor.generators)
 
-    def delta(self, index, h) -> tuple:
-        return ((index, h),) if h != self.factor.identity else ()
-
     def component(self, w: tuple, index):
         for i, h in w:
             if i == index:
@@ -515,9 +512,6 @@ class AmalgamGroup:
         )
 
     # -- side helpers ---------------------------------------------------------
-
-    def side_group(self, side: str) -> FiniteGroup:
-        return self.left if side == "L" else self.right
 
     def _side(self, side: str):
         """The factor group, coset table, embedding of C and product tables of one side."""

@@ -25,12 +25,12 @@ direct_words = st.tuples(st.sampled_from(["L", "R"]), st.lists(st.integers(0, 17
 
 
 def word(am, letters):
-    return am.normal_form([(side, x % am.side_group(side).size) for side, x in letters])
+    return am.normal_form([(side, x % am._side(side)[0].size) for side, x in letters])
 
 
 def direct_word(am, start, picks, c):
     """The reduced word with the given syllables, its pairs built by hand."""
-    reps = {side: [r for r in am._side(side)[1].reps if r != am.side_group(side).identity] for side in "LR"}
+    reps = {side: [r for r in am._side(side)[1].reps if r != am._side(side)[0].identity] for side in "LR"}
     syllables = [am.left.identity] if start == "R" and picks else []
     side = start
     for k in picks:
@@ -107,13 +107,13 @@ def test_inv_and_side_elements_on_every_word_of_the_radius_5_ball(name):
     assert ends == {(True, True), (True, False), (False, True), (False, False)}
     side_elements = {}
     for side in "LR":
-        for x in range(am.side_group(side).size):
+        for x in range(am._side(side)[0].size):
             letter = am.letter_word(side, x)
             assert letter == rewrite_normal_form(am, [(side, x)])
             side_elements[side, letter] = x
     for u in ball:
         inverse = am.inv(u)
-        assert inverse == rewrite_normal_form(am, [(s, am.side_group(s).inv(x)) for s, x in reversed(am.letters(u))])
+        assert inverse == rewrite_normal_form(am, [(s, am._side(s)[0].inv(x)) for s, x in reversed(am.letters(u))])
         assert am.is_reduced(inverse)
         for side in "LR":
             assert am.as_side_element(side, u) == side_elements.get((side, u))
@@ -141,7 +141,7 @@ def reference_orbit(built, limit):
     def mul(u, v):
         return rewrite_normal_form(am, am.letters(u) + am.letters(v))
 
-    gens = list(am.generators) + [rewrite_normal_form(am, reversed([(s, am.side_group(s).inv(x)) for s, x in am.letters(g)]))
+    gens = list(am.generators) + [rewrite_normal_form(am, reversed([(s, am._side(s)[0].inv(x)) for s, x in am.letters(g)]))
                                   for g in am.generators]
     out, seen, sphere = {}, {am.identity}, [am.identity]
     while sphere:

@@ -398,16 +398,15 @@ def reference_oracles(monkeypatch):
 
         return dataclasses.replace(product_space(factors, q), diff=diff)
 
-    def direct_sum(factor_at, basepoint_at, q, index_window=()):
+    def direct_sum(factor_at, base, q, index_window=()):
         def diff(x, y):
             xs, ys = dict(x), dict(y)
             entries = []
             for i in xs.keys() | ys.keys():
-                base = basepoint_at(i)
                 entries += [(factor(i, l), v) for l, v in factor_at(i).diff(xs.get(i, base), ys.get(i, base)).items()]
             return SparseVec(entries)
 
-        return dataclasses.replace(direct_sum_space(factor_at, basepoint_at, q, index_window), diff=diff)
+        return dataclasses.replace(direct_sum_space(factor_at, base, q, index_window), diff=diff)
 
     def weighted_naive(points, w, q, universe=None):
         def diff(x, y):
@@ -470,7 +469,7 @@ def reference_oracles(monkeypatch):
 def zero_weight_lamp_sum():
     """A direct sum whose factor at index 0 is the naive structure of weight 0."""
     lamps = {i: cons.weighted_naive_space(range(3), i, 2) for i in range(3)}
-    return cons.direct_sum_space(lamps.__getitem__, lambda i: 0, 2, index_window=range(3))
+    return cons.direct_sum_space(lamps.__getitem__, 0, 2, index_window=range(3))
 
 
 def coset_walls():

@@ -373,11 +373,15 @@ BOUNDARY_COMMANDS = (["dist", "#0", "#1"], ["table", "--limit", "3"], ["growth",
 
 
 def boundary_cases() -> list:
-    """(kind, key, value): each integer key of each kind set to -1 and 0, each list key to []."""
+    """(kind, key, value): each integer key of each kind set to -1 and 0, each list key to [],
+    and each list key whose base value is non-empty to that value with its first entry repeated."""
     cases = []
     for kind in BASE:
         for key, (reader, _) in schema(kind).items():
             values = [-1, 0] if reader.__name__ == "integer" else [[]] if "list of" in reader.__name__ else []
+            base = BASE[kind].get(key)
+            if "list of" in reader.__name__ and isinstance(base, list) and base:
+                values.append(base[:1] + base)
             cases += [pytest.param(kind, key, value, id=f"{kind}.{key}={value}") for value in values]
     return cases
 

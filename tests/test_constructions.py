@@ -14,7 +14,6 @@ from labparts.core import (
     sep,
 )
 from labparts.constructions import (
-    SumFactors,
     averaging_eta,
     direct_sum_space,
     group_naive_space,
@@ -145,7 +144,7 @@ def test_weighted_naive_sum_energies_all_elements():
 def test_weighted_naive_sum_spec_example():
     group = DirectSumGroup(FiniteGroup.cyclic(2), range(-3, 4))
     space, _ = weighted_naive_sum_space(group, phi_abs, 2)
-    w = group.mul(group.delta(-1, 1), group.delta(2, 1))
+    w = group.mul(((-1, 1),), ((2, 1),))
     assert pair_energy(space, w, group.identity) == 13
 
 
@@ -163,7 +162,7 @@ def test_weighted_naive_sum_general_pairs(rng):
 
 def test_direct_sum_space_chasles(rng):
     factor = naive_space(range(3), 2)
-    space = direct_sum_space(lambda i: factor, lambda i: 0, 2, index_window=range(4))
+    space = direct_sum_space(lambda i: factor, 0, 2, index_window=range(4))
     pts = [space.universe.sample(rng, 1)[0] for _ in range(30)]
     for _ in range(40):
         x, y, z = rng.choice(pts), rng.choice(pts), rng.choice(pts)
@@ -174,8 +173,7 @@ def test_proper_sum_orbital_energy_and_lower_bound():
     factor_group = FiniteGroup.cyclic(2)
     fs, fa = group_naive_space(factor_group, 2)
     group = DirectSumGroup(factor_group, range(-3, 4))
-    factors = SumFactors(lambda i: fs, lambda i: 0, lambda i: fa)
-    space, action = proper_sum_space(factors, group, 2, phi_abs)
+    space, action = proper_sum_space(fs, fa, group, 2, phi_abs)
     y0 = proper_sum_basepoint(group)
     for w in group.elements():
         e = pair_energy(space, action.point_map(w, y0), y0)
@@ -238,41 +236,75 @@ def test_wreath_support_evidence():
     assert all(v >= 1 for v in evidence.values())
 
 
-def test_wreath_lamps_move_by_the_factor_action(rng):
-    """A lamp factor that is not its group under left translation: Z/2 swapping
-    points 1 and 2 of a 3-point naive space.  The lamp group used to move lamp
-    points by its own product, which raised IndexError on the point 2."""
+def swapping_lamps(a, b):
+    """Z/2 swapping points a and b of a 3-point naive space: a lamp factor
+    that is not its group under left translation."""
+    from labparts.constructions import naive_group_action
+
+    swap = {a: b, b: a}
+    factor_action = naive_group_action(FiniteGroup.cyclic(2), lambda s, x: swap.get(x, x) if s else x)
+    return weighted_naive_space(range(3), 1, 2), factor_action
+
+
+def toy_wreath(factor_space, factor_action):
+    """The toy wreath walls over Z/4 glued with the lamp factor: walls, space, both actions, i0."""
     from labparts.cli import toy_wreath_walls
-    from labparts.constructions import WreathWalls, naive_group_action, wreath_glue
+    from labparts.constructions import WreathWalls, wreath_glue
+
+    z4 = FiniteGroup.cyclic(4)
+    walls, lm_w, lm_g, group_w, shift, cosets = toy_wreath_walls(z4, (0,), factor_action.group)
+    space, action_w, action_g = wreath_glue(WreathWalls(walls, lm_w, lm_g), factor_space, factor_action,
+                                            group_w, z4, shift, 2)
+    return walls, space, action_w, action_g, cosets.reps[0]
+
+
+def assert_equivariant(space, action, rng):
     from labparts.groups import ball_enumerate
 
-    z2, z4 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)
-    factor_space = weighted_naive_space(range(3), 1, 2)
-    factor_action = naive_group_action(z2, lambda s, x: {1: 2, 2: 1}.get(x, x) if s else x)
+    ball = [g for g, _ in ball_enumerate(action.group, 2)]
+    samples = [(rng.choice(ball), *space.universe.sample(rng, 2)) for _ in range(60)]
+    report = check_equivariance(space, action, samples)
+    assert report.passed, report.failures
+
+
+def test_wreath_lamps_move_by_the_factor_action(rng):
+    """Lamps swapping points 1 and 2.  The lamp group used to move lamp points
+    by its own product, which raised IndexError on the point 2."""
+    factor_space, factor_action = swapping_lamps(1, 2)
     pairs = [(s, x, y) for s in range(2) for x in range(3) for y in range(3)]
     assert check_equivariance(factor_space, factor_action, pairs).passed
 
-    walls, lm_w, lm_g, group_w, shift, cosets = toy_wreath_walls(z4, (0,), z2)
-    space, action_w, action_g = wreath_glue(WreathWalls(walls, lm_w, lm_g), factor_space, factor_action,
-                                            group_w, z4, shift, 2)
-    i0 = cosets.reps[0]
+    _, space, action_w, action_g, i0 = toy_wreath(factor_space, factor_action)
     lamp = ((i0, 1),)
     assert action_w.point_map(lamp, (((), i0), ((i0, 2),))) == ((lamp, i0), ((i0, 1),))
     assert action_w.point_map(lamp, (((), i0), ())) == ((lamp, i0), ())
     for action in (action_w, action_g):
-        ball = [g for g, _ in ball_enumerate(action.group, 2)]
-        samples = [(rng.choice(ball), *space.universe.sample(rng, 2)) for _ in range(60)]
-        report = check_equivariance(space, action, samples)
-        assert report.passed, report.failures
+        assert_equivariant(space, action, rng)
 
 
-def test_proper_sum_warns_on_bounded_phi():
-    factor_group = FiniteGroup.cyclic(2)
-    fs, fa = group_naive_space(factor_group, 2)
-    group = DirectSumGroup(factor_group, range(3))
-    factors = SumFactors(lambda i: fs, lambda i: 0, lambda i: fa)
-    with pytest.warns(UserWarning):
-        proper_sum_space(factors, group, 2, lambda i: Fraction(1), phi_diverges=False)
+def test_sums_move_the_lamp_base_point_by_the_factor_action(rng):
+    """Lamps swapping points 0 and 1, so the lamps' base point, the identity 0,
+    moves.  The proper sum and the wreath gluing both move lamps by that
+    action, and their orbital energies keep their closed forms: one per lamp
+    plus phi(i)**q, and the wall distance plus one per lamp."""
+    factor_space, factor_action = swapping_lamps(0, 1)
+    assert factor_action.point_map(1, 0) == 1
+
+    group = DirectSumGroup(factor_action.group, range(-2, 3))
+    sum_space, sum_action = proper_sum_space(factor_space, factor_action, group, 2, phi_abs)
+    y0 = proper_sum_basepoint(group)
+    for w in group.elements():
+        expected = sum(1 + phi_abs(i) ** 2 for i in group.support(w))
+        assert pair_energy(sum_space, sum_action.point_map(w, y0), y0) == expected
+
+    walls, wreath_space, action_w, action_g, i0 = toy_wreath(factor_space, factor_action)
+    x0 = (((), i0), ())
+    for w in action_w.group.elements():
+        expected = walls.wall_distance((w, i0), ((), i0)) + len(w)
+        assert pair_energy(wreath_space, action_w.point_map(w, x0), x0) == expected
+
+    for space, action in ((sum_space, sum_action), (wreath_space, action_w), (wreath_space, action_g)):
+        assert_equivariant(space, action, rng)
 
 
 # ---------------------------------------------------------------------------

@@ -158,9 +158,9 @@ any_letters = st.lists(st.tuples(st.sampled_from(["L", "R"]), st.integers(0, 8))
 @given(st.sampled_from(["Z4*Z6", "S3*S3", "Z6*Z9"]), any_letters)
 def test_one_pass_inverse_matches_letter_by_letter_rewrite(name, letters):
     am = GROUPS[name][0]
-    letters = [(side, x % am.side_group(side).size) for side, x in letters]
+    letters = [(side, x % am._side(side)[0].size) for side, x in letters]
     u = am.normal_form(letters)
     inverse = am.inv(u)
-    assert inverse == rewrite_normal_form(am, [(side, am.side_group(side).inv(x)) for side, x in reversed(am.letters(u))])
+    assert inverse == rewrite_normal_form(am, [(side, am._side(side)[0].inv(x)) for side, x in reversed(am.letters(u))])
     assert am.is_reduced(inverse)
     assert am.mul(u, inverse) == am.identity == am.mul(inverse, u)

@@ -205,8 +205,8 @@ def test_free_group_arithmetic():
 
 def test_direct_sum_group():
     w = DirectSumGroup(FiniteGroup.cyclic(2), range(-2, 3))
-    a = w.delta(-1, 1)
-    b = w.delta(2, 1)
+    a = ((-1, 1),)
+    b = ((2, 1),)
     ab = w.mul(a, b)
     assert w.support(ab) == (-1, 2)
     assert w.mul(ab, ab) == w.identity

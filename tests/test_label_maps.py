@@ -167,6 +167,6 @@ def test_weighted_naive_sum_rejects_a_negative_weight():
     # factors are built on first use, so the index with weight -1 fails there
     group = DirectSumGroup(FiniteGroup.cyclic(2), range(3))
     space, _ = weighted_naive_sum_space(group, lambda i: Fraction(1 - i), 2)
-    assert q_energy(space.norm, space.diff(group.delta(0, 1), group.identity)) == 1
+    assert q_energy(space.norm, space.diff(((0, 1),), group.identity)) == 1
     with pytest.raises(InvalidInput):
-        space.diff(group.delta(2, 1), group.identity)
+        space.diff(((2, 1),), group.identity)
