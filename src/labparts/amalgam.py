@@ -198,13 +198,12 @@ class TreeOfCosetSpaces:
 
     def universe(self) -> PointUniverse:
         """All total points; samples are the base point of X_G or of X_H moved by a word of length <= 3."""
-        ball = None
+        @functools.cache
+        def ball() -> list:
+            return [w for w, _ in ball_enumerate(self.am, 3)]
 
         def sampler(rng: random.Random):
-            nonlocal ball
-            if ball is None:
-                ball = [w for w, _ in ball_enumerate(self.am, 3)]
-            gamma = ball[rng.randrange(len(ball))]
+            gamma = rng.choice(ball())
             start = self.base_point if rng.random() < 0.5 else TotalPoint(("R", self.am.identity), self.am.identity)
             return self.act_point(gamma, start)
 

@@ -36,7 +36,6 @@ from . import walls as walls_mod
 from .core import (
     SUP,
     ZERO_VEC,
-    Action,
     CheckReport,
     Point,
     PointUniverse,
@@ -56,8 +55,6 @@ from .groups import (
     FiniteGroup,
     ZGroup,
     ball_enumerate,
-    coset_table,
-    infinite_dihedral,
     spheres,
 )
 
@@ -459,24 +456,8 @@ def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer =
 
 
 def infinite_dihedral_built(q: exponent, *, preset: one_of("infinite_dihedral") = "infinite_dihedral"):
-    """The infinite dihedral group acting on (integer-line walls) x (naive Z/2);
-    the builder of the ``semidirect`` kind, whose only preset this is."""
-    space1, action1 = walls_mod.z_line_walls_space(q)
-    group = infinite_dihedral()
-    flip_group = group.quotient
-    space2, action2 = cons.group_naive_space(flip_group, q)
-
-    def twist_point(s, x):
-        return (-x[0],) if s == 1 else x
-
-    def twist_label(s, label):
-        (tag, (axis, k)) = label[0]
-        if s == 1:
-            return walls_mod.wall((axis, -k - 1)), -1
-        return label, 1
-
-    twist_action = Action(group=flip_group, point_map=twist_point, label_map=twist_label)
-    space, action = cons.semidirect_space(space1, action1, space2, action2, twist_action, group, q)
+    """The builder of the ``semidirect`` kind; its one preset is ``cons.infinite_dihedral_space``."""
+    space, action = cons.infinite_dihedral_space(q)
     return Built(space, {"main": action}, basepoint=((0,), 0))
 
 
@@ -496,75 +477,14 @@ def _build_quotient_average(*, q: exponent, group: finite_group, subgroup: integ
     return Built(space, {"main": action}, basepoint=space.universe.points[0], coerce=integer)
 
 
-def toy_wreath_walls(group_g: FiniteGroup, subgroup_l, factor: FiniteGroup) -> tuple:
-    """A concrete atomic walls structure on W x I for the wreath gluing.
-
-    I is the coset space G/L; W the restricted sum of copies of the lamp
-    factor over I.  Walls: per index j, the support wall {(w, i) : w_j != e}
-    and the position wall {(w, i) : i = j}, all of weight 1.  Both families
-    are permuted by the lamp translations and the shifter, with sign flips
-    exactly when a lamp translation crosses a support wall.
-    """
-    cosets = coset_table(group_g, subgroup_l)
-    index_set = cosets.reps
-    group_w = DirectSumGroup(factor, index_set)
-    hs = [x for x in factor.elements() if x != factor.identity]
-    lamps = {(j, h) for j in index_set for h in hs}
-
-    def shift(g, i):
-        return cosets.rep_of[group_g.mul(g, i)]
-
-    def contains(p) -> bool:
-        if not (isinstance(p, tuple) and len(p) == 2):
-            return False
-        w, i = p
-        # w is an element of group_w in its normal form: increasing indices, no identity lamp
-        return (i in index_set and isinstance(w, tuple) and all(e in lamps for e in w)
-                and all(a[0] < b[0] for a, b in zip(w, w[1:])))
-
-    def sampler(rng: random.Random):
-        k = rng.randrange(0, 3)
-        idx = rng.sample(list(index_set), min(k, len(index_set)))
-        w = tuple(sorted((i, rng.choice(hs)) for i in idx))
-        return (w, index_set[rng.randrange(len(index_set))])
-
-    def member(h, p) -> bool:
-        w, i = p
-        tag, j = h
-        if tag == "supp":
-            return group_w.component(w, j) != factor.identity
-        return i == j
-
-    wall_ids = [("supp", j) for j in index_set] + [("pos", j) for j in index_set]
-    walls = walls_mod.finite_walls(PointUniverse(contains=contains, sampler=sampler), wall_ids, member)
-
-    def label_map_w(w, label):
-        # order-2 lamps only: translating by a nontrivial w_j swaps the two
-        # sides of the support wall at j, flipping the indicator difference
-        (tag, (family, j)) = label[0]
-        if family == "supp" and group_w.component(w, j) != factor.identity:
-            return walls_mod.wall(("supp", j)), -1
-        return label, 1
-
-    def label_map_g(g, label):
-        (tag, (family, j)) = label[0]
-        return walls_mod.wall((family, shift(group_g.inv(g), j))), 1
-
-    return walls, label_map_w, label_map_g, group_w, shift, cosets
-
-
 def _build_wreath_glue(*, q: exponent, group: finite_group, co_subgroup: integers = None, factor_cyclic: integer = 2):
-    subgroup_l = (group.identity,) if co_subgroup is None else co_subgroup
     if factor_cyclic != 2:
         raise ValueError("the built-in walls provider supports order-2 lamps only")
-    factor = FiniteGroup.cyclic(factor_cyclic)
-    walls, lm_w, lm_g, group_w, shift, cosets = toy_wreath_walls(group, subgroup_l, factor)
-    factor_space, factor_action = cons.group_naive_space(factor, q)
-    wreath = cons.WreathWalls(walls=walls, label_map_w=lm_w, label_map_g=lm_g)
-    space, action_w, action_g = cons.wreath_glue(wreath, factor_space, factor_action, group_w, group, shift, q)
-    i0 = cosets.reps[0]
-    basepoint = (((), i0), ())
-    return Built(space, {"main": action_w, "shift": action_g}, basepoint=basepoint)
+    factor_space, factor_action = cons.group_naive_space(FiniteGroup.cyclic(2), q)
+    subgroup_l = (group.identity,) if co_subgroup is None else co_subgroup
+    space, action_w, action_g = cons.wreath_glue(group, subgroup_l, factor_space, factor_action, q)
+    # the identity's coset is the first index
+    return Built(space, {"main": action_w, "shift": action_g}, basepoint=(((), group.identity), ()))
 
 
 def _edge_group(*, left: integers, right: integers, table: finite_group = None):
@@ -683,8 +603,8 @@ def _json_object(obj: dict, indent: str) -> str:
 
 
 def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=None) -> dict:
-    """Per-sphere orbital statistics of the main action: exact min/max
-    energies, float distances.  Spheres are word spheres over ``generators``
+    """Per-sphere orbital statistics of the main action: the exact minimum
+    energy, float distances.  Spheres are word spheres over ``generators``
     (default: the group's own generating set).
 
     The main action is taken to be by automorphisms (``check --suite
@@ -740,7 +660,6 @@ def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=
                 "radius": r,
                 "sphere_size": len(sphere),
                 "min_energy": min(energies),
-                "max_energy": max(energies),
                 "min_dist": min(dists),
                 "max_dist": max(dists),
                 "mean_dist": sum(dists) / len(dists),

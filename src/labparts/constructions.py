@@ -4,9 +4,10 @@ Provided constructions: pull-backs along arbitrary point maps, (weighted)
 naive Dirac families, finite products and restricted direct sums with
 factor-tagged labels, the properness-restoring sum that pairs a direct sum
 with a diverging-weight naive structure on the acting group, semidirect
-gluings, averaging over a finite subgroup to descend a structure to a coset
-space, and the wreath-product gluing that combines a walls structure on
-W x I with a direct sum of structures on the lamp group.
+gluings and the infinite dihedral group's, averaging over a finite subgroup
+to descend a structure to a coset space, and the wreath-product gluing for
+H wr_{G/L} G, which builds the coset walls on W x I (I = G/L, W the lamp
+group) and combines them with a direct sum over I of a structure on H.
 
 Scaling conventions: the naive family on a set scales Dirac functions so
 that a separated pair has q-energy exactly w**q; the irrational per-label
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Iterable, Sequence
 
@@ -38,8 +38,10 @@ from .core import (
     factor_label_map,
     finite_universe,
     half_weight,
+    wall,
 )
-from .groups import DirectSumGroup, FiniteGroup, ProductGroup, SemidirectGroup, coset_table
+from .groups import DirectSumGroup, FiniteGroup, ProductGroup, SemidirectGroup, coset_table, infinite_dihedral
+from .walls import walls_to_labelled, wreath_walls, z_line_walls_space
 
 MAX_ENUM = 4096
 
@@ -369,6 +371,28 @@ def semidirect_space(space1: Space, action1: Action, space2: Space, action2: Act
     return space, diagonal_action(group, (twisted, second))
 
 
+def infinite_dihedral_space(q) -> tuple[Space, Action]:
+    """The infinite dihedral group Z x| Z/2 glued onto (integer-line walls) x
+    (naive Z/2): the flip acts on the line by x -> -x, which reflects the
+    wall {x <= k} onto the complement of {x <= -k - 1}."""
+    space1, action1 = z_line_walls_space(q)
+    group = infinite_dihedral()
+    flip_group = group.quotient
+    space2, action2 = group_naive_space(flip_group, q)
+
+    def twist_point(s, x):
+        return (-x[0],) if s == 1 else x
+
+    def twist_label(s, label):
+        (tag, (axis, k)) = label[0]
+        if s == 1:
+            return wall((axis, -k - 1)), -1
+        return label, 1
+
+    twist_action = Action(group=flip_group, point_map=twist_point, label_map=twist_label)
+    return semidirect_space(space1, action1, space2, action2, twist_action, group, q)
+
+
 # ---------------------------------------------------------------------------
 # finite-quotient averaging
 
@@ -422,52 +446,51 @@ def averaging_eta(space: Space, group: FiniteGroup, subgroup: Iterable[int]) -> 
 # wreath gluing
 
 
-@dataclass(frozen=True)
-class WreathWalls:
-    """A user-supplied atomic walls structure on W x I with its symmetries.
+def wreath_glue(group_g: FiniteGroup, subgroup_l, factor_space: Space, factor_action: Action,
+                q) -> tuple[Space, Action, Action]:
+    """The wreath gluing for H wr_{G/L} G: the walls ``walls.wreath_walls``
+    on W x I glued with the direct sum over I of a structure on H.
 
-    ``walls`` lives on points (w, i); the two label maps describe
-    how wall labels move under the lamp translation w0 . (w, i) = (w0 w, i)
-    and the shifter g . (w, i) = (rho(g) w, g i).
-    """
-
-    walls: Any
-    label_map_w: Callable[[Any, Label], Any]
-    label_map_g: Callable[[Any, Label], Any]
-
-
-def wreath_glue(
-    wreath_walls: WreathWalls,
-    factor_space: Space,
-    factor_action: Action,
-    group_w: DirectSumGroup,
-    group_g: FiniteGroup,
-    shift: Callable[[Any, Any], Any],
-    q,
-) -> tuple[Space, Action, Action]:
-    """Glue a walls structure on W x I with the direct sum over I of a
-    structure on the lamp factor.
+    I is G/L, indexed by ``coset_table``'s representatives (the identity's
+    coset first), and W the restricted sum over I of copies of the group H
+    of ``factor_action``.  H must have order 2: a lamp translation by a
+    nontrivial w_j swaps the sides of the support wall at j, which is a
+    sign flip of its label only then.
 
     Points are ((w1, i), x); x is a point of the direct sum over I of
-    ``factor_space`` whose base point at every index is the identity of
-    ``factor_action``'s group.  The lamp group acts by
-    tau_W(w)((w1, i), x) = ((w w1, i), w . x), where w . x moves x_j by
-    ``factor_action`` with w_j, and the shifter by
-    tau_G(g)((w1, i), x) = ((rho(g) w1, g i), rho(g) x) where rho permutes
-    coordinates through ``shift`` (the action of G on the index set I).
-    For the base point ((e, i0), e) the orbital q-energy of tau_W(w) splits
-    as the wall distance plus the sum of factor orbital energies over the
-    support of w.
+    ``factor_space`` whose base point at every index is the identity of H.
+    W acts by tau_W(w)((w1, i), x) = ((w w1, i), w . x), where w . x moves
+    x_j by ``factor_action`` with w_j, and G by
+    tau_G(g)((w1, i), x) = ((rho(g) w1, g i), rho(g) x), where rho(g)
+    moves coordinate i to g i.  For the base point ((e, L), e) the orbital
+    q-energy of tau_W(w) is the wall distance plus the sum of factor
+    orbital energies over the support of w.
     """
-    from .walls import walls_to_labelled
-
-    walls_space = walls_to_labelled(wreath_walls.walls, q)
-    lamp_base = factor_action.group.identity
-    lamp_sum = direct_sum_space(lambda i: factor_space, lamp_base, q, index_window=group_w.index_window)
+    lamps = factor_action.group
+    if lamps.size != 2:
+        raise InvalidInput(f"the wreath walls need lamps of order 2, got a lamp group of order {lamps.size}")
+    cosets = coset_table(group_g, subgroup_l)
+    group_w = DirectSumGroup(lamps, cosets.reps)
+    walls_space = walls_to_labelled(wreath_walls(group_w), q)
+    lamp_sum = direct_sum_space(lambda i: factor_space, lamps.identity, q, index_window=group_w.index_window)
     space = product_space([walls_space, lamp_sum], q)
+
+    def shift(g, i):
+        return cosets.rep_of[group_g.mul(g, i)]
 
     def rho(g, w):
         return tuple(sorted((shift(g, i), x) for i, x in w))
+
+    def label_map_w(w, label):
+        # a nontrivial w_j flips the indicator difference of the support wall at j
+        (tag, (family, j)) = label[0]
+        if family == "supp" and group_w.component(w, j) != lamps.identity:
+            return wall(("supp", j)), -1
+        return label, 1
+
+    def label_map_g(g, label):
+        (tag, (family, j)) = label[0]
+        return wall((family, shift(group_g.inv(g), j))), 1
 
     def lamp_label_map_g(g, label):
         # coordinate i of rho(g)w is the coordinate g^{-1} i of w
@@ -475,11 +498,11 @@ def wreath_glue(
         return (factor(shift(group_g.inv(g), i), tuple(label[1:])), 1)
 
     action_w = diagonal_action(group_w, (
-        Action(group_w, lambda w, p: (group_w.mul(w, p[0]), p[1]), wreath_walls.label_map_w),
-        direct_sum_action(group_w, factor_action, lamp_base),
+        Action(group_w, lambda w, p: (group_w.mul(w, p[0]), p[1]), label_map_w),
+        direct_sum_action(group_w, factor_action, lamps.identity),
     ))
     action_g = diagonal_action(group_g, (
-        Action(group_g, lambda g, p: (rho(g, p[0]), shift(g, p[1])), wreath_walls.label_map_g),
+        Action(group_g, lambda g, p: (rho(g, p[0]), shift(g, p[1])), label_map_g),
         Action(group_g, rho, lamp_label_map_g),
     ))
     return space, action_w, action_g

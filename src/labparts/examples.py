@@ -192,13 +192,12 @@ def free_tree_space(rank: int, q, sample_radius: int = 4) -> tuple[Space, Action
                 entries[pair_label(a, by)] = MINUS_ONE
         return _vec(entries)
 
-    ball: list | None = None
+    @functools.cache
+    def ball() -> list:
+        return [w for w, _ in ball_enumerate(free, sample_radius)]
 
     def sampler(rng: random.Random):
-        nonlocal ball
-        if ball is None:
-            ball = [w for w, _ in ball_enumerate(free, sample_radius)]
-        return ball[rng.randrange(len(ball))]
+        return rng.choice(ball())
 
     space = Space(universe=PointUniverse(contains=free.is_reduced, sampler=sampler), diff=diff, norm=NormSpec(q))
 

@@ -32,7 +32,7 @@ from .core import (
     unit_weight,
     wall,
 )
-from .groups import FiniteGroup, ProductGroup, ZGroup, coset_table
+from .groups import DirectSumGroup, FiniteGroup, ProductGroup, ZGroup, coset_table
 
 
 @dataclass(frozen=True)
@@ -204,6 +204,43 @@ def coset_walls_action(group: FiniteGroup, tables_subgroups: Iterable[Iterable[i
         return wall((i, tables[i].rep_of[group.mul(group.inv(g), rep)])), 1
 
     return Action(group=group, point_map=lambda g, x: group.mul(g, x), label_map=label_map)
+
+
+def wreath_walls(group_w: DirectSumGroup) -> MeasuredWalls:
+    """The atomic walls on W x I for the wreath gluing, I the index window of
+    the lamp group W (the coset representatives of G/L).
+
+    Walls: per index j, the support wall {(w, i) : w_j != e} and the
+    position wall {(w, i) : i = j}, all of weight 1.  Points are pairs
+    (w, i) with w in W's normal form.
+    """
+    factor, index_set = group_w.factor, group_w.index_window
+    hs = [x for x in factor.elements() if x != factor.identity]
+    lamps = {(j, h) for j in index_set for h in hs}
+
+    def contains(p) -> bool:
+        if not (isinstance(p, tuple) and len(p) == 2):
+            return False
+        w, i = p
+        # w is an element of group_w in its normal form: increasing indices, no identity lamp
+        return (i in index_set and isinstance(w, tuple) and all(e in lamps for e in w)
+                and all(a[0] < b[0] for a, b in zip(w, w[1:])))
+
+    def sampler(rng: random.Random):
+        k = rng.randrange(0, 3)
+        idx = rng.sample(list(index_set), min(k, len(index_set)))
+        w = tuple(sorted((i, rng.choice(hs)) for i in idx))
+        return (w, index_set[rng.randrange(len(index_set))])
+
+    def member(h, p) -> bool:
+        w, i = p
+        tag, j = h
+        if tag == "supp":
+            return group_w.component(w, j) != factor.identity
+        return i == j
+
+    wall_ids = [("supp", j) for j in index_set] + [("pos", j) for j in index_set]
+    return finite_walls(PointUniverse(contains=contains, sampler=sampler), wall_ids, member)
 
 
 def custom_walls_load(path) -> MeasuredWalls:

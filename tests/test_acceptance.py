@@ -18,10 +18,10 @@ from labparts.amalgam import (
     naive_quotient_structures,
     syllable_lower_bound,
 )
-from labparts.cli import infinite_dihedral_built
 from labparts.constructions import (
     averaging_eta,
     group_naive_space,
+    infinite_dihedral_space,
     naive_space,
     quotient_average,
     weighted_naive_space,
@@ -218,7 +218,7 @@ def equivariant_setups():
     sgc, agc, shc, ahc = naive_quotient_structures(tree, 2)
     amal = amalgam_space(tree, sgc, agc, shc, ahc, 2)
     ftree = free_tree_space(2, 2)
-    dihedral = infinite_dihedral_built(2)
+    dihedral = infinite_dihedral_space(2)
     return [
         ("naive", naive_impl_pack(naive_impl, z6)),
         ("walls", walls_pack(walls)),
@@ -253,8 +253,8 @@ def ftree_pack(triple):
     return space, action, ball, lambda rng: ball[rng.randrange(len(ball))]
 
 
-def dihedral_pack(built):
-    space, action = built.space, built.actions["main"]
+def dihedral_pack(pair):
+    space, action = pair
     ball = [g for g, _ in ball_enumerate(action.group, 3)]
     return space, action, ball, lambda rng: space.universe.sample(rng, 1)[0]
 

@@ -19,12 +19,12 @@ from labparts.cli import (
     main,
     profile_csv,
     run_checks,
-    toy_wreath_walls,
 )
-from labparts.constructions import wreath_glue, WreathWalls, group_naive_space
+from labparts.constructions import wreath_glue, group_naive_space
 from labparts.amalgam import amalgam_energy_formula
 from labparts.core import InvalidInput, check_equivariance, pair_energy
-from labparts.groups import FiniteGroup, ball_enumerate
+from labparts.groups import FiniteGroup, ball_enumerate, coset_table
+from labparts.walls import wreath_walls
 
 
 @pytest.fixture
@@ -434,11 +434,25 @@ def test_cocycle_config(workdir, capsys):
     assert result["passed"], result
 
 
-def test_wreath_energy_identity(workdir, rng):
-    z4 = FiniteGroup.cyclic(4)
-    walls, lm_w, lm_g, group_w, shift, cosets = toy_wreath_walls(z4, (0,), FiniteGroup.cyclic(2))
-    fs, fa = group_naive_space(FiniteGroup.cyclic(2), 2)
-    space, aw, ag = wreath_glue(WreathWalls(walls, lm_w, lm_g), fs, fa, group_w, z4, shift, 2)
+# (G, L) for I = G/L: plain translation on Z/4, a two-coset quotient of Z/4,
+# and S3 over the subgroup of the transposition (0 1), which is not normal
+WREATH_CASES = {
+    "Z4-trivial": (FiniteGroup.cyclic(4), (0,)),
+    "Z4-order2": (FiniteGroup.cyclic(4), (0, 2)),
+    "S3-transposition": (FiniteGroup.symmetric(3), (0, FiniteGroup.symmetric(3).generators[0])),
+}
+
+
+def wreath_case(name):
+    """The wreath gluing over a case's (G, L) with naive Z/2 lamps, and its walls, lamp group and cosets."""
+    group, subgroup = WREATH_CASES[name]
+    space, aw, ag = wreath_glue(group, subgroup, *group_naive_space(FiniteGroup.cyclic(2), 2), 2)
+    return group, space, aw, ag, wreath_walls(aw.group), aw.group, coset_table(group, subgroup)
+
+
+@pytest.mark.parametrize("case", WREATH_CASES)
+def test_wreath_energy_identity(case):
+    group, space, aw, ag, walls, group_w, cosets = wreath_case(case)
     i0 = cosets.reps[0]
     x0 = (((), i0), ())
     for w in group_w.elements():
@@ -447,21 +461,23 @@ def test_wreath_energy_identity(workdir, rng):
         assert pair_energy(space, moved, x0) == expected
 
 
-def test_wreath_shift_compatibility(workdir, rng):
-    z4 = FiniteGroup.cyclic(4)
-    walls, lm_w, lm_g, group_w, shift, cosets = toy_wreath_walls(z4, (0,), FiniteGroup.cyclic(2))
-    fs, fa = group_naive_space(FiniteGroup.cyclic(2), 2)
-    space, aw, ag = wreath_glue(WreathWalls(walls, lm_w, lm_g), fs, fa, group_w, z4, shift, 2)
+@pytest.mark.parametrize("case", WREATH_CASES)
+def test_wreath_shift_compatibility(case, rng):
+    group, space, aw, ag, walls, group_w, cosets = wreath_case(case)
     wball = [g for g, _ in ball_enumerate(group_w, 2)]
     for _ in range(80):
-        g = rng.randrange(4)
+        g = rng.randrange(group.size)
         w = rng.choice(wball)
         x = space.universe.sample(rng, 1)[0]
-        lhs = ag.point_map(g, aw.point_map(w, ag.point_map(z4.inv(g), x)))
-        rho_w = tuple(sorted((shift(g, i), h) for i, h in w))
+        lhs = ag.point_map(g, aw.point_map(w, ag.point_map(group.inv(g), x)))
+        rho_w = tuple(sorted((cosets.rep_of[group.mul(g, i)], h) for i, h in w))
         assert lhs == aw.point_map(rho_w, x)
-    samples = [(rng.randrange(4), space.universe.sample(rng, 1)[0], space.universe.sample(rng, 1)[0]) for _ in range(100)]
+    samples = [(rng.randrange(group.size), space.universe.sample(rng, 1)[0], space.universe.sample(rng, 1)[0])
+               for _ in range(100)]
     assert check_equivariance(space, ag, samples).passed
+    w_samples = [(rng.choice(wball), space.universe.sample(rng, 1)[0], space.universe.sample(rng, 1)[0])
+                 for _ in range(100)]
+    assert check_equivariance(space, aw, w_samples).passed
 
 
 def test_byte_identical_outputs(workdir, tmp_path):

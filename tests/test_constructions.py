@@ -17,6 +17,7 @@ from labparts.constructions import (
     averaging_eta,
     direct_sum_space,
     group_naive_space,
+    infinite_dihedral_space,
     naive_space,
     product_action,
     product_space,
@@ -26,9 +27,10 @@ from labparts.constructions import (
     quotient_average,
     weighted_naive_space,
     weighted_naive_sum_space,
+    wreath_glue,
 )
 from labparts.groups import DirectSumGroup, FiniteGroup
-from labparts.walls import walls_to_labelled, z_line_walls_space, zn_half_space_walls
+from labparts.walls import walls_to_labelled, wreath_walls, z_line_walls_space, zn_half_space_walls
 
 
 # ---------------------------------------------------------------------------
@@ -184,11 +186,9 @@ def test_proper_sum_orbital_energy_and_lower_bound():
 
 
 def test_semidirect_action_is_group_homomorphism(rng):
-    from labparts.cli import infinite_dihedral_built
     from labparts.groups import ball_enumerate
 
-    built = infinite_dihedral_built(2)
-    space, action = built.space, built.actions["main"]
+    space, action = infinite_dihedral_space(2)
     group = action.group
     ball = [g for g, _ in ball_enumerate(group, 3)]
     for _ in range(150):
@@ -199,12 +199,9 @@ def test_semidirect_action_is_group_homomorphism(rng):
 
 
 def test_semidirect_orbital_energy_dihedral():
-    from labparts.cli import infinite_dihedral_built
-
     # orbital energy of (n, s) at ((0,), e): |n| wall crossings plus the flip
-    built = infinite_dihedral_built(2)
-    space, action = built.space, built.actions["main"]
-    x0 = built.basepoint
+    space, action = infinite_dihedral_space(2)
+    x0 = ((0,), 0)
     for n in range(-5, 6):
         for s in (0, 1):
             e = pair_energy(space, action.point_map((n, s), x0), x0)
@@ -226,14 +223,22 @@ def test_semidirect_rejects_incompatible_twist():
 
 
 def test_wreath_support_evidence():
-    from labparts.cli import toy_wreath_walls
     from labparts.constructions import wreath_support_evidence
+    from labparts.groups import coset_table
 
-    z4 = FiniteGroup.cyclic(4)
-    walls, _, _, group_w, _, cosets = toy_wreath_walls(z4, (0,), FiniteGroup.cyclic(2))
-    evidence = wreath_support_evidence(walls, group_w, cosets.reps[0], 3)
+    cosets = coset_table(FiniteGroup.cyclic(4), (0,))
+    group_w = DirectSumGroup(FiniteGroup.cyclic(2), cosets.reps)
+    evidence = wreath_support_evidence(wreath_walls(group_w), group_w, cosets.reps[0], 3)
     assert set(evidence) == set(cosets.reps)
     assert all(v >= 1 for v in evidence.values())
+
+
+def test_wreath_glue_rejects_lamps_not_of_order_2():
+    """The support walls' label map flips a sign, which is the lamp
+    translation's only for order-2 lamps: Z/3 lamps used to glue without
+    error, and the lamp action then failed its equivariance check."""
+    with pytest.raises(InvalidInput, match="order 2"):
+        wreath_glue(FiniteGroup.cyclic(4), (0,), *group_naive_space(FiniteGroup.cyclic(3), 2), 2)
 
 
 def swapping_lamps(a, b):
@@ -247,15 +252,9 @@ def swapping_lamps(a, b):
 
 
 def toy_wreath(factor_space, factor_action):
-    """The toy wreath walls over Z/4 glued with the lamp factor: walls, space, both actions, i0."""
-    from labparts.cli import toy_wreath_walls
-    from labparts.constructions import WreathWalls, wreath_glue
-
-    z4 = FiniteGroup.cyclic(4)
-    walls, lm_w, lm_g, group_w, shift, cosets = toy_wreath_walls(z4, (0,), factor_action.group)
-    space, action_w, action_g = wreath_glue(WreathWalls(walls, lm_w, lm_g), factor_space, factor_action,
-                                            group_w, z4, shift, 2)
-    return walls, space, action_w, action_g, cosets.reps[0]
+    """The wreath gluing over Z/4 with the lamp factor: walls, space, both actions, i0."""
+    space, action_w, action_g = wreath_glue(FiniteGroup.cyclic(4), (0,), factor_space, factor_action, 2)
+    return wreath_walls(action_w.group), space, action_w, action_g, 0
 
 
 def assert_equivariant(space, action, rng):

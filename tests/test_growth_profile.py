@@ -38,7 +38,6 @@ def direct_profile(built, radius: int) -> dict:
                 "radius": r,
                 "sphere_size": len(sphere),
                 "min_energy": min(energies),
-                "max_energy": max(energies),
                 "min_dist": min(dists),
                 "max_dist": max(dists),
                 "mean_dist": sum(dists) / len(dists),
