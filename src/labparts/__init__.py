@@ -19,11 +19,9 @@ from .core import (
     SUP,
     Space,
     SparseVec,
-    check_chasles,
     check_equivariance,
     check_homomorphism,
     check_pseudo_metric,
-    combine,
     dist,
     pair_energy,
     q_energy,
@@ -41,11 +39,9 @@ __all__ = [
     "SUP",
     "Space",
     "SparseVec",
-    "check_chasles",
     "check_equivariance",
     "check_homomorphism",
     "check_pseudo_metric",
-    "combine",
     "dist",
     "pair_energy",
     "q_energy",

@@ -205,6 +205,9 @@ def finite_group(value, at: At) -> FiniteGroup:
 
 # the largest order of a group built from a preset (S6's): a group's table has order² entries
 MAX_PRESET_ORDER = 720
+# the most points of a naive node: its universe holds each point in a tuple and a set,
+# about 100 bytes a point, so the bound keeps that under about 10 MB
+MAX_NAIVE_POINTS = 100_000
 
 
 def _bound_order(n: int, preset: str, factorial: bool = False) -> None:
@@ -328,6 +331,8 @@ def _build_naive(*, q: exponent, points: integer = None, group: finite_group = N
         space, action = cons.group_naive_space(group, q, weight)
         return Built(space, {"main": action}, basepoint=group.identity, coerce=integer)
     _at_least(1, "points", points)
+    if points > MAX_NAIVE_POINTS:
+        raise ValueError(f"key 'points' takes an integer <= {MAX_NAIVE_POINTS}, got {points}")
     space = cons.weighted_naive_space(range(points), weight, q)
     return Built(space, {}, basepoint=0, coerce=integer)
 
@@ -951,40 +956,38 @@ def main(argv=None) -> int:
             _write_out([json.dumps(json_ready(result), indent=2, sort_keys=True) + "\n"], args.out)
             return 0 if result["passed"] else 1
 
-        if args.command == "export":
-            listed = built.listing(args.limit)
-            points = list(listed)
-            # one oracle call per point: with x0 the first point, c(x, y) = c(x, x0) + c(x0, y)
-            # (Chasles), so each pair's support lies in the union of the c(x, x0) supports
-            to_x0 = [sep(built.space, x, points[0]) for x in points]
-            if args.what == "vectors":
-                names = [repr(x) for x in points]
-                from_x0 = [-v for v in to_x0]
-                # labels recur across pairs; values are not memoised, as hashing a Fraction costs
-                # more than formatting it
-                key = functools.cache(label_key)
-                # each pair's vector is summed as its entry is written: arithmetic only, after every oracle call
-                entries = (
-                    {
-                        "x": names[i],
-                        "y": names[j],
-                        "vector": {key(l): rational_str(v) for l, v in (vec + from_x0[j]).items()},
-                    }
-                    for i, vec in enumerate(to_x0)
-                    for j in range(i + 1, len(points))
-                )
-            else:
-                labels = {}
-                for vec in to_x0:
-                    for label in vec.support():
-                        labels[label_key(label)] = rational_str(built.space.norm.weight(label))
-                entries = ({"label": k, "weight": labels[k]} for k in sorted(labels))
-            _write_out(json_chunks(entries), args.out)
-            if listed.note:
-                print(listed.note, file=sys.stderr)  # stderr keeps the JSON on stdout as it was
-            return 0
-
-        raise ConfigError(f"unknown command {args.command!r}")
+        # export, the one subcommand left: argparse requires one of the five
+        listed = built.listing(args.limit)
+        points = list(listed)
+        # one oracle call per point: with x0 the first point, c(x, y) = c(x, x0) + c(x0, y)
+        # (Chasles), so each pair's support lies in the union of the c(x, x0) supports
+        to_x0 = [sep(built.space, x, points[0]) for x in points]
+        if args.what == "vectors":
+            names = [repr(x) for x in points]
+            from_x0 = [-v for v in to_x0]
+            # labels recur across pairs; values are not memoised, as hashing a Fraction costs
+            # more than formatting it
+            key = functools.cache(label_key)
+            # each pair's vector is summed as its entry is written: arithmetic only, after every oracle call
+            entries = (
+                {
+                    "x": names[i],
+                    "y": names[j],
+                    "vector": {key(l): rational_str(v) for l, v in (vec + from_x0[j]).items()},
+                }
+                for i, vec in enumerate(to_x0)
+                for j in range(i + 1, len(points))
+            )
+        else:
+            labels = {}
+            for vec in to_x0:
+                for label in vec.support():
+                    labels[label_key(label)] = rational_str(built.space.norm.weight(label))
+            entries = ({"label": k, "weight": labels[k]} for k in sorted(labels))
+        _write_out(json_chunks(entries), args.out)
+        if listed.note:
+            print(listed.note, file=sys.stderr)  # stderr keeps the JSON on stdout as it was
+        return 0
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

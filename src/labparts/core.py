@@ -214,11 +214,6 @@ def _vec(entries: dict) -> SparseVec:
 ZERO_VEC = SparseVec()
 
 
-def combine(a: SparseVec, b: SparseVec, lam=1, mu=1) -> SparseVec:
-    """Canonicalised linear combination ``lam*a + mu*b``."""
-    return a.scaled(lam) + b.scaled(mu)
-
-
 # ---------------------------------------------------------------------------
 # norm specifications and energies
 
@@ -442,15 +437,6 @@ class CheckReport:
         self.total += 1
         if not ok and len(self.failures) < MAX_FAILURES_KEPT:
             self.failures.append(context)
-
-
-def check_chasles(space: Space, x: Point, y: Point, z: Point) -> bool:
-    """Exact test of c(x, z) == c(x, y) + c(y, z)."""
-    return sep(space, x, z) == combine(sep(space, x, y), sep(space, y, z))
-
-
-def check_antisymmetry(space: Space, x: Point, y: Point) -> bool:
-    return sep(space, x, y) == -sep(space, y, x)
 
 
 def check_homomorphism(

@@ -70,7 +70,7 @@ class FiniteMetric:
                 raise InvalidInput(f"metric point {p!r} is named twice; each point needs its own name")
         for i in range(n):
             if m[i][i] != 0:
-                raise InvalidInput("metric has a nonzero diagonal entry")
+                raise InvalidInput(f"metric point {self.points[i]!r} has the nonzero diagonal entry {m[i][i]}")
             for j in range(n):
                 if m[i][j] < 0 or m[i][j] != m[j][i]:
                     raise InvalidInput("metric must be symmetric and nonnegative")
@@ -79,9 +79,6 @@ class FiniteMetric:
                 for k in range(n):
                     if m[i][k] > m[i][j] + m[j][k]:
                         raise InvalidInput("triangle inequality violated")
-
-    def value(self, x, y) -> Fraction:
-        return self.d[self.points.index(x)][self.points.index(y)]
 
 
 def metric_realization_space(metric: FiniteMetric) -> Space:

@@ -18,7 +18,6 @@ from typing import Any, Callable, Iterable
 
 from .core import (
     Action,
-    CheckReport,
     DomainError,
     MINUS_ONE,
     NormSpec,
@@ -85,22 +84,6 @@ def walls_to_labelled(walls: MeasuredWalls, q) -> Space:
         return w if isinstance(w, Fraction) else Fraction(w)
 
     return Space(universe=walls.universe, diff=diff, norm=NormSpec(q, weight_of))
-
-
-def check_walls(walls: MeasuredWalls, samples: Iterable[tuple[Point, Point, Point]]) -> CheckReport:
-    """Symmetry, emptiness on the diagonal and the triangle inequality of the
-    wall pseudo-metric, on sampled triples."""
-    report = CheckReport("walls-oracle")
-    for x, y, z in samples:
-        ok = (
-            set(walls.separating(x, y)) == set(walls.separating(y, x))
-            and not list(walls.separating(x, x))
-            and walls.wall_distance(x, z) <= walls.wall_distance(x, y) + walls.wall_distance(y, z)
-        )
-        if ok:
-            ok = all(walls.member(h, x) != walls.member(h, y) for h in walls.separating(x, y))
-        report.record(ok, None if ok else {"triple": (x, y, z)})
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +258,7 @@ def custom_walls_load(path) -> MeasuredWalls:
                 if wid in weights:
                     raise DomainError(f"wall {wid!r} is declared twice; each wall needs its own id")
                 if w <= 0:
-                    raise DomainError("wall weights must be positive")
+                    raise DomainError(f"wall {wid!r} has weight {w}; wall weights must be positive")
                 for p, v in zip(points, parts[3:]):
                     if v not in ("0", "1"):
                         raise DomainError(f"wall {wid!r} flags point {p!r} with {v!r}; a membership flag is 0 or 1")

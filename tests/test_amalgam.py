@@ -8,7 +8,7 @@ from labparts.amalgam import (
     vertex_induced_space,
 )
 from labparts.constructions import group_naive_space
-from labparts.core import check_equivariance, pair_energy, sep
+from labparts.core import check_equivariance, check_pseudo_metric, pair_energy, sep
 from labparts.groups import ball_enumerate
 from oracles import bfs_tree_distance, bfs_tree_vertices, brute_projection_sum_energy
 
@@ -337,14 +337,10 @@ def test_amalgam_equivariance_exact(z46_spaces, z46_tree, rng):
 
 
 def test_amalgam_chasles(z46_spaces, z46_tree, rng):
-    from labparts.core import check_chasles
-
-    t = z46_tree
-    uni = t.universe()
-    space = z46_spaces[1]["space"]
-    for _ in range(50):
-        x, y, z = (uni.sample(rng, 1)[0] for _ in range(3))
-        assert check_chasles(space, x, y, z)
+    uni = z46_tree.universe()
+    triples = [tuple(uni.sample(rng, 1)[0] for _ in range(3)) for _ in range(50)]
+    report = check_pseudo_metric(z46_spaces[1]["space"], triples)
+    assert report.passed and report.total == 50
 
 
 # ---------------------------------------------------------------------------

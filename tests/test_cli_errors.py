@@ -417,11 +417,13 @@ def test_a_scale_map_over_points_that_are_not_integer_trees_exits_2(inner, argv,
 @pytest.mark.parametrize("node, key", [
     ({"kind": "naive", "points": 0, "q": 2}, "points"),
     ({"kind": "naive", "points": -3, "q": 2}, "points"),
+    # one past cli.MAX_NAIVE_POINTS; with no bound, 10**8 points ended in a MemoryError traceback
+    ({"kind": "weighted_naive", "points": 100_001, "q": 2}, "points"),
     ({"kind": "walls_zn", "dim": 1, "extent": -1, "q": 2}, "extent"),
     ({"kind": "proper_sum", "window": [], "q": 2}, "window"),
     ({"kind": "free_tree_mineyev", "rank": 2, "radius": -1, "q": 2}, "radius"),
     ({**COCYCLE, "radius": 2}, "radius"),
-], ids=["naive-0", "naive--3", "walls_zn", "proper_sum", "free_tree", "cocycle"])
+], ids=["naive-0", "naive--3", "naive-100001", "walls_zn", "proper_sum", "free_tree", "cocycle"])
 @pytest.mark.parametrize("wrapped", [False, True], ids=["node", "pullback"])
 def test_an_out_of_range_key_exits_2_naming_the_node_and_the_key(node, key, wrapped, tmp_path, capsys):
     path = "root.inner" if wrapped else "root"
@@ -591,6 +593,30 @@ def test_a_cocycle_file_that_declares_q_twice_exits_2(tmp_path, capsys):
         code, err = run(["dist", config, "0", "3"], capsys)
         assert code == 2 and "Traceback" not in err, err
         assert err.startswith(f"configuration error: {path}: cocycle file declares q twice"), err
+
+
+@pytest.mark.parametrize("kind, text, message", [
+    ("walls_custom", "points a b c\nwall h 0 1 0 0\n", "wall 'h' has weight 0; wall weights must be positive"),
+    ("walls_custom", "points a b c\nwal h 1 1 0 0\n", "unrecognised walls line: 'wal h 1 1 0 0\\n'"),
+    ("walls_custom", "# no points line\n", "walls file declares no points"),
+    ("cocycle", "q 2\ngen 1 | 1 | 1\nfoo\n", "unrecognised cocycle line: 'foo'"),
+    ("cocycle", "gen 1 | 1 | 1\n", "cocycle file must declare the exponent q"),
+    ("metric_linf", "", "empty metric file"),
+    ("metric_linf", "0,1\n1,1\n", "metric point 'p1' has the nonzero diagonal entry 1"),
+], ids=["wall-weight-0", "walls-line", "walls-no-points", "cocycle-line", "cocycle-no-q", "csv-empty", "csv-diagonal"])
+def test_an_input_file_with_a_bad_or_missing_line_exits_2_naming_it(kind, text, message, tmp_path, capsys):
+    node = {"walls_custom": WALLS, "cocycle": COCYCLE, "metric_linf": {"kind": "metric_linf", "file": "m.csv"}}[kind]
+    (tmp_path / node["file"]).write_text(text)
+    code, err = run(["dist", write_config(tmp_path, node), "#0", "#1"], capsys)
+    assert code == 2 and "Traceback" not in err
+    assert err == f"configuration error: root: {message}\n"
+
+
+def test_a_headerless_metric_csv_names_its_points_p0_to_pn(tmp_path, capsys):
+    (tmp_path / "m.csv").write_text("0,1,2\n1,0,1\n2,1,0\n")
+    config = write_config(tmp_path, {"kind": "metric_linf", "file": "m.csv"})
+    assert main(["dist", config, '"p0"', '"p2"']) == 0
+    assert capsys.readouterr().out == "energy 2/1\ndist 2\n"
 
 
 PROPER_SUM_PHI_LIST = {"kind": "proper_sum", "q": 2, "window": [0, 1, 2, 3], "phi": [1, 2, 3, 4]}

@@ -5,8 +5,8 @@ import pytest
 
 from labparts.core import (
     InvalidInput,
-    check_chasles,
     check_equivariance,
+    check_pseudo_metric,
     dist,
     energy_to_dist,
     pair_energy,
@@ -166,9 +166,9 @@ def test_direct_sum_space_chasles(rng):
     factor = naive_space(range(3), 2)
     space = direct_sum_space(lambda i: factor, 0, 2, index_window=range(4))
     pts = [space.universe.sample(rng, 1)[0] for _ in range(30)]
-    for _ in range(40):
-        x, y, z = rng.choice(pts), rng.choice(pts), rng.choice(pts)
-        assert check_chasles(space, x, y, z)
+    triples = [(rng.choice(pts), rng.choice(pts), rng.choice(pts)) for _ in range(40)]
+    report = check_pseudo_metric(space, triples)
+    assert report.passed and report.total == 40
 
 
 def test_proper_sum_orbital_energy_and_lower_bound():

@@ -6,12 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from labparts.cli import build_space, main
-from labparts.core import DomainError, check_equivariance, pair_energy, sep
+from labparts.core import DomainError, check_equivariance, check_pseudo_metric, pair_energy, sep
 from labparts.groups import FiniteGroup, ball_enumerate
 from labparts.walls import (
     MeasuredWalls,
     PointUniverse,
-    check_walls,
     coset_walls,
     coset_walls_action,
     custom_walls_load,
@@ -115,7 +114,7 @@ def test_each_translation_node_keeps_its_group():
 def test_check_walls_passes_on_grid(rng):
     walls = zn_half_space_walls(2)
     triples = [tuple(walls.universe.sample(rng, 3)) for _ in range(60)]
-    assert check_walls(walls, triples).passed
+    assert check_pseudo_metric(walls_to_labelled(walls, 1), triples).passed
 
 
 def test_check_walls_flags_asymmetric_oracle(rng):
@@ -133,7 +132,7 @@ def test_check_walls_flags_asymmetric_oracle(rng):
         separating=broken_separating,
     )
     triples = [((0,), (3,), (1,)), ((2,), (5,), (0,))]
-    assert not check_walls(broken, triples).passed
+    assert not check_pseudo_metric(walls_to_labelled(broken, 1), triples).passed
 
 
 def test_single_wall_system_passes():
@@ -144,7 +143,7 @@ def test_single_wall_system_passes():
         member=lambda h, x: x == "in",
         separating=lambda x, y: ["w"] if x != y else [],
     )
-    assert check_walls(walls, [("in", "out", "in")]).passed
+    assert check_pseudo_metric(walls_to_labelled(walls, 1), [("in", "out", "in")]).passed
     space = walls_to_labelled(walls, 2)
     assert pair_energy(space, "in", "out") == 1
 
@@ -154,7 +153,7 @@ def test_coset_walls_on_s3(rng):
     subgroups = [tuple(sorted({s3.identity, g})) for g in range(6) if s3.mul(g, g) == s3.identity and g != s3.identity]
     walls = coset_walls(s3, subgroups)
     triples = [tuple(walls.universe.sample(rng, 3)) for _ in range(40)]
-    assert check_walls(walls, triples).passed
+    assert check_pseudo_metric(walls_to_labelled(walls, 1), triples).passed
     space = walls_to_labelled(walls, 1)
     action = coset_walls_action(s3, subgroups)
     samples = [(rng.randrange(6), rng.randrange(6), rng.randrange(6)) for _ in range(120)]
