@@ -5,9 +5,10 @@ Usage: python scripts/amalgam_energy_sweep.py [radius] [q]
 For every reduced word in the ball of the given radius (generators a, b) of
 Z/4 * Z/6 over Z/2 with naive quotient structures, print the word, its
 syllable count, the tree distance, the oracle energy, the closed-form value
-with the linear tree term, and the value with the (wrong) power tree term.
-The last two columns agree exactly at q = 1 and split at q >= 2 as soon as
-the tree distance reaches 2.
+with the linear tree term, and the value with the (wrong) power tree term,
+formula - d_T + d_T**q, the negative control for the closed form.  The last
+two columns agree exactly at q = 1 and split at q >= 2 as soon as the tree
+distance reaches 2.
 
 Exit status 0 when every linear-formula value equals the oracle, 1 otherwise,
 and 2 when q is not a rational >= 1 (the sup norm, "sup", has no closed form).
@@ -55,8 +56,8 @@ def main():
         x = tree.act_point(gamma, tree.base_point)
         d_t = tree.tree_distance(x.vertex, tree.base_vertex)
         oracle = pair_energy(space, x, tree.base_point)
-        lin = amalgam_energy_formula(tree, sgc, shc, q, gamma, tree_term="linear")
-        pow_ = amalgam_energy_formula(tree, sgc, shc, q, gamma, tree_term="power")
+        lin = amalgam_energy_formula(tree, sgc, shc, q, gamma)
+        pow_ = lin - d_t + d_t ** q
         flag = ""
         if lin != oracle:
             linear_mismatches += 1

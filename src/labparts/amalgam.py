@@ -343,16 +343,13 @@ def amalgam_space(
 # the closed-form orbital energy
 
 
-def amalgam_energy_formula(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: Space, q, gamma: ReducedWord,
-                           tree_term: str = "linear"):
+def amalgam_energy_formula(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: Space, q, gamma: ReducedWord):
     """Orbital q-energy of gamma at the base point C of X_G, in closed form:
 
         sum_k ( ||c_G(g_k C, C)||^q + ||c_H(h_k C, C)||^q ) + d_T(gamma G, G).
 
     The tree term enters linearly for every q because the half-tree family
-    has q-energy equal to the edge count; ``tree_term='power'`` instead adds
-    d_T(gamma G, G)**q, which differs for q > 1 as soon as d_T >= 2 and is
-    provided as a deliberately wrong variant for negative controls.
+    has q-energy equal to the edge count.
 
     Per-syllable terms vanish for trivial syllables, so the formula applies
     to every reduced word (leading g_1 = e and trailing h_n = e included);
@@ -360,12 +357,9 @@ def amalgam_energy_formula(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc:
     the equality of the two is part of the acceptance checks.  A sup-norm
     energy is a maximum, not a sum, so q = SUP raises InvalidInput.
     """
-    qq = NormSpec(q).q
-    if qq == SUP:
+    if NormSpec(q).q == SUP:
         raise InvalidInput("the closed-form energy is a sum of q-th powers; it has no sup-norm form")
     _require_quotient_structure(tree, struct_gc, struct_hc, q)
-    if tree_term not in ("linear", "power"):
-        raise InvalidInput("tree_term must be 'linear' or 'power'")
     g_table, h_table = tree.am.cosets_left, tree.am.cosets_right
     e_g, e_h = g_table.rep_of[tree.am.left.identity], h_table.rep_of[tree.am.right.identity]
     total, exact = Fraction(0), True
@@ -374,14 +368,7 @@ def amalgam_energy_formula(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc:
         term_h = q_energy(struct_hc.norm, struct_hc.diff(h_table.rep_of[h], e_h))
         exact = exact and isinstance(term_g, Fraction) and isinstance(term_h, Fraction)
         total = total + term_g + term_h
-    d_t = tree.tree_distance(tree.act_vertex(gamma, tree.base_vertex), tree.base_vertex)
-    if tree_term == "linear":
-        total = total + d_t
-    elif qq.denominator == 1:
-        total = total + Fraction(d_t) ** qq.numerator
-    else:
-        total = total + float(d_t) ** float(qq)
-        exact = False
+    total = total + tree.tree_distance(tree.act_vertex(gamma, tree.base_vertex), tree.base_vertex)
     return total if exact else float(total)
 
 

@@ -460,8 +460,8 @@ def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer =
     return Built(space, {"main": action}, basepoint=cons.proper_sum_basepoint(group))
 
 
-def infinite_dihedral_built(q: exponent, *, preset: one_of("infinite_dihedral") = "infinite_dihedral"):
-    """The builder of the ``semidirect`` kind; its one preset is ``cons.infinite_dihedral_space``."""
+def infinite_dihedral_built(q: exponent):
+    """The builder of the ``semidirect`` kind: ``cons.infinite_dihedral_space``."""
     space, action = cons.infinite_dihedral_space(q)
     return Built(space, {"main": action}, basepoint=((0,), 0))
 
@@ -482,9 +482,7 @@ def _build_quotient_average(*, q: exponent, group: finite_group, subgroup: integ
     return Built(space, {"main": action}, basepoint=space.universe.points[0], coerce=integer)
 
 
-def _build_wreath_glue(*, q: exponent, group: finite_group, co_subgroup: integers = None, factor_cyclic: integer = 2):
-    if factor_cyclic != 2:
-        raise ValueError("the built-in walls provider supports order-2 lamps only")
+def _build_wreath_glue(*, q: exponent, group: finite_group, co_subgroup: integers = None):
     factor_space, factor_action = cons.group_naive_space(FiniteGroup.cyclic(2), q)
     subgroup_l = (group.identity,) if co_subgroup is None else co_subgroup
     space, action_w, action_g = cons.wreath_glue(group, subgroup_l, factor_space, factor_action, q)
@@ -743,12 +741,12 @@ def profile_csv(profile: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _metric_suite(built: Built, samples: int, rng: random.Random, tree_term: str):
+def _metric_suite(built: Built, samples: int, rng: random.Random):
     triples = [tuple(built.space.universe.sample(rng, 3)) for _ in range(samples)]
     yield check_pseudo_metric(built.space, triples)
 
 
-def _equivariance_suite(built: Built, samples: int, rng: random.Random, tree_term: str):
+def _equivariance_suite(built: Built, samples: int, rng: random.Random):
     for name, action in sorted(built.actions.items()):
         group_samples = [g for g, _ in ball_enumerate(action.group, 2)]
         trips = []
@@ -761,16 +759,16 @@ def _equivariance_suite(built: Built, samples: int, rng: random.Random, tree_ter
         yield report
 
 
-def _amalgam_suite(built: Built, samples: int, rng: random.Random, tree_term: str):
+def _amalgam_suite(built: Built, samples: int, rng: random.Random):
     # the closed form sums q-th powers, while a sup-norm energy is a maximum
     if "tree" not in built.extras or built.space.norm.q == SUP:
         return
     tree, sgc, shc = (built.extras[key] for key in ("tree", "struct_gc", "struct_hc"))
-    report = CheckReport(f"amalgam-formula[{tree_term}]")
+    report = CheckReport("amalgam-formula[linear]")  # "[linear]" names the tree term; golden outputs pin it
     for gamma, _ in ball_enumerate(tree.am, 4)[:samples]:
         moved = tree.act_point(gamma, tree.base_point)
         oracle = pair_energy(built.space, moved, tree.base_point)
-        formula = amalgam_mod.amalgam_energy_formula(tree, sgc, shc, built.space.norm.q, gamma, tree_term=tree_term)
+        formula = amalgam_mod.amalgam_energy_formula(tree, sgc, shc, built.space.norm.q, gamma)
         ok = oracle == formula and oracle >= amalgam_mod.syllable_lower_bound(gamma)
         report.record(ok, None if ok else {"word": gamma, "oracle": oracle, "formula": formula})
     yield report
@@ -780,11 +778,11 @@ def _amalgam_suite(built: Built, samples: int, rng: random.Random, tree_term: st
 SUITES = {"metric": _metric_suite, "equivariance": _equivariance_suite, "amalgam": _amalgam_suite}
 
 
-def run_checks(built: Built, suites, samples: int, seed: int, amalgam_tree_term: str = "linear") -> dict:
+def run_checks(built: Built, suites, samples: int, seed: int) -> dict:
     """Aggregate invariant checks, in ``SUITES`` order; the report carries exact counterexamples."""
     rng = random.Random(seed)
     reports = [report for name, suite in SUITES.items() if name in suites
-               for report in suite(built, samples, rng, amalgam_tree_term)]
+               for report in suite(built, samples, rng)]
     return {
         "passed": all(r.passed for r in reports),
         "suites": [report_dict(r) for r in reports],
@@ -896,7 +894,6 @@ def _parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="pairwise distance table (CSV)")
     p_table.add_argument("config")
     p_table.add_argument("--limit", type=nonnegative, default=12)
-    p_table.add_argument("--radius", type=nonnegative, default=None, help="alias: enumerate about this many orbit points")
     p_table.add_argument("--out", default=None)
 
     p_growth = sub.add_parser("growth", help="orbital growth profile (CSV)")
@@ -912,7 +909,6 @@ def _parser() -> argparse.ArgumentParser:
     p_check.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                          help="seed for sampled checks (default: the top-level --seed)")
     p_check.add_argument("--out", default=None)
-    p_check.add_argument("--amalgam-tree-term", default="linear", choices=["linear", "power"])
 
     p_export = sub.add_parser("export", help="dump labels or vectors")
     p_export.add_argument("config")
@@ -937,8 +933,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "table":
-            limit = args.limit if args.radius is None else max(args.limit, 2 * args.radius + 1)
-            listed, energies = energy_table(built, limit)
+            listed, energies = energy_table(built, args.limit)
             _write_out(table_csv(listed, energies, built.space.norm), args.out)
             return 0
 
@@ -949,7 +944,7 @@ def main(argv=None) -> int:
 
         if args.command == "check":
             suites = SUITES if args.suite == "all" else [args.suite]
-            result = run_checks(built, suites, args.samples, args.seed, args.amalgam_tree_term)
+            result = run_checks(built, suites, args.samples, args.seed)
             # a suite that does not apply yields no report: one named on its own must apply
             if not result["suites"]:
                 raise ConfigError(f"check --suite {args.suite} does not apply to this config")

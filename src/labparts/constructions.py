@@ -91,8 +91,8 @@ def weighted_naive_space(points: Iterable, w, q, universe: PointUniverse | None 
     return Space(universe=universe, diff=diff, norm=NormSpec(q, half_weight))
 
 
-def naive_space(points: Iterable, q, universe: PointUniverse | None = None) -> Space:
-    return weighted_naive_space(points, 1, q, universe)
+def naive_space(points: Iterable, q) -> Space:
+    return weighted_naive_space(points, 1, q)
 
 
 def naive_group_action(group, point_map: Callable[[Any, Point], Point] | None = None) -> Action:

@@ -6,12 +6,19 @@ syllable-list rewrite of amalgam normal forms (``rewrite_normal_form``, the
 reference for ``AmalgamGroup.mul`` and ``inv``), breadth-first searches over
 explicitly materialised graphs for tree distances and projections, and
 first-principles recounts of separating walls and Dirac supports.
+
+``power_tree_term_formula`` is the one exception: the deliberately wrong
+d_T**q variant of the closed-form amalgam energy, built on the production
+formula, which the negative controls check against the oracle.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
+
+from labparts.amalgam import amalgam_energy_formula
+from labparts.core import NormSpec
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +285,15 @@ def random_rational_metric(rng, n):
 
 def l1_distance(x, y):
     return sum(abs(a - b) for a, b in zip(x, y))
+
+
+# ---------------------------------------------------------------------------
+# the negative control for the closed-form amalgam energy
+
+
+def power_tree_term_formula(tree, struct_gc, struct_hc, q, gamma):
+    """``amalgam_energy_formula`` with the tree distance d_T(gamma G, G) raised
+    to the q-th power instead of entering linearly: equal to it at q = 1 and
+    wrong for q > 1 as soon as d_T >= 2."""
+    d_t = tree.tree_distance(tree.act_vertex(gamma, tree.base_vertex), tree.base_vertex)
+    return amalgam_energy_formula(tree, struct_gc, struct_hc, q, gamma) - d_t + d_t ** NormSpec(q).q

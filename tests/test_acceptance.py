@@ -55,7 +55,7 @@ from labparts.walls import (
     z_line_walls_space,
     zn_half_space_walls,
 )
-from oracles import l1_distance, random_rational_metric
+from oracles import l1_distance, power_tree_term_formula, random_rational_metric
 
 
 class Criterion:
@@ -325,7 +325,7 @@ def test_c11_negative_control_tree_exponent():
         x = tree.act_point(gamma, tree.base_point)
         d_t = tree.tree_distance(x.vertex, tree.base_vertex)
         oracle = pair_energy(space, x, tree.base_point)
-        wrong = amalgam_energy_formula(tree, sgc, shc, 2, gamma, tree_term="power")
+        wrong = power_tree_term_formula(tree, sgc, shc, 2, gamma)
         if d_t >= 2 and oracle != wrong:
             mismatches.append(gamma)
     c.check(bool(mismatches), "no mismatch found")

@@ -10,7 +10,7 @@ from labparts.amalgam import (
 from labparts.constructions import group_naive_space
 from labparts.core import check_equivariance, check_pseudo_metric, pair_energy, sep
 from labparts.groups import ball_enumerate
-from oracles import bfs_tree_distance, bfs_tree_vertices, brute_projection_sum_energy
+from oracles import bfs_tree_distance, bfs_tree_vertices, brute_projection_sum_energy, power_tree_term_formula
 
 
 def ball_words(am, radius):
@@ -315,7 +315,7 @@ def test_statement_tree_term_differs_at_q2(z46_spaces, z46_tree):
     for gamma, _ in ball_enumerate(t.am, 3):
         x = t.act_point(gamma, t.base_point)
         oracle = pair_energy(data["space"], x, t.base_point)
-        wrong = amalgam_energy_formula(t, data["struct_gc"], data["struct_hc"], 2, gamma, tree_term="power")
+        wrong = power_tree_term_formula(t, data["struct_gc"], data["struct_hc"], 2, gamma)
         d_t = t.tree_distance(x.vertex, t.base_vertex)
         if d_t >= 2:
             assert wrong != oracle

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from labparts import amalgam as amalgam_mod
 from labparts import cli, core
 from labparts.cli import (
     ConfigError,
@@ -25,6 +26,7 @@ from labparts.amalgam import amalgam_energy_formula
 from labparts.core import InvalidInput, check_equivariance, pair_energy
 from labparts.groups import FiniteGroup, ball_enumerate, coset_table
 from labparts.walls import wreath_walls
+from oracles import power_tree_term_formula
 
 
 @pytest.fixture
@@ -106,11 +108,17 @@ def test_amalgam_config_builds_and_checks(workdir):
     assert result["passed"]
 
 
-def test_exit_codes(workdir, capsys):
+def use_power_tree_term(monkeypatch):
+    """Make the amalgam suite check the wrong d_T**q variant of the closed form."""
+    monkeypatch.setattr(amalgam_mod, "amalgam_energy_formula", power_tree_term_formula)
+
+
+def test_exit_codes(workdir, capsys, monkeypatch):
     cfg = write_config(workdir, "am.json", AMALGAM_NODE)
     assert main(["check", cfg, "--suite", "amalgam", "--samples", "10"]) == 0
     cfg2 = write_config(workdir, "am2.json", dict(AMALGAM_NODE, q=2))
-    assert main(["check", cfg2, "--suite", "amalgam", "--amalgam-tree-term", "power"]) == 1
+    use_power_tree_term(monkeypatch)
+    assert main(["check", cfg2, "--suite", "amalgam"]) == 1
     assert main(["dist", str(workdir / "missing.json"), "0", "1"]) == 2
     capsys.readouterr()
 
@@ -148,9 +156,10 @@ def test_top_level_seed_reaches_check(workdir, monkeypatch, capsys):
     assert seeds == [5, 7, 0]
 
 
-def test_negative_control_reports_counterexample(workdir):
+def test_negative_control_reports_counterexample(workdir, monkeypatch):
     built = build_space(dict(AMALGAM_NODE, q=2), workdir)
-    result = run_checks(built, ["amalgam"], samples=10, seed=0, amalgam_tree_term="power")
+    use_power_tree_term(monkeypatch)
+    result = run_checks(built, ["amalgam"], samples=10, seed=0)
     assert not result["passed"]
     failing = result["suites"][0]["failures"]
     assert failing and "word" in failing[0]
@@ -172,7 +181,7 @@ def test_growth_profile_z_walls(workdir):
 @pytest.mark.parametrize(
     "node, diameter",
     [
-        ({"kind": "wreath_glue", "group": "Z4.tbl", "co_subgroup": [0], "factor_cyclic": 2, "q": 2}, 4),
+        ({"kind": "wreath_glue", "group": "Z4.tbl", "co_subgroup": [0], "q": 2}, 4),
         ({"kind": "naive", "group": {"cyclic": 3}, "q": 1}, 1),
     ],
 )
@@ -277,7 +286,7 @@ POWER_TERM_REPORT = """\
           "word": "ReducedWord(pairs=((0, 2),), tail=1)"
         }
       ],
-      "name": "amalgam-formula[power]",
+      "name": "amalgam-formula[linear]",
       "passed": false,
       "samples": 6
     }
@@ -286,10 +295,11 @@ POWER_TERM_REPORT = """\
 """
 
 
-def test_a_failure_report_writes_each_word_by_its_repr(capsys):
+def test_a_failure_report_writes_each_word_by_its_repr(capsys, monkeypatch):
     # a reduced word is a named tuple; the report keeps it whole, not as nested lists
     config = str(CONFIGS / "amalgam_q2.json")
-    assert main(["check", config, "--suite", "amalgam", "--amalgam-tree-term", "power", "--samples", "6"]) == 1
+    use_power_tree_term(monkeypatch)
+    assert main(["check", config, "--suite", "amalgam", "--samples", "6"]) == 1
     assert capsys.readouterr().out == POWER_TERM_REPORT
 
 
@@ -384,7 +394,7 @@ def test_orbit_enumeration_matches_list_scan():
         {"kind": "metric_linf", "points": ["a", "b"], "matrix": [[0, 5], [5, 0]]},
         {"kind": "pullback", "inner": {"kind": "walls_zn", "dim": 1, "q": 1}, "map": {"type": "scale", "factor": 2}},
         {"kind": "proper_sum", "q": 2, "window": [-2, -1, 0, 1, 2], "phi": "one_plus_abs"},
-        {"kind": "semidirect", "preset": "infinite_dihedral", "q": 2},
+        {"kind": "semidirect", "q": 2},
         {"kind": "quotient_average", "group": "Z4.tbl", "subgroup": [0, 2], "structure": "naive", "q": 1},
         {
             "kind": "quotient_average",
@@ -393,7 +403,7 @@ def test_orbit_enumeration_matches_list_scan():
             "structure": {"kind": "walls_cosets", "subgroups": [[0, 3]]},
             "q": 2,
         },
-        {"kind": "wreath_glue", "group": "Z4.tbl", "co_subgroup": [0], "factor_cyclic": 2, "q": 2},
+        {"kind": "wreath_glue", "group": "Z4.tbl", "co_subgroup": [0], "q": 2},
         {"kind": "free_tree_mineyev", "rank": 2, "radius": 3, "q": 2},
     ],
 )
@@ -518,8 +528,8 @@ def test_amalgam_energy_sweep_exits_1_on_a_linear_mismatch(monkeypatch, capsys):
     spec.loader.exec_module(sweep)
     formula = sweep.amalgam_energy_formula
 
-    def off_by_one_linear(*args, tree_term):
-        return formula(*args, tree_term=tree_term) + (tree_term == "linear")
+    def off_by_one_linear(*args):
+        return formula(*args) + 1
 
     monkeypatch.setattr(sweep, "amalgam_energy_formula", off_by_one_linear)
     monkeypatch.setattr(sys, "argv", ["amalgam_energy_sweep.py", "2", "1"])
@@ -557,11 +567,13 @@ def test_the_amalgam_formula_suite_does_not_apply_under_the_sup_norm(workdir, ca
 
 
 @pytest.mark.parametrize("term, code", [("linear", 0), ("power", 1)])
-def test_amalgam_formula_at_a_non_integer_q(workdir, capsys, term, code):
+def test_amalgam_formula_at_a_non_integer_q(workdir, capsys, monkeypatch, term, code):
     """At q = 3/2 the power term d_T**q is a float: it fails with a float
     counterexample, and the linear term passes on all 44 words of the ball."""
     cfg = write_config(workdir, "am32.json", dict(AMALGAM_NODE, q="3/2"))
-    assert main(["check", cfg, "--suite", "amalgam", "--amalgam-tree-term", term]) == code
+    if term == "power":
+        use_power_tree_term(monkeypatch)
+    assert main(["check", cfg, "--suite", "amalgam"]) == code
     (suite,) = json.loads(capsys.readouterr().out)["suites"]
     assert suite["samples"] == 44 and suite["passed"] == (code == 0)
     for failure in suite["failures"]:
@@ -577,8 +589,9 @@ def test_amalgam_suite_checks_at_most_samples_words(capsys, samples, checked):
     assert suite["samples"] == checked and suite["passed"]
 
 
-def test_amalgam_suite_takes_ball_words_in_ball_order(workdir):
+def test_amalgam_suite_takes_ball_words_in_ball_order(workdir, monkeypatch):
     # ball word 0 is the identity (d_T = 0); words 1 and 2 have d_T = 2, where the power term is wrong
     built = build_space(dict(AMALGAM_NODE, q=2), workdir)
-    assert run_checks(built, ["amalgam"], samples=1, seed=0, amalgam_tree_term="power")["passed"]
-    assert not run_checks(built, ["amalgam"], samples=2, seed=0, amalgam_tree_term="power")["passed"]
+    use_power_tree_term(monkeypatch)
+    assert run_checks(built, ["amalgam"], samples=1, seed=0)["passed"]
+    assert not run_checks(built, ["amalgam"], samples=2, seed=0)["passed"]

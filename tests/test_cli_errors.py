@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from labparts.cli import build_space, growth_profile, main
 from labparts.core import DomainError
+from labparts.examples import MAX_METRIC_POINTS
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 CONFIG_NAMES = sorted(p.name for p in CONFIGS.glob("*.json"))
@@ -42,7 +43,6 @@ def test_dist_rejects_non_integer_walls_coordinates(literal, capsys):
     "argv",
     [
         ["table", "z_walls.json", "--limit", "-1"],
-        ["table", "z_walls.json", "--radius", "-3"],
         ["export", "z_walls.json", "--what", "labels", "--limit", "-1"],
         ["check", "z_walls.json", "--samples", "-2"],
         ["growth", "z_walls.json", "--radius", "2", "--budget", "-1"],
@@ -65,7 +65,7 @@ def test_negative_phi_weights_are_a_config_error(tmp_path, capsys):
 # a large orbit index may name a real point in an infinite orbit
 BAD_ARGS = {
     "dist": [["#0", bad] for bad in ("#-1", "#abc", "#", "[1.5,2]", "true", '"x"', '{"a": 1}', "[[[]]]", "{")],
-    "table": [["--limit", "-1"], ["--radius", "-3"], ["--limit", "abc"]],
+    "table": [["--limit", "-1"], ["--limit", "abc"]],
     "growth": [["--radius", "-1"], ["--radius", "2", "--budget", "-1"], ["--radius", "1.5"]],
     "check": [["--samples", "-2"], ["--samples", "x"], ["--suite", "nope"]],
     "export": [["--what", "labels", "--limit", "-1"], ["--what", "nothing"]],
@@ -348,6 +348,22 @@ def write_config(tmp_path, node) -> str:
     return str(config)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["table", "z_walls.json", "--radius", "3"], "unrecognized arguments: --radius 3"),
+    (["check", "amalgam_q2.json", "--amalgam-tree-term", "power"], "unrecognized arguments: --amalgam-tree-term power"),
+    (["check", "amalgam_q2.json", "--amalgam-tree-term", "linear"], "unrecognized arguments: --amalgam-tree-term linear"),
+    (["dist", {**config_node("dihedral.json"), "preset": "infinite_dihedral"}, "#0", "#1"],
+     "configuration error: root: unknown key 'preset'; allowed keys: q\n"),
+    (["dist", {**config_node("wreath.json"), "factor_cyclic": 2}, "#0", "#1"],
+     "configuration error: root: unknown key 'factor_cyclic'; allowed keys: q, group, co_subgroup\n"),
+], ids=["table-radius", "amalgam-tree-term-power", "amalgam-tree-term-linear", "semidirect-preset",
+        "wreath_glue-factor_cyclic"])
+def test_a_removed_flag_or_key_exits_2(argv, message, tmp_path, capsys):
+    config = write_config(tmp_path, argv[1]) if isinstance(argv[1], dict) else str(CONFIGS / argv[1])
+    code, err = run([argv[0], config] + argv[2:], capsys)
+    assert code == 2 and message in err and "Traceback" not in err, err
+
+
 def test_table_and_check_draw_a_sampled_scale_pullback_from_its_preimage(tmp_path, capsys):
     # quintupling keeps only the naive point 0 in inner: the sampler redraws until it gets there
     config = write_config(tmp_path, SAMPLED_SCALE_PULLBACK)
@@ -617,6 +633,23 @@ def test_a_headerless_metric_csv_names_its_points_p0_to_pn(tmp_path, capsys):
     config = write_config(tmp_path, {"kind": "metric_linf", "file": "m.csv"})
     assert main(["dist", config, '"p0"', '"p2"']) == 0
     assert capsys.readouterr().out == "energy 2/1\ndist 2\n"
+
+
+def zero_one_rows(n: int) -> list:
+    """The matrix of the 0/1 metric on n points."""
+    return [[int(i != j) for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize("n, code", [(64, 0), (65, 2)])
+def test_a_metric_takes_at_most_max_metric_points(n, code, tmp_path, capsys):
+    inline = {"kind": "metric_linf", "points": [f"p{i}" for i in range(n)], "matrix": zero_one_rows(n)}
+    (tmp_path / "m.csv").write_text("".join(",".join(map(str, row)) + "\n" for row in zero_one_rows(n)))
+    for node in (inline, {"kind": "metric_linf", "file": "m.csv"}):
+        got, err = run(["dist", write_config(tmp_path, node), '"p0"', '"p1"'], capsys)
+        assert got == code and "Traceback" not in err, err
+        if code == 2:
+            assert err.startswith(f"configuration error: root: a metric takes at most {MAX_METRIC_POINTS} points, "
+                                  f"got {n}: its triangle inequality is checked over all n³ triples"), err
 
 
 PROPER_SUM_PHI_LIST = {"kind": "proper_sum", "q": 2, "window": [0, 1, 2, 3], "phi": [1, 2, 3, 4]}

@@ -8,6 +8,13 @@ method only as an attribute (``.name``), since a bare name of the same
 spelling is some other variable.  A read inside an ``ALLOWED`` definition
 does not count: code that only tests reach cannot keep other code alive.
 README's "Python API" list names each exported name once.
+
+The guard matches names, so a method passes when another class's method of
+the same name is read.  ``DirectSumGroup.elements``, ``ProductGroup.elements``
+and ``DirectSumGroup.support`` pass this way, as ``FiniteGroup.elements`` and
+``SparseVec.support`` are read, though nothing in ``src/``, ``scripts/`` or
+``bench/`` calls them: only tests do, and ``wreath_support_evidence``, itself
+allowed, calls ``support`` (ROADMAP item 3).
 """
 
 import ast
