@@ -12,6 +12,8 @@ distance reaches 2.
 
 Exit status 0 when every linear-formula value equals the oracle, 1 otherwise,
 and 2 when q is not a rational >= 1 (the sup norm, "sup", has no closed form).
+When the reader closes the pipe early, the sweep stops there, quietly, and
+the exit status covers the words swept so far.
 """
 
 import sys
@@ -23,6 +25,7 @@ from labparts.amalgam import (
     amalgam_space,
     naive_quotient_structures,
 )
+from labparts.cli import write_out
 from labparts.core import NormSpec, pair_energy
 from labparts.groups import ball_enumerate, z4_z6_amalgam
 
@@ -47,26 +50,31 @@ def main():
     am = z4_z6_amalgam()
     tree = TreeOfCosetSpaces(am)
     sgc, agc, shc, ahc = naive_quotient_structures(tree, q)
-    space, _ = amalgam_space(tree, sgc, agc, shc, ahc, q)
+    space, _ = amalgam_space(tree, sgc, agc, shc, ahc)
 
-    print(f"word | n | d_T | oracle | formula(linear) | formula(power), q={q}")
-    mismatches = 0
     linear_mismatches = 0
-    for gamma, _ in ball_enumerate(am, radius):
-        x = tree.act_point(gamma, tree.base_point)
-        d_t = tree.tree_distance(x.vertex, tree.base_vertex)
-        oracle = pair_energy(space, x, tree.base_point)
-        lin = amalgam_energy_formula(tree, sgc, shc, q, gamma)
-        pow_ = lin - d_t + d_t ** q
-        flag = ""
-        if lin != oracle:
-            linear_mismatches += 1
-            flag = "  <-- LINEAR MISMATCH"
-        if pow_ != oracle:
-            mismatches += 1
-            flag += "  (power differs)"
-        print(f"{word_str(am, gamma):>18} | {gamma.syllable_count} | {d_t} | {oracle} | {lin} | {pow_}{flag}")
-    print(f"\npower-term mismatches: {mismatches}")
+
+    def rows():
+        nonlocal linear_mismatches
+        yield f"word | n | d_T | oracle | formula(linear) | formula(power), q={q}\n"
+        mismatches = 0
+        for gamma, _ in ball_enumerate(am, radius):
+            x = tree.act_point(gamma, tree.base_point)
+            d_t = tree.tree_distance(x.vertex, tree.base_vertex)
+            oracle = pair_energy(space, x, tree.base_point)
+            lin = amalgam_energy_formula(tree, sgc, shc, q, gamma)
+            pow_ = lin - d_t + d_t ** q
+            flag = ""
+            if lin != oracle:
+                linear_mismatches += 1
+                flag = "  <-- LINEAR MISMATCH"
+            if pow_ != oracle:
+                mismatches += 1
+                flag += "  (power differs)"
+            yield f"{word_str(am, gamma):>18} | {gamma.syllable_count} | {d_t} | {oracle} | {lin} | {pow_}{flag}\n"
+        yield f"\npower-term mismatches: {mismatches}\n"
+
+    write_out(rows(), None)
     if linear_mismatches:
         print(f"linear-formula mismatches: {linear_mismatches}", file=sys.stderr)
         return 1

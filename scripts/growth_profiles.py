@@ -35,7 +35,7 @@ def main():
     am = z4_z6_amalgam()
     tree = TreeOfCosetSpaces(am)
     sgc, agc, shc, ahc = naive_quotient_structures(tree, 1)
-    aspace, aaction = amalgam_space(tree, sgc, agc, shc, ahc, 1)
+    aspace, aaction = amalgam_space(tree, sgc, agc, shc, ahc)
     letters = [am.letter_word("L", g) for g in range(1, 4)] + [am.letter_word("R", h) for h in range(1, 6)]
     amalgam = Built(aspace, {"main": aaction}, basepoint=tree.base_point)
     profiles["amalgam"] = growth_profile(amalgam, 6, generators=letters)

@@ -214,23 +214,24 @@ class TreeOfCosetSpaces:
 # induced structures
 
 
-def _require_quotient_structure(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: Space, q) -> None:
-    expected_q = NormSpec(q).q
+def _require_quotient_structure(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: Space):
+    """The exponent that both quotient structures carry, each on exactly the coset representatives."""
     for struct, table, side in ((struct_gc, tree.am.cosets_left, "G/C"), (struct_hc, tree.am.cosets_right, "H/C")):
-        if struct.norm.q != expected_q:
-            raise InvalidInput(f"{side} structure must carry exponent {q}")
+        if struct.norm.q != struct_gc.norm.q:
+            raise InvalidInput(f"{side} structure has exponent {struct.norm.q}, G/C structure has {struct_gc.norm.q}")
         if struct.universe.points is None or set(struct.universe.points) != set(table.reps):
             raise InvalidInput(f"{side} structure must have exactly the coset representatives as points")
+    return struct_gc.norm.q
 
 
-def vertex_induced_space(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: Space, q) -> Space:
+def vertex_induced_space(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: Space) -> Space:
     """Sum over vertex projections of pulled-back quotient structures.
 
     The separation vector of (x, y) is the vertex-tagged union over the
     vertices between x and y of the quotient separation vectors of the
     projections; its q-energy is the sum of the projected energies.
     """
-    _require_quotient_structure(tree, struct_gc, struct_hc, q)
+    q = _require_quotient_structure(tree, struct_gc, struct_hc)
     structs = {"L": struct_gc, "R": struct_hc}
 
     def diff(x, y):
@@ -281,7 +282,6 @@ def amalgam_space(
     action_gc: Action,
     struct_hc: Space,
     action_hc: Action,
-    q,
 ) -> tuple[Space, Action]:
     """The diagonal combination of the vertex-induced and tree-induced
     structures, with the full amalgam acting by automorphisms.
@@ -291,8 +291,8 @@ def amalgam_space(
     vertex representatives) on the inner quotient label; oriented half-tree
     labels move by gamma^{-1} on the edge slot.
     """
-    vertex_part = vertex_induced_space(tree, struct_gc, struct_hc, q)
-    tree_part = tree_induced_space(tree, q)
+    vertex_part = vertex_induced_space(tree, struct_gc, struct_hc)
+    tree_part = tree_induced_space(tree, vertex_part.norm.q)
     actions = {"L": action_gc, "R": action_hc}
 
     def diff(x, y):
@@ -334,7 +334,7 @@ def amalgam_space(
             return vertex_tag(v1, target), sign
         raise DomainError(f"unrecognised amalgam label {label!r}")
 
-    space = Space(universe=tree.universe(), diff=diff, norm=NormSpec(q, weight_of))
+    space = Space(universe=tree.universe(), diff=diff, norm=NormSpec(vertex_part.norm.q, weight_of))
     action = Action(group=tree.am, point_map=tree.act_point, label_map=label_map)
     return space, action
 
@@ -359,17 +359,16 @@ def amalgam_energy_formula(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc:
     """
     if NormSpec(q).q == SUP:
         raise InvalidInput("the closed-form energy is a sum of q-th powers; it has no sup-norm form")
-    _require_quotient_structure(tree, struct_gc, struct_hc, q)
+    if _require_quotient_structure(tree, struct_gc, struct_hc) != NormSpec(q).q:
+        raise InvalidInput(f"the quotient structures must carry exponent {q}")
     g_table, h_table = tree.am.cosets_left, tree.am.cosets_right
     e_g, e_h = g_table.rep_of[tree.am.left.identity], h_table.rep_of[tree.am.right.identity]
-    total, exact = Fraction(0), True
+    total = Fraction(0)
     for g, h in gamma.pairs:
-        term_g = q_energy(struct_gc.norm, struct_gc.diff(g_table.rep_of[g], e_g))
-        term_h = q_energy(struct_hc.norm, struct_hc.diff(h_table.rep_of[h], e_h))
-        exact = exact and isinstance(term_g, Fraction) and isinstance(term_h, Fraction)
-        total = total + term_g + term_h
-    total = total + tree.tree_distance(tree.act_vertex(gamma, tree.base_vertex), tree.base_vertex)
-    return total if exact else float(total)
+        # a float term (a non-integer q) makes the total a float
+        total = total + q_energy(struct_gc.norm, struct_gc.diff(g_table.rep_of[g], e_g))
+        total = total + q_energy(struct_hc.norm, struct_hc.diff(h_table.rep_of[h], e_h))
+    return total + tree.tree_distance(tree.act_vertex(gamma, tree.base_vertex), tree.base_vertex)
 
 
 def syllable_lower_bound(gamma: ReducedWord) -> int:
@@ -387,7 +386,6 @@ def proper_amalgam_from_factors(
     space_h: Space,
     action_h: Action,
     amalgam: AmalgamGroup,
-    q,
 ) -> tuple[Space, Action, TreeOfCosetSpaces, Space, Space]:
     """Average factor structures over the common subgroup, then glue.
 
@@ -400,10 +398,10 @@ def proper_amalgam_from_factors(
     """
     from .constructions import quotient_average
 
-    struct_gc, action_gc = quotient_average(space_g, amalgam.left, amalgam.embed_left, action_g)
-    struct_hc, action_hc = quotient_average(space_h, amalgam.right, amalgam.embed_right, action_h)
+    struct_gc, action_gc = quotient_average(space_g, amalgam.embed_left, action_g)
+    struct_hc, action_hc = quotient_average(space_h, amalgam.embed_right, action_h)
     tree = TreeOfCosetSpaces(amalgam)
-    space, action = amalgam_space(tree, struct_gc, action_gc, struct_hc, action_hc, q)
+    space, action = amalgam_space(tree, struct_gc, action_gc, struct_hc, action_hc)
     return space, action, tree, struct_gc, struct_hc
 
 

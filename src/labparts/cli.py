@@ -418,15 +418,12 @@ def _build_pullback(*, inner: node, map: obj(_pullback_map)):
     return built
 
 
-def _build_product(*, q: exponent, factors: list_of(node)):
-    if not factors:
-        raise ValueError("a product needs at least one factor")
+def _build_product(*, factors: list_of(node)):
     actions = {}
     if all("main" in b.actions for b in factors):
-        space, action = cons.product_action([b.space for b in factors], [b.actions["main"] for b in factors], q)
-        actions["main"] = action
+        space, actions["main"] = cons.product_action([b.space for b in factors], [b.actions["main"] for b in factors])
     else:
-        space = cons.product_space([b.space for b in factors], q)
+        space = cons.product_space([b.space for b in factors])
 
     def coerce(v):
         if not isinstance(v, list) or len(v) != len(factors):
@@ -456,7 +453,7 @@ def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer =
     factor_group = FiniteGroup.cyclic(factor_cyclic)
     group = DirectSumGroup(factor_group, window)
     factor_space, factor_action = cons.group_naive_space(factor_group, q)
-    space, action = cons.proper_sum_space(factor_space, factor_action, group, q, phi)
+    space, action = cons.proper_sum_space(factor_space, factor_action, group, phi)
     return Built(space, {"main": action}, basepoint=cons.proper_sum_basepoint(group))
 
 
@@ -478,14 +475,14 @@ def _build_quotient_average(*, q: exponent, group: finite_group, subgroup: integ
         walls = walls_mod.coset_walls(group, structure)
         inner_space = walls_mod.walls_to_labelled(walls, q)
         inner_action = walls_mod.coset_walls_action(group, structure)
-    space, action = cons.quotient_average(inner_space, group, subgroup, inner_action)
+    space, action = cons.quotient_average(inner_space, subgroup, inner_action)
     return Built(space, {"main": action}, basepoint=space.universe.points[0], coerce=integer)
 
 
 def _build_wreath_glue(*, q: exponent, group: finite_group, co_subgroup: integers = None):
     factor_space, factor_action = cons.group_naive_space(FiniteGroup.cyclic(2), q)
     subgroup_l = (group.identity,) if co_subgroup is None else co_subgroup
-    space, action_w, action_g = cons.wreath_glue(group, subgroup_l, factor_space, factor_action, q)
+    space, action_w, action_g = cons.wreath_glue(group, subgroup_l, factor_space, factor_action)
     # the identity's coset is the first index
     return Built(space, {"main": action_w, "shift": action_g}, basepoint=(((), group.identity), ()))
 
@@ -499,7 +496,7 @@ def _build_amalgam(*, q: exponent, left: finite_group, right: finite_group, comm
     group = AmalgamGroup(left, right, *common)
     tree = amalgam_mod.TreeOfCosetSpaces(group)
     sgc, agc, shc, ahc = amalgam_mod.naive_quotient_structures(tree, q)
-    space, action = amalgam_mod.amalgam_space(tree, sgc, agc, shc, ahc, q)
+    space, action = amalgam_mod.amalgam_space(tree, sgc, agc, shc, ahc)
     return Built(space, {"main": action}, basepoint=tree.base_point,
                  extras={"tree": tree, "struct_gc": sgc, "struct_hc": shc})
 
@@ -845,7 +842,7 @@ def _load_config(path_str: str) -> tuple[dict, Path]:
     return node, path.parent
 
 
-def _write_out(chunks: Iterable[str], out: str | None) -> None:
+def write_out(chunks: Iterable[str], out: str | None) -> None:
     """Write text chunks as they come, to the file ``out`` or to stdout.
 
     An ``out`` that cannot be opened is a ConfigError, raised before the first
@@ -934,12 +931,12 @@ def main(argv=None) -> int:
 
         if args.command == "table":
             listed, energies = energy_table(built, args.limit)
-            _write_out(table_csv(listed, energies, built.space.norm), args.out)
+            write_out(table_csv(listed, energies, built.space.norm), args.out)
             return 0
 
         if args.command == "growth":
             profile = growth_profile(built, args.radius, budget=args.budget)
-            _write_out([profile_csv(profile)], args.out)
+            write_out([profile_csv(profile)], args.out)
             return 0
 
         if args.command == "check":
@@ -948,7 +945,7 @@ def main(argv=None) -> int:
             # a suite that does not apply yields no report: one named on its own must apply
             if not result["suites"]:
                 raise ConfigError(f"check --suite {args.suite} does not apply to this config")
-            _write_out([json.dumps(json_ready(result), indent=2, sort_keys=True) + "\n"], args.out)
+            write_out([json.dumps(json_ready(result), indent=2, sort_keys=True) + "\n"], args.out)
             return 0 if result["passed"] else 1
 
         # export, the one subcommand left: argparse requires one of the five
@@ -979,7 +976,7 @@ def main(argv=None) -> int:
                 for label in vec.support():
                     labels[label_key(label)] = rational_str(built.space.norm.weight(label))
             entries = ({"label": k, "weight": labels[k]} for k in sorted(labels))
-        _write_out(json_chunks(entries), args.out)
+        write_out(json_chunks(entries), args.out)
         if listed.note:
             print(listed.note, file=sys.stderr)  # stderr keeps the JSON on stdout as it was
         return 0

@@ -120,13 +120,14 @@ def group_naive_space(group: FiniteGroup, q, w=1) -> tuple[Space, Action]:
 # finite products
 
 
-def _common_exponent(factors: Sequence[Space], q) -> None:
+def _common_exponent(factors: Sequence[Space]):
+    if not factors:
+        raise InvalidInput("a product needs at least one factor")
     for i, fac in enumerate(factors):
-        if fac.norm.q != NormSpec(q).q:
-            raise InvalidInput(
-                f"factor {i} has exponent {fac.norm.q}, product requires {q}: "
-                "the factor-tagged union of labels computes the q-sum of factor energies"
-            )
+        if fac.norm.q != factors[0].norm.q:
+            raise InvalidInput(f"factor {i} has exponent {fac.norm.q}, factor 0 has {factors[0].norm.q}: "
+                               "the factor-tagged union of labels computes the q-sum of factor energies")
+    return factors[0].norm.q
 
 
 def _factor_weight(factor_at: Callable[[Any], Space]) -> Callable[[Label], Fraction]:
@@ -134,15 +135,15 @@ def _factor_weight(factor_at: Callable[[Any], Space]) -> Callable[[Label], Fract
     return lambda label: factor_at(label[0][1]).norm.weight(label[1:])
 
 
-def product_space(factors: Sequence[Space], q) -> Space:
+def product_space(factors: Sequence[Space]) -> Space:
     """Direct product with the factor-tagged union of label families.
 
     Points are tuples; sep is the disjoint union of per-factor separation
     vectors, so the q-energy is exactly the sum of the factor energies.
-    All factors must already carry the exponent q.
+    The factors must carry one exponent q, which the product takes.
     """
     factors = list(factors)
-    _common_exponent(factors, q)
+    q = _common_exponent(factors)
 
     def contains(x) -> bool:
         return (
@@ -173,9 +174,9 @@ def product_space(factors: Sequence[Space], q) -> Space:
     )
 
 
-def product_action(factors: Sequence[Space], actions: Sequence[Action], q) -> tuple[Space, Action]:
+def product_action(factors: Sequence[Space], actions: Sequence[Action]) -> tuple[Space, Action]:
     """Coordinatewise action of the product group on the product space."""
-    space = product_space(factors, q)
+    space = product_space(factors)
     group = ProductGroup([a.group for a in actions])
     actions = list(actions)
 
@@ -188,9 +189,9 @@ def product_action(factors: Sequence[Space], actions: Sequence[Action], q) -> tu
     return space, Action(group=group, point_map=point_map, label_map=label_map)
 
 
-def diagonal_action(group, parts: tuple[Action, Action]) -> Action:
-    """``group`` acting on a two-factor ``product_space`` one factor at a time:
-    factor k's points and labels move by ``parts[k]``, an action of ``group``."""
+def diagonal_action(parts: tuple[Action, Action]) -> Action:
+    """One group acting on a two-factor ``product_space`` one factor at a time:
+    factor k's points and labels move by ``parts[k]``, an action of that group."""
     pm0, pm1 = (a.point_map for a in parts)
     label_maps = [a.label_map for a in parts]
 
@@ -198,7 +199,8 @@ def diagonal_action(group, parts: tuple[Action, Action]) -> Action:
         # unrolled: a comprehension over the factors made the dihedral point map ~1.6x slower
         return (pm0(g, x[0]), pm1(g, x[1]))
 
-    return Action(group=group, point_map=point_map, label_map=factor_label_map(lambda g, k: (label_maps[k], g)))
+    return Action(group=parts[0].group, point_map=point_map,
+                  label_map=factor_label_map(lambda g, k: (label_maps[k], g)))
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +307,7 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
 # properness-restoring sum
 
 
-def proper_sum_space(factor_space: Space, factor_action: Action, group: DirectSumGroup, q,
+def proper_sum_space(factor_space: Space, factor_action: Action, group: DirectSumGroup,
                      phi: Callable[[Any], Fraction] | None = None) -> tuple[Space, Action]:
     """Product of a direct sum of copies of ``factor_space`` with the
     diverging-weight naive structure on the acting lamp group, carrying the
@@ -316,14 +318,15 @@ def proper_sum_space(factor_space: Space, factor_action: Action, group: DirectSu
     lamp group and base point y0 = ((), identity), the q-energy of
     c(w.y0, y0) is the sum over supp(w) of the factor orbital energies plus
     phi(i)**q, so orbits escape every ball whenever the factor action is
-    proper and phi diverges.
+    proper and phi diverges.  The exponent is ``factor_space``'s.
     """
+    q = factor_space.norm.q
     basepoint = factor_action.group.identity
     x_part = direct_sum_space(lambda i: factor_space, basepoint, q, index_window=group.index_window)
     w_part, w_action = weighted_naive_sum_space(group, phi, q)
-    space = product_space([x_part, w_part], q)
+    space = product_space([x_part, w_part])
     x_action = direct_sum_action(group, factor_action, basepoint)
-    return space, diagonal_action(group, (x_action, w_action))
+    return space, diagonal_action((x_action, w_action))
 
 
 def proper_sum_basepoint(group: DirectSumGroup) -> tuple:
@@ -335,7 +338,7 @@ def proper_sum_basepoint(group: DirectSumGroup) -> tuple:
 
 
 def semidirect_space(space1: Space, action1: Action, space2: Space, action2: Action, twist_action: Action,
-                     group: SemidirectGroup, q) -> tuple[Space, Action]:
+                     group: SemidirectGroup) -> tuple[Space, Action]:
     """Product structure on X1 x X2 with the glued semidirect action
     tau(g1, g2)(x1, x2) = (g1 . (twist(g2) . x1), g2 . x2).
 
@@ -356,7 +359,7 @@ def semidirect_space(space1: Space, action1: Action, space2: Space, action2: Act
         if lhs != action1.point_map(group.twist(g2, g1), x):
             raise InvalidInput("twist action is not compatible with the first factor action")
 
-    space = product_space([space1, space2], q)
+    space = product_space([space1, space2])
     pm1, lm1, pm2, lm2 = action1.point_map, action1.label_map, action2.point_map, action2.label_map
     twist_pm, twist_lm = twist_action.point_map, twist_action.label_map
 
@@ -368,7 +371,7 @@ def semidirect_space(space1: Space, action1: Action, space2: Space, action2: Act
 
     twisted = Action(group, lambda g, x1: pm1(g[0], twist_pm(g[1], x1)), twisted_map)
     second = Action(group, lambda g, x2: pm2(g[1], x2), lambda g, label: lm2(g[1], label))
-    return space, diagonal_action(group, (twisted, second))
+    return space, diagonal_action((twisted, second))
 
 
 def infinite_dihedral_space(q) -> tuple[Space, Action]:
@@ -390,18 +393,18 @@ def infinite_dihedral_space(q) -> tuple[Space, Action]:
         return label, 1
 
     twist_action = Action(group=flip_group, point_map=twist_point, label_map=twist_label)
-    return semidirect_space(space1, action1, space2, action2, twist_action, group, q)
+    return semidirect_space(space1, action1, space2, action2, twist_action, group)
 
 
 # ---------------------------------------------------------------------------
 # finite-quotient averaging
 
 
-def quotient_average(space: Space, group: FiniteGroup, subgroup: Iterable[int], action: Action) -> tuple[Space, Action]:
+def quotient_average(space: Space, subgroup: Iterable[int], action: Action) -> tuple[Space, Action]:
     """Average a structure on a group over a finite subgroup.
 
-    The source space's points must be exactly the group's elements with
-    ``action`` the left translation.  Points of the result are the coset
+    The source space's points must be exactly the elements of the group G of
+    ``action``, the left translation.  Points of the result are the coset
     representatives of G/F; separation vectors are averages over F inside
     the original label family:
 
@@ -409,6 +412,7 @@ def quotient_average(space: Space, group: FiniteGroup, subgroup: Iterable[int], 
 
     The orbital norms change by at most 2 * ||(1/|F|) sum_f sep(f, e)||.
     """
+    group = action.group
     table = coset_table(group, subgroup)
     size = Fraction(1, len(table.subgroup))
 
@@ -446,8 +450,8 @@ def averaging_eta(space: Space, group: FiniteGroup, subgroup: Iterable[int]) -> 
 # wreath gluing
 
 
-def wreath_glue(group_g: FiniteGroup, subgroup_l, factor_space: Space, factor_action: Action,
-                q) -> tuple[Space, Action, Action]:
+def wreath_glue(group_g: FiniteGroup, subgroup_l, factor_space: Space,
+                factor_action: Action) -> tuple[Space, Action, Action]:
     """The wreath gluing for H wr_{G/L} G: the walls ``walls.wreath_walls``
     on W x I glued with the direct sum over I of a structure on H.
 
@@ -464,8 +468,9 @@ def wreath_glue(group_g: FiniteGroup, subgroup_l, factor_space: Space, factor_ac
     tau_G(g)((w1, i), x) = ((rho(g) w1, g i), rho(g) x), where rho(g)
     moves coordinate i to g i.  For the base point ((e, L), e) the orbital
     q-energy of tau_W(w) is the wall distance plus the sum of factor
-    orbital energies over the support of w.
+    orbital energies over the support of w.  The exponent is ``factor_space``'s.
     """
+    q = factor_space.norm.q
     lamps = factor_action.group
     if lamps.size != 2:
         raise InvalidInput(f"the wreath walls need lamps of order 2, got a lamp group of order {lamps.size}")
@@ -473,7 +478,7 @@ def wreath_glue(group_g: FiniteGroup, subgroup_l, factor_space: Space, factor_ac
     group_w = DirectSumGroup(lamps, cosets.reps)
     walls_space = walls_to_labelled(wreath_walls(group_w), q)
     lamp_sum = direct_sum_space(lambda i: factor_space, lamps.identity, q, index_window=group_w.index_window)
-    space = product_space([walls_space, lamp_sum], q)
+    space = product_space([walls_space, lamp_sum])
 
     def shift(g, i):
         return cosets.rep_of[group_g.mul(g, i)]
@@ -497,11 +502,11 @@ def wreath_glue(group_g: FiniteGroup, subgroup_l, factor_space: Space, factor_ac
         (tag, i) = label[0]
         return (factor(shift(group_g.inv(g), i), tuple(label[1:])), 1)
 
-    action_w = diagonal_action(group_w, (
+    action_w = diagonal_action((
         Action(group_w, lambda w, p: (group_w.mul(w, p[0]), p[1]), label_map_w),
         direct_sum_action(group_w, factor_action, lamps.identity),
     ))
-    action_g = diagonal_action(group_g, (
+    action_g = diagonal_action((
         Action(group_g, lambda g, p: (rho(g, p[0]), shift(g, p[1])), label_map_g),
         Action(group_g, rho, lamp_label_map_g),
     ))

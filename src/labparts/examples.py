@@ -143,7 +143,7 @@ def metric_to_csv(metric: FiniteMetric, path) -> None:
 # free groups: tree specialization of the hyperbolic labelling family
 
 
-def tree_neighbour(free: FreeGroup, a: tuple, x: tuple) -> tuple:
+def tree_neighbour(a: tuple, x: tuple) -> tuple:
     """The vertex adjacent to a on the geodesic toward x (a itself if x = a).
 
     Reduced words are the vertices of the Cayley tree and prefixes their
@@ -155,7 +155,7 @@ def tree_neighbour(free: FreeGroup, a: tuple, x: tuple) -> tuple:
     return a[:-1]
 
 
-def geodesic(free: FreeGroup, x: tuple, y: tuple) -> list[tuple]:
+def geodesic(x: tuple, y: tuple) -> list[tuple]:
     """Vertices of the geodesic segment from x to y in the Cayley tree: the
     prefixes of x down to the common prefix, then the prefixes of y."""
     common = 0
@@ -191,9 +191,9 @@ def free_tree_space(rank: int, q, sample_radius: int = 4) -> tuple[Space, Action
     def diff(x, y):
         # the geodesic's vertices are distinct, so are the two labels at each
         entries = {}
-        for a in geodesic(free, x, y):
-            bx = tree_neighbour(free, a, x)
-            by = tree_neighbour(free, a, y)
+        for a in geodesic(x, y):
+            bx = tree_neighbour(a, x)
+            by = tree_neighbour(a, y)
             if bx != by:
                 entries[pair_label(a, bx)] = ONE
                 entries[pair_label(a, by)] = MINUS_ONE

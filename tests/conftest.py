@@ -27,6 +27,6 @@ def z46_spaces(z46_tree):
     out = {}
     for q in (1, 2):
         sgc, agc, shc, ahc = naive_quotient_structures(z46_tree, q)
-        space, action = amalgam_space(z46_tree, sgc, agc, shc, ahc, q)
+        space, action = amalgam_space(z46_tree, sgc, agc, shc, ahc)
         out[q] = {"space": space, "action": action, "struct_gc": sgc, "struct_hc": shc}
     return out

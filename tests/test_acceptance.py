@@ -126,7 +126,7 @@ def test_c04_direct_sum_additivity():
     f1 = naive_space(range(4), 2)
     f2 = walls_to_labelled(zn_half_space_walls(1), 2)
     f3 = weighted_naive_space(range(5), Fraction(3, 2), 2)
-    space = product_space([f1, f2, f3], 2)
+    space = product_space([f1, f2, f3])
     for _ in range(100):
         x = (rng.randrange(4), (rng.randrange(-6, 7),), rng.randrange(5))
         y = (rng.randrange(4), (rng.randrange(-6, 7),), rng.randrange(5))
@@ -174,7 +174,7 @@ def test_c06_quotient_average_bound():
     for group, subgroup, walls_subs in setups:
         for q in (1, 2):
             for name, space, action in quotient_structures_for(group, walls_subs, q):
-                quotient, qaction = quotient_average(space, group, subgroup, action)
+                quotient, qaction = quotient_average(space, subgroup, action)
                 eta = averaging_eta(space, group, subgroup)
                 base = quotient.universe.points[0]
                 if q == 1:
@@ -199,7 +199,7 @@ def test_c07_amalgam_formula_oracle():
     ball = [w for w, _ in ball_enumerate(am, 5)]
     for q in (1, 2):
         sgc, agc, shc, ahc = naive_quotient_structures(tree, q)
-        space, _ = amalgam_space(tree, sgc, agc, shc, ahc, q)
+        space, _ = amalgam_space(tree, sgc, agc, shc, ahc)
         for gamma in ball:
             x = tree.act_point(gamma, tree.base_point)
             oracle = pair_energy(space, x, tree.base_point)
@@ -216,7 +216,7 @@ def equivariant_setups():
     am = z4_z6_amalgam()
     tree = TreeOfCosetSpaces(am)
     sgc, agc, shc, ahc = naive_quotient_structures(tree, 2)
-    amal = amalgam_space(tree, sgc, agc, shc, ahc, 2)
+    amal = amalgam_space(tree, sgc, agc, shc, ahc)
     ftree = free_tree_space(2, 2)
     dihedral = infinite_dihedral_space(2)
     return [
@@ -285,7 +285,7 @@ def test_c09_cocycle_identity():
     am = z4_z6_amalgam()
     tree = TreeOfCosetSpaces(am)
     sgc, agc, shc, ahc = naive_quotient_structures(tree, 2)
-    space, action = amalgam_space(tree, sgc, agc, shc, ahc, 2)
+    space, action = amalgam_space(tree, sgc, agc, shc, ahc)
     words = [w for w, _ in ball_enumerate(am, 2)]
     pairs = [(words[rng.randrange(len(words))], words[rng.randrange(len(words))]) for _ in range(200)]
     report = cocycle_from_space(space, action, tree.base_point, pairs)
@@ -319,7 +319,7 @@ def test_c11_negative_control_tree_exponent():
     am = z4_z6_amalgam()
     tree = TreeOfCosetSpaces(am)
     sgc, agc, shc, ahc = naive_quotient_structures(tree, 2)
-    space, _ = amalgam_space(tree, sgc, agc, shc, ahc, 2)
+    space, _ = amalgam_space(tree, sgc, agc, shc, ahc)
     mismatches = []
     for gamma, _ in ball_enumerate(am, 5):
         x = tree.act_point(gamma, tree.base_point)
@@ -354,7 +354,7 @@ def test_c12_properness_evidence():
     am = z4_z6_amalgam()
     tree = TreeOfCosetSpaces(am)
     sgc, agc, shc, ahc = naive_quotient_structures(tree, 1)
-    aspace, _ = amalgam_space(tree, sgc, agc, shc, ahc, 1)
+    aspace, _ = amalgam_space(tree, sgc, agc, shc, ahc)
     letters = [am.letter_word("L", g) for g in range(1, 4)] + [
         am.letter_word("R", h) for h in range(1, 6)
     ]

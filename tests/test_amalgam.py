@@ -108,7 +108,7 @@ def test_long_word_paths_and_energies_against_brute_force(z46_spaces, z46_tree, 
         d_t = bfs_tree_distance(t, x.vertex, y.vertex)
         for q in (1, 2):
             data = z46_spaces[q]
-            vertex_space = vertex_induced_space(t, data["struct_gc"], data["struct_hc"], q)
+            vertex_space = vertex_induced_space(t, data["struct_gc"], data["struct_hc"])
             brute = brute_projection_sum_energy(t, data["struct_gc"], data["struct_hc"], q, x, y, radius)
             assert pair_energy(vertex_space, x, y) + d_t == brute
             assert pair_energy(data["space"], x, y) == brute
@@ -264,7 +264,7 @@ def test_tree_induced_energy_is_tree_distance(z46_tree, rng):
 def test_vertex_induced_same_vertex_contribution(z46_tree):
     t = z46_tree
     sgc, _, shc, _ = naive_quotient_structures(t, 1)
-    space = vertex_induced_space(t, sgc, shc, 1)
+    space = vertex_induced_space(t, sgc, shc)
     # two distinct cosets inside X_G: only the G vertex contributes
     a = t.am.letter_word("L", 1)
     x = TotalPoint(t.base_vertex, t.am.identity)
@@ -351,7 +351,7 @@ def test_proper_amalgam_matches_direct_construction(z46, rng):
     space_g, action_g = group_naive_space(z46.left, 1)
     space_h, action_h = group_naive_space(z46.right, 1)
     space, action, tree, sgc, shc = proper_amalgam_from_factors(
-        space_g, action_g, space_h, action_h, z46, 1
+        space_g, action_g, space_h, action_h, z46
     )
     # averaged naive quotient structures still separate distinct cosets
     for gamma, _ in ball_enumerate(z46, 3):

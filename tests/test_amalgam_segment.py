@@ -39,7 +39,7 @@ def close_pairs(tree, radius=5):
 def amalgam_setup(make_amalgam, q=2):
     tree = TreeOfCosetSpaces(make_amalgam())
     sgc, agc, shc, ahc = naive_quotient_structures(tree, q)
-    space, action = amalgam_space(tree, sgc, agc, shc, ahc, q)
+    space, action = amalgam_space(tree, sgc, agc, shc, ahc)
     return tree, space, action, {"L": sgc, "R": shc}, {"L": agc, "R": ahc}
 
 

@@ -389,14 +389,14 @@ def reference_oracles(monkeypatch):
     sums repeated labels and drops zeros."""
     product_space, direct_sum_space, naive_space = cons.product_space, cons.direct_sum_space, cons.weighted_naive_space
 
-    def product(factors, q):
+    def product(factors):
         factors = list(factors)
 
         def diff(x, y):
             return SparseVec([(factor(i, label), value)
                               for i, f in enumerate(factors) for label, value in f.diff(x[i], y[i]).items()])
 
-        return dataclasses.replace(product_space(factors, q), diff=diff)
+        return dataclasses.replace(product_space(factors), diff=diff)
 
     def direct_sum(factor_at, base, q, index_window=()):
         def diff(x, y):
@@ -424,7 +424,7 @@ def reference_oracles(monkeypatch):
 
     vertex_induced_space, tree_induced_space = amalgam_mod.vertex_induced_space, amalgam_mod.tree_induced_space
 
-    def vertex_induced(tree, struct_gc, struct_hc, q):
+    def vertex_induced(tree, struct_gc, struct_hc):
         structs = {"L": struct_gc, "R": struct_hc}
 
         def diff(x, y):
@@ -434,7 +434,7 @@ def reference_oracles(monkeypatch):
                               for label, value in structs[v[0]].diff(tree.side_point(v, px),
                                                                      tree.side_point(v, py)).items()])
 
-        return dataclasses.replace(vertex_induced_space(tree, struct_gc, struct_hc, q), diff=diff)
+        return dataclasses.replace(vertex_induced_space(tree, struct_gc, struct_hc), diff=diff)
 
     def tree_induced(tree, q):
         def diff(x, y):
@@ -450,8 +450,8 @@ def reference_oracles(monkeypatch):
         space, action, free = free_tree_space(rank, q, sample_radius)
 
         def diff(x, y):
-            neighbours = [(a, examples_mod.tree_neighbour(free, a, x), examples_mod.tree_neighbour(free, a, y))
-                          for a in examples_mod.geodesic(free, x, y)]
+            neighbours = [(a, examples_mod.tree_neighbour(a, x), examples_mod.tree_neighbour(a, y))
+                          for a in examples_mod.geodesic(x, y)]
             return SparseVec([entry for a, bx, by in neighbours
                               for entry in ((pair_label(a, bx), 1), (pair_label(a, by), -1))])
 

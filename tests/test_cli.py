@@ -91,7 +91,6 @@ def test_nested_product_config(workdir):
     built = build_space(
         {
             "kind": "product",
-            "q": 2,
             "factors": [
                 {"kind": "walls_zn", "dim": 1, "q": 2},
                 {"kind": "naive", "points": 3, "q": 2},
@@ -456,7 +455,7 @@ WREATH_CASES = {
 def wreath_case(name):
     """The wreath gluing over a case's (G, L) with naive Z/2 lamps, and its walls, lamp group and cosets."""
     group, subgroup = WREATH_CASES[name]
-    space, aw, ag = wreath_glue(group, subgroup, *group_naive_space(FiniteGroup.cyclic(2), 2), 2)
+    space, aw, ag = wreath_glue(group, subgroup, *group_naive_space(FiniteGroup.cyclic(2), 2))
     return group, space, aw, ag, wreath_walls(aw.group), aw.group, coset_table(group, subgroup)
 
 
@@ -521,6 +520,18 @@ def test_amalgam_energy_sweep_output_is_pinned(args):
     assert hashlib.sha256(done.stdout).hexdigest() == SWEEP_SCRIPT_STDOUT[args]
 
 
+def test_amalgam_energy_sweep_exits_0_quietly_when_the_reader_closes_the_pipe():
+    # radius 14 prints about 120 kB, more than a pipe holds, so the sweep is still writing when it closes
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    with subprocess.Popen([sys.executable, str(root / "scripts" / "amalgam_energy_sweep.py"), "14", "2"],
+                          env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as done:
+        assert done.stdout.readline().startswith(b"word | n | d_T") and done.stdout.readline()
+        done.stdout.close()
+        err = done.stderr.read()
+    assert done.returncode == 0 and b"Traceback" not in err, err
+
+
 def test_amalgam_energy_sweep_exits_1_on_a_linear_mismatch(monkeypatch, capsys):
     path = Path(__file__).resolve().parents[1] / "scripts" / "amalgam_energy_sweep.py"
     spec = importlib.util.spec_from_file_location("amalgam_energy_sweep", path)
@@ -579,6 +590,12 @@ def test_amalgam_formula_at_a_non_integer_q(workdir, capsys, monkeypatch, term, 
     for failure in suite["failures"]:
         assert type(failure["formula"]) is float and failure["formula"] != failure["oracle"]
     assert bool(suite["failures"]) == (term == "power")
+    if term == "linear":
+        # a q-th power of a nonzero syllable term is a float at q = 3/2, and exact at q = 2
+        for q, kind in (("3/2", float), (2, Fraction)):
+            built = build_space(dict(AMALGAM_NODE, q=q), workdir)
+            tree, sgc, shc = (built.extras[key] for key in ("tree", "struct_gc", "struct_hc"))
+            assert type(amalgam_energy_formula(tree, sgc, shc, q, tree.am.letter_word("L", 1))) is kind
 
 
 @pytest.mark.parametrize("samples, checked", [(0, 0), (5, 5), (50, 44)])  # the radius-4 ball has 44 words

@@ -126,7 +126,7 @@ def test_bad_config_values_exit_2(key, tmp_path, capsys):
 
 def test_a_nested_config_error_keeps_its_own_path(tmp_path, capsys):
     config = tmp_path / "nested.json"
-    config.write_text(json.dumps({"kind": "product", "q": 2, "factors": [BAD_VALUES["dim"]]}))
+    config.write_text(json.dumps({"kind": "product", "factors": [BAD_VALUES["dim"]]}))
     code, err = run(["table", str(config)], capsys)
     assert code == 2 and err.startswith("configuration error: root.factors[0]: invalid literal")
 
@@ -336,8 +336,8 @@ def test_table_and_check_keep_to_the_preimage_of_a_scale_pullback(tmp_path, caps
 
 SAMPLED_SCALE_PULLBACK = {
     "kind": "pullback",
-    "inner": {"kind": "product", "q": 1, "factors": [{"kind": "naive", "points": 3, "q": 1},
-                                                     {"kind": "walls_zn", "dim": 1, "q": 1}]},
+    "inner": {"kind": "product", "factors": [{"kind": "naive", "points": 3, "q": 1},
+                                             {"kind": "walls_zn", "dim": 1, "q": 1}]},
     "map": {"type": "scale", "factor": 5},
 }
 
@@ -356,8 +356,11 @@ def write_config(tmp_path, node) -> str:
      "configuration error: root: unknown key 'preset'; allowed keys: q\n"),
     (["dist", {**config_node("wreath.json"), "factor_cyclic": 2}, "#0", "#1"],
      "configuration error: root: unknown key 'factor_cyclic'; allowed keys: q, group, co_subgroup\n"),
+    # a product takes its exponent from its factors
+    (["dist", {**config_node("product.json"), "q": 2}, "#0", "#1"],
+     "configuration error: root: unknown key 'q'; allowed keys: factors\n"),
 ], ids=["table-radius", "amalgam-tree-term-power", "amalgam-tree-term-linear", "semidirect-preset",
-        "wreath_glue-factor_cyclic"])
+        "wreath_glue-factor_cyclic", "product-q"])
 def test_a_removed_flag_or_key_exits_2(argv, message, tmp_path, capsys):
     config = write_config(tmp_path, argv[1]) if isinstance(argv[1], dict) else str(CONFIGS / argv[1])
     code, err = run([argv[0], config] + argv[2:], capsys)
@@ -383,9 +386,9 @@ def test_scale_maps_the_leaves_of_a_nested_point(tmp_path, capsys):
 
 # doubling sends the metric points 1 and 3 to 2 and 6, which are not in inner
 UNDRAWABLE_PULLBACK = {
-    "kind": "product", "q": "sup", "factors": [
+    "kind": "product", "factors": [
         {"kind": "pullback", "map": {"type": "scale", "factor": 2},
-         "inner": {"kind": "product", "q": "sup", "factors": [
+         "inner": {"kind": "product", "factors": [
              {"kind": "metric_linf", "points": [1, 3], "matrix": [[0, 1], [1, 0]]},
              {"kind": "walls_zn", "dim": 1, "q": "sup"}]}},
         {"kind": "naive", "points": 2, "q": "sup"}],
@@ -417,7 +420,7 @@ WALLS = {"kind": "walls_custom", "q": 2, "file": "walls.txt"}
     (AMALGAM, ["check", "--samples", "3"]),
     (METRIC, ["dist", "0", "0"]),
     (WALLS, ["table", "--limit", "3"]),
-    ({"kind": "product", "q": "sup", "factors": [{"kind": "walls_zn", "dim": 1, "q": "sup"}, METRIC]},
+    ({"kind": "product", "factors": [{"kind": "walls_zn", "dim": 1, "q": "sup"}, METRIC]},
      ["check", "--samples", "3"]),
 ], ids=["amalgam-table", "amalgam-check", "metric", "walls_custom", "product-with-metric"])
 def test_a_scale_map_over_points_that_are_not_integer_trees_exits_2(inner, argv, tmp_path, capsys):
@@ -497,7 +500,7 @@ def test_a_product_with_a_cocycle_factor_ends_its_orbit_at_the_ball(tmp_path, ca
     """The orbit of walls_zn x cocycle(Z, radius 3) leaves the space at Z x Z's
     sphere of radius 4: a listing past its 25 points ends with a note, an index
     past it is out of range and a growth profile past it exits 2."""
-    node = {"kind": "product", "q": 2, "factors": [{"kind": "walls_zn", "dim": 1, "q": 2}, {**COCYCLE, "radius": 3}]}
+    node = {"kind": "product", "factors": [{"kind": "walls_zn", "dim": 1, "q": 2}, {**COCYCLE, "radius": 3}]}
     config = str(write_cocycle_config(tmp_path, node))
     note = "# listed 25 of 30 points: the orbit leaves the space at radius 4"
     assert main(["table", config, "--limit", "30"]) == 0
@@ -551,7 +554,7 @@ def test_a_metric_point_named_twice_exits_2(tmp_path, capsys):
 
 def test_a_metric_file_that_names_a_point_twice_exits_2_naming_its_node(tmp_path, capsys):
     (tmp_path / "m.csv").write_text("a,b,a\n0,1,0\n1,0,1\n0,1,0\n")
-    node = {"kind": "product", "q": "sup",
+    node = {"kind": "product",
             "factors": [{"kind": "walls_zn", "dim": 1, "q": "sup"}, {"kind": "metric_linf", "file": "m.csv"}]}
     code, err = run(["dist", write_config(tmp_path, node), '[0,"a"]', '[0,"b"]'], capsys)
     assert code == 2 and "Traceback" not in err

@@ -37,7 +37,7 @@ BASE = {
     "metric_linf": {"kind": "metric_linf", "points": ["a", "b", "c"], "matrix": [[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]]},
     "pullback": {"kind": "pullback", "inner": {"kind": "walls_zn", "dim": 1, "q": 1},
                  "map": {"type": "scale", "factor": 2}},
-    "product": {"kind": "product", "q": 2,
+    "product": {"kind": "product",
                 "factors": [{"kind": "walls_zn", "dim": 1, "q": 2}, {"kind": "naive", "points": 3, "q": 2}]},
     "proper_sum": {"kind": "proper_sum", "q": 2, "window": [-1, 0, 1], "factor_cyclic": 2, "phi": [1, 2, 3]},
     "semidirect": {"kind": "semidirect", "q": "sup"},
@@ -187,7 +187,7 @@ PROBES = {
     "decimal_extent": ({"kind": "walls_zn", "dim": 1, "extent": 2.7, "q": 2}, "(key 'extent')"),
     "decimal_window": ({"kind": "proper_sum", "q": 2, "window": [0, 1.5, 2]}, "(key 'window')"),
     "boolean_radius": ({"kind": "free_tree_mineyev", "rank": 2, "radius": True, "q": 2}, "(key 'radius')"),
-    "nested_decimal": ({"kind": "product", "q": 2, "factors": [{"kind": "walls_zn", "dim": 2.0, "q": 2}]},
+    "nested_decimal": ({"kind": "product", "factors": [{"kind": "walls_zn", "dim": 2.0, "q": 2}]},
                        "root.factors[0]: invalid literal for an integer: 2.0 (key 'dim')"),
 }
 

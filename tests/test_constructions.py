@@ -84,7 +84,7 @@ def test_product_energy_additivity(rng):
     f1 = naive_space(range(4), 2)
     f2 = walls_to_labelled(zn_half_space_walls(1), 2)
     f3 = weighted_naive_space(range(3), 2, 2)
-    space = product_space([f1, f2, f3], 2)
+    space = product_space([f1, f2, f3])
     for _ in range(100):
         x = (rng.randrange(4), (rng.randrange(-5, 6),), rng.randrange(3))
         y = (rng.randrange(4), (rng.randrange(-5, 6),), rng.randrange(3))
@@ -99,11 +99,11 @@ def test_product_energy_additivity(rng):
 
 def test_product_requires_matching_exponent():
     with pytest.raises(InvalidInput):
-        product_space([naive_space(range(2), 1), naive_space(range(2), 2)], 2)
+        product_space([naive_space(range(2), 1), naive_space(range(2), 2)])
 
 
 def test_two_naive_factors_distance_sqrt2():
-    space = product_space([naive_space(range(2), 2), naive_space(range(2), 2)], 2)
+    space = product_space([naive_space(range(2), 2), naive_space(range(2), 2)])
     assert pair_energy(space, (0, 0), (1, 1)) == 2
     assert math.isclose(dist(space, (0, 0), (1, 1)), math.sqrt(2), rel_tol=1e-12)
     assert pair_energy(space, (1, 0), (1, 0)) == 0
@@ -113,7 +113,7 @@ def test_product_action_coordinatewise(rng):
     z2, z3 = FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)
     s1, a1 = group_naive_space(z2, 2)
     s2, a2 = group_naive_space(z3, 2)
-    space, action = product_action([s1, s2], [a1, a2], 2)
+    space, action = product_action([s1, s2], [a1, a2])
     samples = []
     for _ in range(100):
         g = (rng.randrange(2), rng.randrange(3))
@@ -175,7 +175,7 @@ def test_proper_sum_orbital_energy_and_lower_bound():
     factor_group = FiniteGroup.cyclic(2)
     fs, fa = group_naive_space(factor_group, 2)
     group = DirectSumGroup(factor_group, range(-3, 4))
-    space, action = proper_sum_space(fs, fa, group, 2, phi_abs)
+    space, action = proper_sum_space(fs, fa, group, phi_abs)
     y0 = proper_sum_basepoint(group)
     for w in group.elements():
         e = pair_energy(space, action.point_map(w, y0), y0)
@@ -183,6 +183,22 @@ def test_proper_sum_orbital_energy_and_lower_bound():
         assert e == expected
         if w != group.identity:
             assert e >= max(phi_abs(i) ** 2 for i in group.support(w))
+
+
+def test_proper_sum_and_wreath_glue_compute_at_their_factors_exponent():
+    """Both gluings compute at the factor space's exponent: for a weight-3
+    naive Z/2 factor at q = 2 the energies below are 28 and 10 (10 and 4 at q = 1)."""
+    lamps = FiniteGroup.cyclic(2)
+    fs, fa = group_naive_space(lamps, 2, w=3)
+    group = DirectSumGroup(lamps, (0, 1, 2))
+    space, action = proper_sum_space(fs, fa, group)
+    y0 = proper_sum_basepoint(group)
+    # 3**2 per lamp, plus phi(i)**2 = (1 + rank of i)**2 at i = 0 and i = 2
+    assert space.norm.q == 2 and pair_energy(space, action.point_map(((0, 1), (2, 1)), y0), y0) == 28
+    space, action_w, _ = wreath_glue(FiniteGroup.cyclic(4), (0,), fs, fa)
+    base = (((), 0), ())
+    # 3**2 for the lamp, plus its wall distance 1
+    assert space.norm.q == 2 and pair_energy(space, action_w.point_map(((0, 1),), base), base) == 10
 
 
 def test_semidirect_action_is_group_homomorphism(rng):
@@ -219,7 +235,7 @@ def test_semidirect_rejects_incompatible_twist():
     space2, action2 = group_naive_space(flip_group, 2)
     broken_twist = Action(group=flip_group, point_map=lambda s, x: (x[0] + 1,) if s == 1 else x)
     with pytest.raises(InvalidInput):
-        semidirect_space(space1, action1, space2, action2, broken_twist, infinite_dihedral(), 2)
+        semidirect_space(space1, action1, space2, action2, broken_twist, infinite_dihedral())
 
 
 def test_wreath_support_evidence():
@@ -238,7 +254,7 @@ def test_wreath_glue_rejects_lamps_not_of_order_2():
     translation's only for order-2 lamps: Z/3 lamps used to glue without
     error, and the lamp action then failed its equivariance check."""
     with pytest.raises(InvalidInput, match="order 2"):
-        wreath_glue(FiniteGroup.cyclic(4), (0,), *group_naive_space(FiniteGroup.cyclic(3), 2), 2)
+        wreath_glue(FiniteGroup.cyclic(4), (0,), *group_naive_space(FiniteGroup.cyclic(3), 2))
 
 
 def swapping_lamps(a, b):
@@ -253,7 +269,7 @@ def swapping_lamps(a, b):
 
 def toy_wreath(factor_space, factor_action):
     """The wreath gluing over Z/4 with the lamp factor: walls, space, both actions, i0."""
-    space, action_w, action_g = wreath_glue(FiniteGroup.cyclic(4), (0,), factor_space, factor_action, 2)
+    space, action_w, action_g = wreath_glue(FiniteGroup.cyclic(4), (0,), factor_space, factor_action)
     return wreath_walls(action_w.group), space, action_w, action_g, 0
 
 
@@ -290,7 +306,7 @@ def test_sums_move_the_lamp_base_point_by_the_factor_action(rng):
     assert factor_action.point_map(1, 0) == 1
 
     group = DirectSumGroup(factor_action.group, range(-2, 3))
-    sum_space, sum_action = proper_sum_space(factor_space, factor_action, group, 2, phi_abs)
+    sum_space, sum_action = proper_sum_space(factor_space, factor_action, group, phi_abs)
     y0 = proper_sum_basepoint(group)
     for w in group.elements():
         expected = sum(1 + phi_abs(i) ** 2 for i in group.support(w))
@@ -324,7 +340,7 @@ def quotient_setups():
 @pytest.mark.parametrize("q", [1, 2])
 def test_quotient_average_norm_bound(group, subgroup, q):
     space, action = group_naive_space(group, q)
-    quotient, qaction = quotient_average(space, group, subgroup, action)
+    quotient, qaction = quotient_average(space, subgroup, action)
     eta = averaging_eta(space, group, subgroup)
     rep_of = {g: qaction.point_map(g, quotient.universe.points[0]) for g in group.elements()}
     base = quotient.universe.points[0]
@@ -345,7 +361,7 @@ def test_quotient_average_norm_bound(group, subgroup, q):
 def test_quotient_average_trivial_subgroup_is_identity(rng):
     z4 = FiniteGroup.cyclic(4)
     space, action = group_naive_space(z4, 1)
-    quotient, _ = quotient_average(space, z4, (0,), action)
+    quotient, _ = quotient_average(space, (0,), action)
     for _ in range(20):
         x, y = rng.randrange(4), rng.randrange(4)
         assert pair_energy(quotient, x, y) == pair_energy(space, x, y)
@@ -354,7 +370,7 @@ def test_quotient_average_trivial_subgroup_is_identity(rng):
 def test_quotient_average_z4_example():
     z4 = FiniteGroup.cyclic(4)
     space, action = group_naive_space(z4, 1)
-    quotient, _ = quotient_average(space, z4, (0, 2), action)
+    quotient, _ = quotient_average(space, (0, 2), action)
     assert quotient.universe.points == (0, 1)
     v = sep(quotient, 1, 0)
     assert len(v) == 4
@@ -368,7 +384,7 @@ def test_quotient_average_equivariance(rng):
     s3 = FiniteGroup.symmetric(3)
     transposition = next(g for g in range(6) if g != s3.identity and s3.mul(g, g) == s3.identity)
     space, action = group_naive_space(s3, 2)
-    quotient, qaction = quotient_average(space, s3, (s3.identity, transposition), action)
+    quotient, qaction = quotient_average(space, (s3.identity, transposition), action)
     pts = quotient.universe.points
     samples = [(rng.randrange(6), rng.choice(pts), rng.choice(pts)) for _ in range(150)]
     assert check_equivariance(quotient, qaction, samples).passed
@@ -378,4 +394,4 @@ def test_quotient_average_rejects_non_subgroup():
     z4 = FiniteGroup.cyclic(4)
     space, action = group_naive_space(z4, 1)
     with pytest.raises(InvalidInput):
-        quotient_average(space, z4, (0, 1), action)
+        quotient_average(space, (0, 1), action)

@@ -77,7 +77,7 @@ def test_a_product_of_acting_factors_lists_its_orbit(tmp_path, capsys, second, l
     (tmp_path / "c.txt").write_text("q 2\ngen 1 | 1 0 ; 0 1 | 1 0\n")
     config = tmp_path / "acting_product.json"
     factors = [{"kind": "walls_zn", "dim": 1, "q": 2}, second]
-    config.write_text(json.dumps({"kind": "product", "q": 2, "factors": factors}))
+    config.write_text(json.dumps({"kind": "product", "factors": factors}))
     built = built_of(config)
     listed = built.listing(limit)
     assert built.orbit and built.points(limit) == list(built.orbit_elements(limit)) == list(listed)
