@@ -51,7 +51,6 @@ from .core import (
 )
 from .groups import (
     AmalgamGroup,
-    DirectSumGroup,
     FiniteGroup,
     ZGroup,
     ball_enumerate,
@@ -450,11 +449,9 @@ def _build_proper_sum(*, q: exponent, window: integers, factor_cyclic: integer =
     else:
         phi = dict(zip(window, phi)).__getitem__
     _bound_order(factor_cyclic, f"factor_cyclic {factor_cyclic}")
-    factor_group = FiniteGroup.cyclic(factor_cyclic)
-    group = DirectSumGroup(factor_group, window)
-    factor_space, factor_action = cons.group_naive_space(factor_group, q)
-    space, action = cons.proper_sum_space(factor_space, factor_action, group, phi)
-    return Built(space, {"main": action}, basepoint=cons.proper_sum_basepoint(group))
+    factor_space, factor_action = cons.group_naive_space(FiniteGroup.cyclic(factor_cyclic), q)
+    space, action = cons.proper_sum_space(factor_space, factor_action, window, phi)
+    return Built(space, {"main": action}, basepoint=((), action.group.identity))
 
 
 def infinite_dihedral_built(q: exponent):
@@ -463,7 +460,7 @@ def infinite_dihedral_built(q: exponent):
     return Built(space, {"main": action}, basepoint=((0,), 0))
 
 
-def _walls_cosets(*, kind: one_of("walls_cosets"), subgroups: list_of(integers)):
+def _walls_cosets(*, subgroups: list_of(integers)):
     return subgroups
 
 
@@ -526,7 +523,6 @@ def _build_cocycle(*, group: one_of("Z", otherwise=finite_group), file: config_f
 # the kind table: each node kind and its builder
 _BUILDERS = {
     "naive": _build_naive,
-    "weighted_naive": _build_naive,
     "walls_zn": _build_walls_zn,
     "walls_custom": _build_walls_custom,
     "metric_linf": _build_metric,
@@ -602,7 +598,11 @@ def _json_object(obj: dict, indent: str) -> str:
 # profiles and check suites
 
 
-def growth_profile(built: Built, radius: int, budget: int = 200_000, generators=None) -> dict:
+# the most group elements a growth profile walks unless ``growth --budget`` says otherwise
+GROWTH_BUDGET = 200_000
+
+
+def growth_profile(built: Built, radius: int, budget: int = GROWTH_BUDGET, generators=None) -> dict:
     """Per-sphere orbital statistics of the main action: the exact minimum
     energy, float distances.  Spheres are word spheres over ``generators``
     (default: the group's own generating set).
@@ -897,7 +897,7 @@ def _parser() -> argparse.ArgumentParser:
     p_growth.add_argument("config")
     p_growth.add_argument("--radius", type=nonnegative, required=True)
     p_growth.add_argument("--out", default=None)
-    p_growth.add_argument("--budget", type=nonnegative, default=200_000)
+    p_growth.add_argument("--budget", type=nonnegative, default=GROWTH_BUDGET)
 
     p_check = sub.add_parser("check", help="run invariant suites")
     p_check.add_argument("config")

@@ -70,7 +70,7 @@ def pullback(f: Callable[[Point], Point], space: Space, universe: PointUniverse)
 # naive Dirac families
 
 
-def weighted_naive_space(points: Iterable, w, q, universe: PointUniverse | None = None) -> Space:
+def weighted_naive_space(points: Iterable, w, q) -> Space:
     """The w-weighted naive structure: separated pairs sit at distance w.
 
     Labels are Dirac labels of weight 1/2; sep(x, y) has value +w at x and
@@ -80,15 +80,13 @@ def weighted_naive_space(points: Iterable, w, q, universe: PointUniverse | None 
     if w < 0:
         raise InvalidInput("naive weight must be nonnegative")
     neg_w = -w
-    if universe is None:
-        universe = finite_universe(points)
 
     def diff(x, y):
         if x == y or w == 0:
             return ZERO_VEC
         return _vec({dirac(x): w, dirac(y): neg_w})
 
-    return Space(universe=universe, diff=diff, norm=NormSpec(q, half_weight))
+    return Space(universe=finite_universe(points), diff=diff, norm=NormSpec(q, half_weight))
 
 
 def naive_space(points: Iterable, q) -> Space:
@@ -212,15 +210,19 @@ def sum_point(entries: Iterable[tuple[Any, Point]], basepoint: Point) -> tuple:
     return tuple(sorted((i, x) for i, x in entries if x != basepoint))
 
 
-def direct_sum_space(factor_at: Callable[[Any], Space], basepoint: Point, q, index_window: Sequence) -> Space:
+def direct_sum_space(factor_at: Callable[[Any], Space], basepoint: Point, index_window: Sequence) -> Space:
     """Restricted direct sum relative to one base point, with lazy factors.
 
     Points are sorted tuples of (index, factor point) listing only the
     coordinates that differ from ``basepoint``, which every factor shares,
     each index in ``index_window``; factors are materialised only on the
     supports of queried points, and an index outside the window is rejected
-    before its factor is asked for.
+    before its factor is asked for.  The exponent is the factors', read off
+    the factor at the window's first index.
     """
+    if not index_window:
+        raise InvalidInput("a direct sum needs at least one index")
+    q = factor_at(index_window[0]).norm.q
     window = frozenset(index_window)
 
     def contains(x) -> bool:
@@ -280,7 +282,8 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
     group acts on itself by left translation with an exact label map.
     When phi is None the default 1 + |enumeration rank| weighting is used,
     which diverges along the index window.  The factor at index i is built
-    on first use, which raises InvalidInput if phi(i) is negative.
+    on first use, the window's first one with the space, for its exponent;
+    a negative phi(i) raises InvalidInput there.
     """
     if phi is None:
         ranks = {i: r for r, i in enumerate(group.index_window)}
@@ -289,15 +292,14 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
             return Fraction(1 + ranks[i])
 
     h = group.factor
-    lamps = finite_universe(h.elements())
     factors: dict = {}
 
     def factor_at(i):
         if i not in factors:
-            factors[i] = weighted_naive_space(lamps.points, phi(i), q, universe=lamps)
+            factors[i] = weighted_naive_space(h.elements(), phi(i), q)
         return factors[i]
 
-    space = direct_sum_space(factor_at, h.identity, q, index_window=group.index_window)
+    space = direct_sum_space(factor_at, h.identity, index_window=group.index_window)
     coordinatewise = direct_sum_action(group, naive_group_action(h), h.identity)
     # group.mul is the same map on the group's own elements, and about 1.6x faster
     return space, Action(group=group, point_map=group.mul, label_map=coordinatewise.label_map)
@@ -307,30 +309,27 @@ def weighted_naive_sum_space(group: DirectSumGroup, phi: Callable[[Any], Fractio
 # properness-restoring sum
 
 
-def proper_sum_space(factor_space: Space, factor_action: Action, group: DirectSumGroup,
+def proper_sum_space(factor_space: Space, factor_action: Action, window: Sequence,
                      phi: Callable[[Any], Fraction] | None = None) -> tuple[Space, Action]:
     """Product of a direct sum of copies of ``factor_space`` with the
     diverging-weight naive structure on the acting lamp group, carrying the
     diagonal action.
 
-    Every coordinate of the direct sum has one base point, the identity of
-    ``factor_action``'s group, and moves by ``factor_action``.  For w in the
-    lamp group and base point y0 = ((), identity), the q-energy of
+    The lamp group is the restricted sum over ``window`` of copies of
+    ``factor_action``'s group.  Every coordinate of the direct sum has one
+    base point, that group's identity, and moves by ``factor_action``.  For
+    w in the lamp group and base point y0 = ((), identity), the q-energy of
     c(w.y0, y0) is the sum over supp(w) of the factor orbital energies plus
     phi(i)**q, so orbits escape every ball whenever the factor action is
     proper and phi diverges.  The exponent is ``factor_space``'s.
     """
-    q = factor_space.norm.q
+    group = DirectSumGroup(factor_action.group, window)
     basepoint = factor_action.group.identity
-    x_part = direct_sum_space(lambda i: factor_space, basepoint, q, index_window=group.index_window)
-    w_part, w_action = weighted_naive_sum_space(group, phi, q)
+    x_part = direct_sum_space(lambda i: factor_space, basepoint, index_window=group.index_window)
+    w_part, w_action = weighted_naive_sum_space(group, phi, factor_space.norm.q)
     space = product_space([x_part, w_part])
     x_action = direct_sum_action(group, factor_action, basepoint)
     return space, diagonal_action((x_action, w_action))
-
-
-def proper_sum_basepoint(group: DirectSumGroup) -> tuple:
-    return ((), group.identity)
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +476,7 @@ def wreath_glue(group_g: FiniteGroup, subgroup_l, factor_space: Space,
     cosets = coset_table(group_g, subgroup_l)
     group_w = DirectSumGroup(lamps, cosets.reps)
     walls_space = walls_to_labelled(wreath_walls(group_w), q)
-    lamp_sum = direct_sum_space(lambda i: factor_space, lamps.identity, q, index_window=group_w.index_window)
+    lamp_sum = direct_sum_space(lambda i: factor_space, lamps.identity, index_window=group_w.index_window)
     space = product_space([walls_space, lamp_sum])
 
     def shift(g, i):

@@ -252,11 +252,6 @@ class NormSpec:
             raise InvalidInput(f"norm exponent must be >= 1 or SUP, got {self.q}")
         object.__setattr__(self, "q", q)
 
-    @property
-    def exact(self) -> bool:
-        """True when q-energies of rational vectors are exact rationals."""
-        return self.q == SUP or self.q.denominator == 1
-
 
 def q_energy(spec: NormSpec, vec: SparseVec):
     """Weighted q-energy of ``vec``; exact Fraction for integer q and SUP.

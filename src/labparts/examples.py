@@ -131,14 +131,6 @@ def metric_from_csv(path) -> FiniteMetric:
     return FiniteMetric(names, tuple(map(tuple, body)))
 
 
-def metric_to_csv(metric: FiniteMetric, path) -> None:
-    with open(path, "w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(metric.points)
-        for row in metric.d:
-            writer.writerow([str(v) for v in row])
-
-
 # ---------------------------------------------------------------------------
 # free groups: tree specialization of the hyperbolic labelling family
 
@@ -164,13 +156,6 @@ def geodesic(x: tuple, y: tuple) -> list[tuple]:
             break
         common += 1
     return [x[:k] for k in range(len(x), common, -1)] + [y[:k] for k in range(common, len(y) + 1)]
-
-
-def gromov_product(free: FreeGroup, x: tuple, y: tuple, a: tuple) -> Fraction:
-    dxa = len(free.mul(free.inv(x), a))
-    dya = len(free.mul(free.inv(y), a))
-    dxy = len(free.mul(free.inv(x), y))
-    return Fraction(dxa + dya - dxy, 2)
 
 
 def free_tree_space(rank: int, q, sample_radius: int = 4) -> tuple[Space, Action, FreeGroup]:

@@ -398,7 +398,7 @@ def reference_oracles(monkeypatch):
 
         return dataclasses.replace(product_space(factors), diff=diff)
 
-    def direct_sum(factor_at, base, q, index_window=()):
+    def direct_sum(factor_at, base, index_window):
         def diff(x, y):
             xs, ys = dict(x), dict(y)
             entries = []
@@ -406,13 +406,13 @@ def reference_oracles(monkeypatch):
                 entries += [(factor(i, l), v) for l, v in factor_at(i).diff(xs.get(i, base), ys.get(i, base)).items()]
             return SparseVec(entries)
 
-        return dataclasses.replace(direct_sum_space(factor_at, base, q, index_window), diff=diff)
+        return dataclasses.replace(direct_sum_space(factor_at, base, index_window), diff=diff)
 
-    def weighted_naive(points, w, q, universe=None):
+    def weighted_naive(points, w, q):
         def diff(x, y):
             return SparseVec([] if x == y else [(dirac(x), w), (dirac(y), -Fraction(w))])
 
-        return dataclasses.replace(naive_space(points, w, q, universe), diff=diff)
+        return dataclasses.replace(naive_space(points, w, q), diff=diff)
 
     walls_to_labelled = walls_mod.walls_to_labelled
 
@@ -469,7 +469,7 @@ def reference_oracles(monkeypatch):
 def zero_weight_lamp_sum():
     """A direct sum whose factor at index 0 is the naive structure of weight 0."""
     lamps = {i: cons.weighted_naive_space(range(3), i, 2) for i in range(3)}
-    return cons.direct_sum_space(lamps.__getitem__, 0, 2, index_window=range(3))
+    return cons.direct_sum_space(lamps.__getitem__, 0, index_window=range(3))
 
 
 def coset_walls():

@@ -389,7 +389,7 @@ def test_orbit_enumeration_matches_list_scan():
 @pytest.mark.parametrize(
     "node",
     [
-        {"kind": "weighted_naive", "points": 4, "weight": "3", "q": 2},
+        {"kind": "naive", "points": 4, "weight": "3", "q": 2},
         {"kind": "metric_linf", "points": ["a", "b"], "matrix": [[0, 5], [5, 0]]},
         {"kind": "pullback", "inner": {"kind": "walls_zn", "dim": 1, "q": 1}, "map": {"type": "scale", "factor": 2}},
         {"kind": "proper_sum", "q": 2, "window": [-2, -1, 0, 1, 2], "phi": "one_plus_abs"},
@@ -399,7 +399,7 @@ def test_orbit_enumeration_matches_list_scan():
             "kind": "quotient_average",
             "group": "S3.tbl",
             "subgroup": [0, 3],
-            "structure": {"kind": "walls_cosets", "subgroups": [[0, 3]]},
+            "structure": {"subgroups": [[0, 3]]},
             "q": 2,
         },
         {"kind": "wreath_glue", "group": "Z4.tbl", "co_subgroup": [0], "q": 2},
@@ -420,7 +420,7 @@ def test_all_kinds_build_and_pass_metric_suite(workdir, node):
 
 
 def test_weighted_naive_example(workdir):
-    built = build_space({"kind": "weighted_naive", "points": 4, "weight": "3", "q": 2}, workdir)
+    built = build_space({"kind": "naive", "points": 4, "weight": "3", "q": 2}, workdir)
     assert pair_energy(built.space, 0, 1) == 9
 
 

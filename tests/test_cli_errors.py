@@ -359,8 +359,17 @@ def write_config(tmp_path, node) -> str:
     # a product takes its exponent from its factors
     (["dist", {**config_node("product.json"), "q": 2}, "#0", "#1"],
      "configuration error: root: unknown key 'q'; allowed keys: factors\n"),
+    # one kind has one name: 'weighted_naive' was another name for 'naive'
+    (["dist", {"kind": "weighted_naive", "points": 4, "q": 2}, "#0", "#1"],
+     "configuration error: root: kind must be one of naive, walls_zn, walls_custom, metric_linf, pullback, product, "
+     "proper_sum, semidirect, quotient_average, wreath_glue, amalgam, free_tree_mineyev, cocycle; "
+     "got 'weighted_naive'\n"),
+    # an object structure is told apart from 'naive' by its type
+    (["dist", {"kind": "quotient_average", "group": {"cyclic": 4}, "subgroup": [0, 2], "q": 1,
+               "structure": {"kind": "walls_cosets", "subgroups": [[0, 2]]}}, "#0", "#1"],
+     "configuration error: root: unknown key 'structure.kind'; allowed keys: structure.subgroups\n"),
 ], ids=["table-radius", "amalgam-tree-term-power", "amalgam-tree-term-linear", "semidirect-preset",
-        "wreath_glue-factor_cyclic", "product-q"])
+        "wreath_glue-factor_cyclic", "product-q", "weighted_naive", "quotient_average-structure-kind"])
 def test_a_removed_flag_or_key_exits_2(argv, message, tmp_path, capsys):
     config = write_config(tmp_path, argv[1]) if isinstance(argv[1], dict) else str(CONFIGS / argv[1])
     code, err = run([argv[0], config] + argv[2:], capsys)
@@ -437,7 +446,7 @@ def test_a_scale_map_over_points_that_are_not_integer_trees_exits_2(inner, argv,
     ({"kind": "naive", "points": 0, "q": 2}, "points"),
     ({"kind": "naive", "points": -3, "q": 2}, "points"),
     # one past cli.MAX_NAIVE_POINTS; with no bound, 10**8 points ended in a MemoryError traceback
-    ({"kind": "weighted_naive", "points": 100_001, "q": 2}, "points"),
+    ({"kind": "naive", "points": 100_001, "q": 2}, "points"),
     ({"kind": "walls_zn", "dim": 1, "extent": -1, "q": 2}, "extent"),
     ({"kind": "proper_sum", "window": [], "q": 2}, "window"),
     ({"kind": "free_tree_mineyev", "rank": 2, "radius": -1, "q": 2}, "radius"),

@@ -30,8 +30,7 @@ CONFIGS = ROOT / "configs"
 
 # one valid node per kind; the files they name are written by ``workdir``
 BASE = {
-    "naive": {"kind": "naive", "points": 4, "q": 2},
-    "weighted_naive": {"kind": "weighted_naive", "group": {"cyclic": 3}, "weight": "3/2", "q": 1},
+    "naive": {"kind": "naive", "group": {"cyclic": 3}, "weight": "3/2", "q": 1},
     "walls_zn": {"kind": "walls_zn", "dim": 2, "extent": 3, "q": 1},
     "walls_custom": {"kind": "walls_custom", "file": "walls.txt", "q": 2},
     "metric_linf": {"kind": "metric_linf", "points": ["a", "b", "c"], "matrix": [[0, 0.5, 1], [0.5, 0, 1], [1, 1, 0]]},
@@ -42,7 +41,7 @@ BASE = {
     "proper_sum": {"kind": "proper_sum", "q": 2, "window": [-1, 0, 1], "factor_cyclic": 2, "phi": [1, 2, 3]},
     "semidirect": {"kind": "semidirect", "q": "sup"},
     "quotient_average": {"kind": "quotient_average", "group": "Z4.tbl", "subgroup": [0, 2], "q": 1,
-                         "structure": {"kind": "walls_cosets", "subgroups": [[0, 2]]}},
+                         "structure": {"subgroups": [[0, 2]]}},
     "wreath_glue": {"kind": "wreath_glue", "group": "Z4.tbl", "co_subgroup": [0], "q": 2},
     "amalgam": {"kind": "amalgam", "left": "Z4.tbl", "right": "Z6.tbl", "common": {"left": [0, 2], "right": [0, 3]},
                 "q": 1, "factors": "naive"},
@@ -112,20 +111,66 @@ def test_every_reader_has_rejected_values():
 ONE_VALUE_KEYS = {"amalgam.factors": "ROADMAP item 8 gives it a second value"}
 
 
+def made_by(reader, maker) -> bool:
+    """Whether ``reader`` is a reader that ``maker`` (``cli.one_of``, ``cli.obj``, ...) returned."""
+    return reader.__qualname__.startswith(f"{maker.__name__}.")
+
+
 def accepts_one_value(reader) -> bool:
     """Whether ``reader`` is a ``cli.one_of`` with one choice and no ``otherwise``."""
-    if not reader.__qualname__.startswith(f"{cli.one_of.__name__}."):
+    if not made_by(reader, cli.one_of):
         return False
     scope = inspect.getclosurevars(reader).nonlocals
     return len(scope["choices"]) == 1 and scope["otherwise"] is None
 
 
+def object_signature(reader):
+    """The function by whose signature ``reader`` reads a JSON object: that of
+    ``cli.obj(f)``, also as a ``list_of`` entry or a ``one_of``'s ``otherwise``;
+    None when ``reader`` reads no object."""
+    scope = inspect.getclosurevars(reader).nonlocals
+    if made_by(reader, cli.obj):
+        return scope["fn"]
+    if made_by(reader, cli.list_of):
+        return object_signature(scope["reader"])
+    if made_by(reader, cli.one_of) and scope["otherwise"] is not None:
+        return object_signature(scope["otherwise"])
+    return None
+
+
+def one_value_keys(fn, name: str) -> set:
+    """The keys of the signature of ``fn``, read at ``name``, and of the
+    objects nested in them, whose reader accepts one value, each named
+    ``name.key`` or ``name.key.subkey``."""
+    found = set()
+    for key, reader in fn.__annotations__.items():
+        if accepts_one_value(reader):
+            found.add(f"{name}.{key}")
+        nested = object_signature(reader)
+        if nested is not None:
+            found |= one_value_keys(nested, f"{name}.{key}")
+    return found
+
+
 def test_no_builder_key_accepts_exactly_one_value():
     """A key that accepts one value can only be set to its default, so it
-    selects nothing: drop it, or give it a second value."""
-    one_value = {f"{kind}.{key}" for kind in cli._BUILDERS
-                 for key, (reader, _) in schema(kind).items() if accepts_one_value(reader)}
+    selects nothing: drop it, or give it a second value.  Keys of nested
+    objects count too."""
+    one_value = set().union(*(one_value_keys(builder, kind) for kind, builder in cli._BUILDERS.items()))
     assert one_value == ONE_VALUE_KEYS.keys()
+
+
+def test_the_one_value_guard_sees_nested_keys():
+    def inner(*, kind: cli.one_of("only"), n: cli.integer = 0):
+        pass
+
+    def builder(*, plain: cli.one_of("x"), obj: cli.obj(inner), many: cli.list_of(cli.obj(inner)),
+                either: cli.one_of("y", otherwise=cli.obj(inner)), choice: cli.one_of("a", "b") = "a",
+                nodes: cli.list_of(cli.node) = ()):
+        pass
+
+    assert one_value_keys(builder, "planted") == {"planted.plain", "planted.obj.kind", "planted.many.kind",
+                                                  "planted.either.kind"}
 
 
 @pytest.mark.parametrize("kind", sorted(BASE))
@@ -212,7 +257,7 @@ def test_decimal_matrix_entries_are_read_exactly(tmp_path, capsys, decimal, ener
 
 
 def test_decimals_read_in_process_are_exact(workdir):
-    built = cli.build_space({"kind": "weighted_naive", "points": 2, "weight": 0.1, "q": 1}, workdir)
+    built = cli.build_space({"kind": "naive", "points": 2, "weight": 0.1, "q": 1}, workdir)
     assert cli.pair_energy(built.space, 0, 1) == Fraction(1, 10)
 
 

@@ -21,7 +21,6 @@ from labparts.constructions import (
     naive_space,
     product_action,
     product_space,
-    proper_sum_basepoint,
     proper_sum_space,
     pullback,
     quotient_average,
@@ -164,7 +163,7 @@ def test_weighted_naive_sum_general_pairs(rng):
 
 def test_direct_sum_space_chasles(rng):
     factor = naive_space(range(3), 2)
-    space = direct_sum_space(lambda i: factor, 0, 2, index_window=range(4))
+    space = direct_sum_space(lambda i: factor, 0, index_window=range(4))
     pts = [space.universe.sample(rng, 1)[0] for _ in range(30)]
     triples = [(rng.choice(pts), rng.choice(pts), rng.choice(pts)) for _ in range(40)]
     report = check_pseudo_metric(space, triples)
@@ -174,9 +173,9 @@ def test_direct_sum_space_chasles(rng):
 def test_proper_sum_orbital_energy_and_lower_bound():
     factor_group = FiniteGroup.cyclic(2)
     fs, fa = group_naive_space(factor_group, 2)
-    group = DirectSumGroup(factor_group, range(-3, 4))
-    space, action = proper_sum_space(fs, fa, group, phi_abs)
-    y0 = proper_sum_basepoint(group)
+    space, action = proper_sum_space(fs, fa, range(-3, 4), phi_abs)
+    group = action.group
+    y0 = ((), group.identity)
     for w in group.elements():
         e = pair_energy(space, action.point_map(w, y0), y0)
         expected = sum(1 + phi_abs(i) ** 2 for i in group.support(w))
@@ -190,9 +189,8 @@ def test_proper_sum_and_wreath_glue_compute_at_their_factors_exponent():
     naive Z/2 factor at q = 2 the energies below are 28 and 10 (10 and 4 at q = 1)."""
     lamps = FiniteGroup.cyclic(2)
     fs, fa = group_naive_space(lamps, 2, w=3)
-    group = DirectSumGroup(lamps, (0, 1, 2))
-    space, action = proper_sum_space(fs, fa, group)
-    y0 = proper_sum_basepoint(group)
+    space, action = proper_sum_space(fs, fa, (0, 1, 2))
+    y0 = ((), action.group.identity)
     # 3**2 per lamp, plus phi(i)**2 = (1 + rank of i)**2 at i = 0 and i = 2
     assert space.norm.q == 2 and pair_energy(space, action.point_map(((0, 1), (2, 1)), y0), y0) == 28
     space, action_w, _ = wreath_glue(FiniteGroup.cyclic(4), (0,), fs, fa)
@@ -305,9 +303,9 @@ def test_sums_move_the_lamp_base_point_by_the_factor_action(rng):
     factor_space, factor_action = swapping_lamps(0, 1)
     assert factor_action.point_map(1, 0) == 1
 
-    group = DirectSumGroup(factor_action.group, range(-2, 3))
-    sum_space, sum_action = proper_sum_space(factor_space, factor_action, group, phi_abs)
-    y0 = proper_sum_basepoint(group)
+    sum_space, sum_action = proper_sum_space(factor_space, factor_action, range(-2, 3), phi_abs)
+    group = sum_action.group
+    y0 = ((), group.identity)
     for w in group.elements():
         expected = sum(1 + phi_abs(i) ** 2 for i in group.support(w))
         assert pair_energy(sum_space, sum_action.point_map(w, y0), y0) == expected

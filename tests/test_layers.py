@@ -34,21 +34,22 @@ def test_the_guard_sees_a_construction():
 
 
 # A space carries its exponent in ``space.norm.q``, so a function that takes
-# a space reads q off it instead of taking q again.  The closed-form amalgam
-# energy keeps its q, which it checks against its structures: bench/verify.py
-# calls it with q positionally.
+# a space, or a function that returns one per index, reads q off it instead
+# of taking q again.  The closed-form amalgam energy keeps its q, which it
+# checks against its structures: bench/verify.py calls it with q positionally.
 RESTATED_Q_ALLOWED = {"amalgam_energy_formula"}
+SPACE_ANNOTATIONS = {"Space", "Sequence[Space]", "Callable[[Any], Space]"}
 
 
 def restated_exponents(source: str) -> list:
-    """The functions in ``source`` that take a parameter annotated ``Space``
-    or ``Sequence[Space]`` together with a parameter named ``q``."""
+    """The functions in ``source`` that take a parameter with an annotation
+    in ``SPACE_ANNOTATIONS`` together with a parameter named ``q``."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
             annotations = {ast.unparse(p.annotation) for p in params if p.annotation is not None}
-            if annotations & {"Space", "Sequence[Space]"} and any(p.arg == "q" for p in params):
+            if annotations & SPACE_ANNOTATIONS and any(p.arg == "q" for p in params):
                 found.append(node.name)
     return found
 
@@ -61,5 +62,6 @@ def test_no_function_takes_a_space_and_its_exponent_again():
 def test_the_exponent_guard_sees_a_restated_q():
     source = ("def glue(factor: Space, q):\n    pass\n\n\n"
               "def naive(points, q):\n    pass\n\n\n"
-              "def product(factors: Sequence[Space], *, q=2):\n    pass\n")
-    assert restated_exponents(source) == ["glue", "product"]
+              "def product(factors: Sequence[Space], *, q=2):\n    pass\n\n\n"
+              "def direct_sum(factor_at: Callable[[Any], Space], basepoint, q, index_window):\n    pass\n")
+    assert restated_exponents(source) == ["glue", "product", "direct_sum"]
