@@ -43,6 +43,7 @@ from .core import (
     _vec,
     half_weight,
     q_energy,
+    shared_weight,
     vertex_tag,
     wall,
 )
@@ -252,7 +253,8 @@ def vertex_induced_space(tree: TreeOfCosetSpaces, struct_gc: Space, struct_hc: S
         (tag, v) = label[0]
         return structs[v[0]].norm.weight(tuple(label[1:]))
 
-    return Space(universe=tree.universe(), diff=diff, norm=NormSpec(q, weight_of))
+    weight = shared_weight(struct_gc.norm.weight, struct_hc.norm.weight) or weight_of
+    return Space(universe=tree.universe(), diff=diff, norm=NormSpec(q, weight))
 
 
 def tree_induced_space(tree: TreeOfCosetSpaces, q) -> Space:
@@ -302,6 +304,8 @@ def amalgam_space(
     def weight_of(label):
         return vertex_part.norm.weight(label) if label[0][0] == "vertex" else half_weight(label)
 
+    weight = shared_weight(vertex_part.norm.weight, half_weight) or weight_of
+
     # relabel moves a vector's support labels by one element; the labels of
     # one vertex come together, and so do both orientations of one edge, so each
     # move is memoised for its last arguments, and the inverses of the last
@@ -334,7 +338,7 @@ def amalgam_space(
             return vertex_tag(v1, target), sign
         raise DomainError(f"unrecognised amalgam label {label!r}")
 
-    space = Space(universe=tree.universe(), diff=diff, norm=NormSpec(vertex_part.norm.q, weight_of))
+    space = Space(universe=tree.universe(), diff=diff, norm=NormSpec(vertex_part.norm.q, weight))
     action = Action(group=tree.am, point_map=tree.act_point, label_map=label_map)
     return space, action
 

@@ -652,9 +652,12 @@ def growth_profile(built: Built, radius: int, budget: int = GROWTH_BUDGET, gener
                 if g_inv != g:
                     of_inverse[g_inv] = e
             energies.append(e)
-        for e in set(energies) - dist_of.keys():
-            dist_of[e] = energy_to_dist(built.space.norm, e)
-        dists = [dist_of[e] for e in energies]
+        dists = []
+        for e in energies:
+            d = dist_of.get(e)
+            if d is None:
+                d = dist_of[e] = energy_to_dist(built.space.norm, e)
+            dists.append(d)
         rows.append(
             {
                 "radius": r,

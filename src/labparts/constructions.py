@@ -38,7 +38,9 @@ from .core import (
     factor_label_map,
     finite_universe,
     half_weight,
+    shared_weight,
     wall,
+    weight_constant,
 )
 from .groups import DirectSumGroup, FiniteGroup, ProductGroup, SemidirectGroup, coset_table, infinite_dihedral
 from .walls import walls_to_labelled, wreath_walls, z_line_walls_space
@@ -161,14 +163,17 @@ def product_space(factors: Sequence[Space]) -> Space:
     def sampler(rng: random.Random):
         return tuple(f.universe.sample(rng, 1)[0] for f in factors)
 
-    def diff(x, y):
-        return _vec({factor(i, label): value
-                     for i, fac in enumerate(factors) for label, value in fac.diff(x[i], y[i]).items()})
+    tagged = [(i, (("factor", i),), fac.diff) for i, fac in enumerate(factors)]
 
+    def diff(x, y):
+        return _vec({tag + label: value
+                     for i, tag, fac_diff in tagged for label, value in fac_diff(x[i], y[i]).items()})
+
+    weight = shared_weight(*(f.norm.weight for f in factors)) or _factor_weight(factors.__getitem__)
     return Space(
         universe=PointUniverse(contains=contains, points=points, sampler=sampler),
         diff=diff,
-        norm=NormSpec(q, _factor_weight(factors.__getitem__)),
+        norm=NormSpec(q, weight),
     )
 
 
@@ -218,12 +223,18 @@ def direct_sum_space(factor_at: Callable[[Any], Space], basepoint: Point, index_
     each index in ``index_window``; factors are materialised only on the
     supports of queried points, and an index outside the window is rejected
     before its factor is asked for.  The exponent is the factors', read off
-    the factor at the window's first index.
+    the factor at the window's first index, and so is a constant weight; the
+    oracle raises InvalidInput on a factor that does not carry that weight.
     """
     if not index_window:
         raise InvalidInput("a direct sum needs at least one index")
-    q = factor_at(index_window[0]).norm.q
+    first = factor_at(index_window[0]).norm
+    q = first.q
     window = frozenset(index_window)
+    # a constant weight of the first factor is the sum's, and every factor that
+    # the oracle reaches must carry its value
+    constant = weight_constant(first.weight)
+    tags: dict = {}  # index -> its factor tag, built once its factor's weight is checked
 
     def contains(x) -> bool:
         if not isinstance(x, tuple):
@@ -247,14 +258,21 @@ def direct_sum_space(factor_at: Callable[[Any], Space], basepoint: Point, index_
         xs, ys = dict(x), dict(y)
         out = {}
         for i in xs.keys() | ys.keys():
-            for label, value in factor_at(i).diff(xs.get(i, basepoint), ys.get(i, basepoint)).items():
-                out[factor(i, label)] = value
+            fac = factor_at(i)
+            tag = tags.get(i)
+            if tag is None:
+                if constant is not None and weight_constant(fac.norm.weight) != constant:
+                    raise InvalidInput(f"factor {i} of the direct sum does not weigh every label {constant}, "
+                                       f"as the factor at index {index_window[0]} does")
+                tag = tags[i] = (("factor", i),)
+            for label, value in fac.diff(xs.get(i, basepoint), ys.get(i, basepoint)).items():
+                out[tag + label] = value
         return _vec(out)
 
     return Space(
         universe=PointUniverse(contains=contains, sampler=sampler),
         diff=diff,
-        norm=NormSpec(q, _factor_weight(factor_at)),
+        norm=NormSpec(q, first.weight if constant is not None else _factor_weight(factor_at)),
     )
 
 

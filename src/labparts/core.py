@@ -18,17 +18,24 @@ floats, except for the supremum norm where the distance itself is exact.
 
 Kernel invariants: a ``SparseVec`` stores only nonzero ``Fraction`` values;
 ``NormSpec`` weights are rationals (``int`` or ``Fraction``); integer-q
-energies accumulate integer numerators per denominator and build one
-canonical ``Fraction``; ``check_pseudo_metric`` tests each point once, calls
+energies accumulate integer numerators per denominator, reading each ratio
+once, and build one canonical ``Fraction``.  A label family whose labels all
+weigh the same carries a ``constant_weight``, whose value constructions pass
+through: its integer-q energy makes no weight call, counts the entries that
+are the shared ``ONE``/``MINUS_ONE`` with an identity test, and multiplies by
+the weight once (SUP and non-integer q still weigh each label, so their
+values do not change).  ``check_pseudo_metric`` tests each point once, calls
 the oracle once per distinct ordered pair of a triple, c(y, x) included, and
 reads the energy of c(y, x) off the identity c(x, y) == -c(y, x), which it
 tests entry by entry without building -c(y, x); ``check_equivariance`` calls
 the label map once per support label of c(x, y), under g^-1, tests weights
-on those images, and computes energies only for a sample that fails.
+on those images unless the weight is constant, and computes energies only
+for a sample that fails.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -219,16 +226,39 @@ ZERO_VEC = SparseVec()
 
 
 # shared values: oracles emit these, so SparseVec has no int to convert
-ONE, MINUS_ONE, _HALF = Fraction(1), Fraction(-1), Fraction(1, 2)
+ONE, MINUS_ONE = Fraction(1), Fraction(-1)
 
 
-def unit_weight(label: Label) -> Fraction:
-    return ONE
+def constant_weight(value) -> Callable[[Label], Fraction]:
+    """The weight giving every label ``value``, which it carries as its
+    ``constant`` attribute: ``q_energy`` and ``check_equivariance`` read that
+    instead of calling it per label, and constructions pass it through."""
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+
+    def weight(label: Label) -> Fraction:
+        return value
+
+    weight.constant = value
+    return weight
 
 
-def half_weight(label: Label) -> Fraction:
-    """Weight 1/2, for label families that count each separation twice."""
-    return _HALF
+def weight_constant(weight: Callable[[Label], Fraction]):
+    """The value of a ``constant_weight``, None for any other weight function."""
+    return getattr(weight, "constant", None)
+
+
+def shared_weight(first: Callable[[Label], Fraction], *others) -> Callable[[Label], Fraction] | None:
+    """``first`` when it and all ``others`` are constant weights of one value, else None."""
+    value = weight_constant(first)
+    if value is None or any(weight_constant(w) != value for w in others):
+        return None
+    return first
+
+
+unit_weight = constant_weight(ONE)
+# for label families that count each separation twice
+half_weight = constant_weight(Fraction(1, 2))
 
 
 @dataclass(frozen=True)
@@ -272,19 +302,40 @@ def q_energy(spec: NormSpec, vec: SparseVec):
         # integer numerators summed per denominator, the buckets brought to
         # their lcm, and a single Fraction normalised at the end
         n = q.numerator
-        weight = spec.weight
         buckets: dict = {}
-        for l, v in vec.items():
-            w = weight(l)
-            den = w.denominator * v.denominator**n
-            buckets[den] = buckets.get(den, 0) + w.numerator * abs(v.numerator) ** n
-        num, den = 0, 1
-        for d, m in buckets.items():
-            lcm = den // math.gcd(den, d) * d
-            num, den = num * (lcm // den) + m * (lcm // d), lcm
-        return Fraction(num, den)
+        constant = weight_constant(spec.weight)
+        if constant is None:
+            weight = spec.weight
+            for l, v in vec.items():
+                wn, wd = weight(l).as_integer_ratio()
+                vn, vd = v.as_integer_ratio()
+                den = wd * vd**n
+                buckets[den] = buckets.get(den, 0) + wn * abs(vn) ** n
+            return _bucket_sum(buckets, 1, 1)
+        # one weight for all: the shared +-1 entries are counted, the rest
+        # summed unweighted, and the total multiplied by the weight once
+        units = 0
+        for v in vec._entries.values():
+            if v is ONE or v is MINUS_ONE:
+                units += 1
+            else:
+                vn, vd = v.as_integer_ratio()
+                den = vd**n
+                buckets[den] = buckets.get(den, 0) + abs(vn) ** n
+        if units:
+            buckets[1] = buckets.get(1, 0) + units
+        return _bucket_sum(buckets, *constant.as_integer_ratio())
     qf = float(q)
     return math.fsum(float(spec.weight(l)) * float(abs(v)) ** qf for l, v in vec.items())
+
+
+def _bucket_sum(buckets: dict, wn: int, wd: int) -> Fraction:
+    """wn/wd times the sum over ``buckets`` of numerator / denominator, as one Fraction."""
+    num, den = 0, 1
+    for d, m in buckets.items():
+        lcm = den // math.gcd(den, d) * d
+        num, den = num * (lcm // den) + m * (lcm // d), lcm
+    return Fraction(num * wn, den * wd)
 
 
 def energy_to_dist(spec: NormSpec, energy) -> float:
@@ -476,7 +527,8 @@ def check_equivariance(
 
     With a label map, c(x, y) is relabelled once, and each support label's
     weight is compared with that of its image under g^-1 there: one label-map
-    call per label.  For an action the g^-1 map is the inverse of the g map.
+    call per label.  Under a ``constant_weight`` no weight is compared, as every
+    label map keeps it.  For an action the g^-1 map is the inverse of the g map.
     A sample whose relabelled vector equals c(gx, gy), with no two labels
     moved onto one and every weight kept, passes with no energy computed: both
     energies then add up (or, under SUP, maximise) the same multiset of terms
@@ -488,6 +540,8 @@ def check_equivariance(
     report = CheckReport("equivariance")
     norm, label_map = space.norm, action.label_map
     weight = norm.weight
+    # every label map preserves a weight that is the same on all labels
+    weights_kept = weight_constant(weight) is not None
     for g, x, y in samples:
         lhs = sep(space, action.point_map(g, x), action.point_map(g, y))
         rhs = sep(space, x, y)
@@ -509,7 +563,7 @@ def check_equivariance(
             return image
 
         try:
-            moved = relabel(rhs, invert)
+            moved = relabel(rhs, functools.partial(label_map, inv) if weights_kept else invert)
         except Exception:
             # a label map that raises on c(x, y) is reported only once the energies agree,
             # so a changed distance keeps its reason

@@ -28,6 +28,7 @@ from .core import (
     SparseVec,
     _vec,
     finite_universe,
+    shared_weight,
     unit_weight,
     wall,
 )
@@ -83,7 +84,9 @@ def walls_to_labelled(walls: MeasuredWalls, q) -> Space:
         w = walls.weight(label[0][1])
         return w if isinstance(w, Fraction) else Fraction(w)
 
-    return Space(universe=walls.universe, diff=diff, norm=NormSpec(q, weight_of))
+    # a constant wall weight ignores its argument, so it weighs labels as it weighs walls
+    weight = shared_weight(walls.weight) or weight_of
+    return Space(universe=walls.universe, diff=diff, norm=NormSpec(q, weight))
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +225,19 @@ def wreath_walls(group_w: DirectSumGroup) -> MeasuredWalls:
             return group_w.component(w, j) != factor.identity
         return i == j
 
-    wall_ids = [("supp", j) for j in index_set] + [("pos", j) for j in index_set]
-    return finite_walls(PointUniverse(contains=contains, sampler=sampler), wall_ids, member)
+    rank = {j: k for k, j in enumerate(index_set)}
+
+    def separating(p, r):
+        # normal-form words list their support: the support walls at the symmetric
+        # difference of the two supports, then the position walls, each in window order
+        (w, i), (v, k) = p, r
+        out = [("supp", j) for j in sorted({j for j, _ in w} ^ {j for j, _ in v}, key=rank.__getitem__)]
+        if i != k:
+            out += [("pos", j) for j in sorted((i, k), key=rank.__getitem__)]
+        return out
+
+    return MeasuredWalls(universe=PointUniverse(contains=contains, sampler=sampler), weight=unit_weight,
+                         member=member, separating=separating)
 
 
 def custom_walls_load(path) -> MeasuredWalls:

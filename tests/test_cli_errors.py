@@ -39,13 +39,14 @@ def test_dist_rejects_non_integer_walls_coordinates(literal, capsys):
     assert code == 2 and err.startswith("configuration error:")
 
 
+# each case carries its id, so dropping one leaves the others' names as they are
 @pytest.mark.parametrize(
     "argv",
     [
-        ["table", "z_walls.json", "--limit", "-1"],
-        ["export", "z_walls.json", "--what", "labels", "--limit", "-1"],
-        ["check", "z_walls.json", "--samples", "-2"],
-        ["growth", "z_walls.json", "--radius", "2", "--budget", "-1"],
+        pytest.param(["table", "z_walls.json", "--limit", "-1"], id="argv0"),
+        pytest.param(["export", "z_walls.json", "--what", "labels", "--limit", "-1"], id="argv1"),
+        pytest.param(["check", "z_walls.json", "--samples", "-2"], id="argv2"),
+        pytest.param(["growth", "z_walls.json", "--radius", "2", "--budget", "-1"], id="argv3"),
     ],
 )
 def test_negative_counts_exit_2(argv, capsys):

@@ -381,13 +381,14 @@ def built_groups(monkeypatch):
     return built
 
 
+# each case carries its id, so dropping one leaves the others' names as they are
 @pytest.mark.parametrize("node", [
-    {"kind": "naive", "group": {"cyclic": 721}, "q": 1},
-    {"kind": "naive", "group": {"symmetric": 7}, "q": 1},
-    {"kind": "naive", "group": {"symmetric": 10 ** 9}, "q": 1},
-    {"kind": "quotient_average", "group": {"cyclic": 10 ** 5}, "subgroup": [0], "q": 1},
-    {"kind": "proper_sum", "window": [0, 1], "factor_cyclic": 721, "q": 2},
-    {"kind": "wreath_glue", "group": {"cyclic": 10 ** 5}, "q": 2},
+    pytest.param({"kind": "naive", "group": {"cyclic": 721}, "q": 1}, id="node0"),
+    pytest.param({"kind": "naive", "group": {"symmetric": 7}, "q": 1}, id="node1"),
+    pytest.param({"kind": "naive", "group": {"symmetric": 10 ** 9}, "q": 1}, id="node2"),
+    pytest.param({"kind": "quotient_average", "group": {"cyclic": 10 ** 5}, "subgroup": [0], "q": 1}, id="node3"),
+    pytest.param({"kind": "proper_sum", "window": [0, 1], "factor_cyclic": 721, "q": 2}, id="node4"),
+    pytest.param({"kind": "wreath_glue", "group": {"cyclic": 10 ** 5}, "q": 2}, id="node5"),
 ])
 def test_a_preset_group_past_the_order_bound_exits_2_before_it_is_built(node, tmp_path, capsys, built_groups):
     config = tmp_path / "big.json"

@@ -1,10 +1,15 @@
+import dataclasses
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from labparts.cli import build_space
 from labparts.core import (
     InvalidInput,
+    NormSpec,
     check_equivariance,
     check_pseudo_metric,
     dist,
@@ -12,6 +17,8 @@ from labparts.core import (
     pair_energy,
     q_energy,
     sep,
+    unit_weight,
+    weight_constant,
 )
 from labparts.constructions import (
     averaging_eta,
@@ -168,6 +175,39 @@ def test_direct_sum_space_chasles(rng):
     triples = [(rng.choice(pts), rng.choice(pts), rng.choice(pts)) for _ in range(40)]
     report = check_pseudo_metric(space, triples)
     assert report.passed and report.total == 40
+
+
+def test_a_direct_sum_never_weighs_a_factor_by_another_factors_weight():
+    half = naive_space(range(3), 2)  # every Dirac label weighs 1/2
+    unit = dataclasses.replace(half, norm=NormSpec(2, unit_weight))
+    per_label = dataclasses.replace(half, norm=NormSpec(2, lambda label: Fraction(1)))
+    x, y = ((0, 1), (1, 2)), ((1, 1),)
+    # the first factor's weight is not constant: each label is weighed by its own factor
+    space = direct_sum_space({0: per_label, 1: half}.__getitem__, 0, index_window=(0, 1))
+    assert weight_constant(space.norm.weight) is None
+    assert pair_energy(space, x, y) == 3  # 1 + 1 at index 0, 1/2 + 1/2 at index 1
+    # a constant first weight is the sum's, so a factor weighing otherwise is rejected by index
+    space = direct_sum_space({0: half, 1: unit}.__getitem__, 0, index_window=(0, 1))
+    assert weight_constant(space.norm.weight) == Fraction(1, 2)
+    assert pair_energy(space, ((0, 1),), ()) == 1
+    with pytest.raises(InvalidInput, match="factor 1 "):
+        pair_energy(space, x, y)
+
+
+# each shipped config's root weight: constant where every label weighs the same
+ROOT_WEIGHTS = {
+    "amalgam_q1": Fraction(1, 2), "amalgam_q2": Fraction(1, 2), "dihedral": None, "free_tree": 1,
+    "naive": Fraction(1, 2), "product": None, "proper_sum": Fraction(1, 2), "quotient_average": Fraction(1, 2),
+    "wreath": None, "z2_walls": 1, "z_walls": 1,
+}
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_constructions_pass_a_shared_constant_weight_to_the_root():
+    assert sorted(ROOT_WEIGHTS) == sorted(p.stem for p in CONFIGS.glob("*.json"))
+    for name, constant in ROOT_WEIGHTS.items():
+        built = build_space(json.loads((CONFIGS / f"{name}.json").read_text()), CONFIGS)
+        assert weight_constant(built.space.norm.weight) == constant, name
 
 
 def test_proper_sum_orbital_energy_and_lower_bound():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -6,14 +7,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from labparts.core import (
+    MINUS_ONE,
+    ONE,
+    Action,
     DomainError,
     InvalidInput,
     NormSpec,
     SUP,
     Space,
     SparseVec,
+    check_equivariance,
     check_homomorphism,
     check_pseudo_metric,
+    constant_weight,
     dirac,
     dist,
     factor,
@@ -26,7 +32,8 @@ from labparts.core import (
     values_match,
     wall,
 )
-from labparts.constructions import naive_space, pullback, weighted_naive_space
+from labparts.constructions import naive_space, product_space, pullback, weighted_naive_space
+from labparts.groups import FiniteGroup
 from labparts.walls import z_line_walls_space, zn_half_space_walls, walls_to_labelled
 
 
@@ -161,6 +168,20 @@ def test_integer_q_energy_matches_reference(pairs, q, weight):
     energy = q_energy(NormSpec(q, weight), vec)
     assert type(energy) is Fraction
     assert energy == sum(weight(label) * abs(value) ** q for label, value in vec.items())
+
+
+# the shared +-1 objects, equal values that are other objects, and other rationals
+unit_or_rational = st.one_of(st.sampled_from([ONE, MINUS_ONE, Fraction(1), Fraction(-1)]), rationals)
+
+
+@given(st.dictionaries(labels, unit_or_rational), st.sampled_from([1, 2, 3]),
+       st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 7)]))
+def test_integer_q_energy_under_a_constant_weight_matches_reference(entries, q, c):
+    vec = SparseVec(entries)
+    energy = q_energy(NormSpec(q, constant_weight(c)), vec)
+    assert type(energy) is Fraction
+    assert energy == sum(c * abs(value) ** q for _, value in vec.items())
+    assert energy == q_energy(NormSpec(q, lambda label: c), vec)
 
 
 @given(entry_lists(), st.sampled_from([int_weight, fraction_weight]))
@@ -336,3 +357,19 @@ def test_pseudo_metric_evaluates_each_ordered_pair_once():
     assert check_pseudo_metric(broken_space(diff), DISTINCT_TRIPLES).passed
     expected = [pair for x, y, z in DISTINCT_TRIPLES for pair in ((x, x), (x, y), (y, x), (x, z), (y, z))]
     assert calls == expected
+
+
+def test_a_weight_changing_label_map_is_reported_under_mixed_weights():
+    # two line-walls factors, the second of weight 2: swapping the factors keeps c(x, y)'s shape
+    # and, for (0, 0) and (1, 1), its energy 1 + 2, but not the weight of any label
+    line = walls_to_labelled(zn_half_space_walls(1), 2)
+    heavy = walls_to_labelled(dataclasses.replace(zn_half_space_walls(1), weight=constant_weight(2)), 2)
+
+    def swap(g, label):
+        return (factor(1 - label[0][1], label[1:]) if g else label), 1
+
+    action = Action(FiniteGroup.cyclic(2), lambda g, x: (x[1], x[0]) if g else x, swap)
+    sample = [(1, ((0,), (0,)), ((1,), (1,)))]
+    report = check_equivariance(product_space([line, heavy]), action, sample)
+    assert [f["reason"] for f in report.failures] == ["weight not preserved"]
+    assert check_equivariance(product_space([line, line]), action, sample).passed

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -7,19 +8,23 @@ from hypothesis import given, settings, strategies as st
 
 from labparts.cli import build_space, main
 from labparts.core import DomainError, check_equivariance, check_pseudo_metric, pair_energy, sep
-from labparts.groups import FiniteGroup, ball_enumerate
+from labparts.groups import DirectSumGroup, FiniteGroup, ball_enumerate, coset_table
 from labparts.walls import (
     MeasuredWalls,
     PointUniverse,
     coset_walls,
     coset_walls_action,
     custom_walls_load,
+    finite_walls,
     walls_to_labelled,
+    wreath_walls,
     z_line_walls_space,
     zn_half_space_walls,
     zn_translation_action,
 )
 from oracles import l1_distance
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 
 points2 = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
@@ -183,3 +188,21 @@ def test_custom_walls_rejects_bad_files(tmp_path):
     bad.write_text("points a b\nwall w1 1 0\n")
     with pytest.raises(DomainError):
         custom_walls_load(bad)
+
+
+@pytest.mark.parametrize("table,subgroup", [("Z4.tbl", [0]), ("S3.tbl", [0, 1])])
+def test_wreath_walls_separate_as_the_finite_walls_reference(table, subgroup):
+    # Z/4 over the trivial subgroup is configs/wreath.json's G/L; S3 over an order-2 subgroup has 3 cosets
+    cosets = coset_table(FiniteGroup.load(CONFIGS / table), subgroup)
+    lamps = FiniteGroup.cyclic(2)
+    walls = wreath_walls(DirectSumGroup(lamps, cosets.reps))
+    index_set = cosets.reps
+    reference = finite_walls(walls.universe, [("supp", j) for j in index_set] + [("pos", j) for j in index_set],
+                             walls.member)
+    words = [tuple((j, 1) for j in sorted(support))
+             for k in range(len(index_set) + 1) for support in itertools.combinations(index_set, k)]
+    points = [(w, i) for w in words for i in index_set]
+    assert all(walls.universe.contains(p) for p in points)
+    for p in points:
+        for r in points:
+            assert list(walls.separating(p, r)) == reference.separating(p, r)
